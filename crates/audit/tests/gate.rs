@@ -1,9 +1,9 @@
-//! End-to-end tests for the audit gate, in the same style as
-//! `bench_check`'s injected-regression tests: build a miniature
-//! workspace in a temp dir, run the real [`gosh_audit::run`] entry
-//! point against it, and check that a clean tree passes while each
-//! class of injected violation fails with the right rule. The final
-//! test audits this repository itself, so the gate can never ship red.
+//! End-to-end tests for the audit gate, by injected violation: build a
+//! miniature workspace in a temp dir, run the real [`gosh_audit::run`]
+//! entry point against it, and check that a clean tree passes while
+//! each class of injected violation fails with the right rule. The
+//! final test audits this repository itself, so the gate can never
+//! ship red.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1,13 +1,10 @@
 //! Criterion micro-benchmarks of the hot paths behind every table:
-//! the Algorithm 1 update, the fused in-place trainer update, the full
-//! sharded-vs-seed trainer core, the pipelined-vs-sync Algorithm 5
-//! large-graph engine, one coarsening step (sequential and parallel),
-//! coarse-graph construction, positive sampling, AUCROC, and CSR
-//! builds.
+//! the Algorithm 1 update, the fused in-place trainer update, the
+//! sharded trainer core, the pipelined Algorithm 5 large-graph engine,
+//! one coarsening step (sequential and parallel), coarse-graph
+//! construction, positive sampling, AUCROC, and CSR builds.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use gosh_bench::coarsen::coarsen_hierarchy_frozen;
-use gosh_bench::hotpath::train_cpu_seed;
 use gosh_coarsen::build::build_coarse_sequential;
 use gosh_coarsen::fused::{build_fused, CoarsenWorkspace};
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
@@ -65,8 +62,7 @@ fn bench_hotpath(c: &mut Criterion) {
     }
     group.finish();
 
-    // The whole trainer core: copy-free sharded engine vs the frozen
-    // seed engine, same workload (see gosh_bench::hotpath).
+    // The whole trainer core: the copy-free sharded engine.
     let g = community_graph(&CommunityConfig::new(8192, 8), 11);
     let params = TrainParams::adjacency(32, 3, 0.025, 4).with_threads(8);
     let mut group = c.benchmark_group("trainer_core_epoch4_d32");
@@ -75,12 +71,6 @@ fn bench_hotpath(c: &mut Criterion) {
         b.iter(|| {
             let mut m = Embedding::random(8192, 32, 3);
             train_cpu(black_box(&g), &mut m, &params);
-        });
-    });
-    group.bench_function("seed", |b| {
-        b.iter(|| {
-            let mut m = Embedding::random(8192, 32, 3);
-            train_cpu_seed(black_box(&g), &mut m, &params);
         });
     });
     group.finish();
@@ -110,9 +100,7 @@ fn bench_coarsening(c: &mut Criterion) {
     });
     group.finish();
 
-    // The whole multi-level pipeline: fused lock-free engine vs the
-    // frozen seed sequential path, same workload (see
-    // gosh_bench::coarsen).
+    // The whole multi-level pipeline on the fused lock-free engine.
     let mut group = c.benchmark_group("coarsen_hierarchy");
     group.sample_size(10);
     group.bench_function("fused_4t", |b| {
@@ -125,9 +113,6 @@ fn bench_coarsening(c: &mut Criterion) {
                 },
             )
         });
-    });
-    group.bench_function("frozen_sequential", |b| {
-        b.iter(|| coarsen_hierarchy_frozen(black_box(g.clone()), 100));
     });
     group.finish();
 }
@@ -160,9 +145,7 @@ fn bench_sampling(c: &mut Criterion) {
 }
 
 fn bench_large_path(c: &mut Criterion) {
-    // The whole Algorithm 5 engine: stream-overlapped pipeline vs the
-    // frozen synchronous baseline, same workload (see gosh_bench::large).
-    use gosh_bench::large::train_large_sync;
+    // The whole Algorithm 5 engine: the stream-overlapped pipeline.
     use gosh_core::backend::PartitionedOpts;
     use gosh_core::large::train_large;
     use gosh_gpu::{Device, DeviceConfig};
@@ -188,13 +171,6 @@ fn bench_large_path(c: &mut Criterion) {
             let dev = device();
             let mut m = Embedding::random(2048, 64, 9);
             train_large(&dev, black_box(&g), &mut m, &params, &opts).unwrap();
-        });
-    });
-    group.bench_function("sync", |b| {
-        b.iter(|| {
-            let dev = device();
-            let mut m = Embedding::random(2048, 64, 9);
-            train_large_sync(&dev, black_box(&g), &mut m, &params, &opts).unwrap();
         });
     });
     group.finish();

@@ -4,31 +4,8 @@
 //! (see DESIGN.md §4 for the index), plus criterion micro-benchmarks of
 //! the hot paths. Shared plumbing lives here: scaled-down run settings,
 //! tool wrappers that return `(seconds, AUCROC)` rows, and TSV printing.
-//!
-//! The trainer-core throughput harness lives in [`hotpath`]: it backs
-//! the `gosh bench-train` CLI subcommand and the criterion hot-path
-//! bench, and documents the `BENCH_hotpath.json` schema both emit. The
-//! large-graph-path harness lives in [`large`]: it backs `gosh
-//! bench-large`, freezes the pre-pipeline synchronous Algorithm 5
-//! engine as the baseline, and documents the `BENCH_large.json` schema.
-//! The coarsening harness lives in [`coarsen`]: it backs `gosh
-//! bench-coarsen`, freezes the seed sequential coarsening path as the
-//! baseline, and documents the `BENCH_coarsen.json` schema. The
-//! ingestion harness lives in [`ingest`]: it backs `gosh bench-ingest`,
-//! measures the parallel streaming parser against the sequential
-//! reference parser, and documents the `BENCH_ingest.json` schema. The
-//! distributed-training harness lives in [`distrib`]: it backs `gosh
-//! bench-distrib`, measures the multi-node replica trainer against the
-//! single-node path, and documents the `BENCH_distrib.json` schema. The
-//! serving harness lives in [`serve`]: it backs `gosh bench-serve`,
-//! measures the IVF query path against brute-force exact search through
-//! a real TCP loopback server, and documents the `BENCH_serve.json`
-//! schema. The streaming harness lives in [`stream`]: it backs `gosh
-//! bench-stream`, measures the delta path (edge-delta apply + hierarchy
-//! repair + warm-start retraining) against a full rebuild on a rolling
-//! temporal window, and documents the `BENCH_stream.json` schema. The
-//! [`check`] module is the CI regression gate over all seven reports
-//! (the `bench_check` binary).
+//! Performance is gated elsewhere: `benchmark/` at the repo root is the
+//! one end-to-end benchmark.
 //!
 //! ## Scaling
 //!
@@ -40,20 +17,8 @@
 //! what relative factor, where crossovers sit — are preserved; absolute
 //! wall-clock is not comparable to the paper's testbed.
 
-// This crate contains audited `unsafe` (see docs/SAFETY.md and the
-// `gosh audit` gate): every unsafe operation must sit in an explicit
-// block with its own `// SAFETY:` invariant, even inside `unsafe fn`.
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(clippy::undocumented_unsafe_blocks)]
-
-pub mod check;
-pub mod coarsen;
-pub mod distrib;
-pub mod hotpath;
-pub mod ingest;
-pub mod large;
-pub mod serve;
-pub mod stream;
+// No unsafe in this crate: the audit gate (docs/SAFETY.md) keeps it that way.
+#![forbid(unsafe_code)]
 
 use std::time::Instant;
 

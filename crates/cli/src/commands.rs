@@ -3,14 +3,6 @@
 use std::io::Write;
 use std::time::Instant;
 
-use gosh_bench::coarsen::{run_coarsen_bench, CoarsenBenchConfig};
-use gosh_bench::distrib::{run_distrib_bench, DistribBenchConfig};
-use gosh_bench::hotpath::{run_hotpath, HotpathConfig};
-use gosh_bench::ingest::{run_ingest_bench, IngestBenchConfig};
-use gosh_bench::large::{run_large_bench, LargeBenchConfig};
-use gosh_bench::serve::{run_serve_bench, ServeBenchConfig};
-use gosh_bench::stream::{run_stream_bench, StreamBenchConfig};
-
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
 use gosh_core::backend::BackendChoice;
 use gosh_core::config::{GoshConfig, PrecisionSchedule, Preset};
@@ -596,320 +588,6 @@ pub fn update(args: &[String]) -> Result<(), String> {
     write_outputs(out, &m_new, out_precision)
 }
 
-/// `gosh bench-train [...]`: time the CPU trainer hot path and write the
-/// `BENCH_hotpath.json` perf-trajectory report (schema documented in
-/// `gosh_bench::hotpath`).
-pub fn bench_train(args: &[String]) -> Result<(), String> {
-    let p = parse(
-        args,
-        &[
-            "vertices",
-            "degree",
-            "dim",
-            "threads",
-            "epochs",
-            "negatives",
-            "seed",
-            "baseline",
-            "precisions",
-            "reps",
-            "out",
-        ],
-    )?;
-    let defaults = HotpathConfig::default();
-    let cfg = HotpathConfig {
-        vertices: p.flag::<usize>("vertices")?.unwrap_or(defaults.vertices),
-        degree: p.flag::<usize>("degree")?.unwrap_or(defaults.degree),
-        dim: p.flag::<usize>("dim")?.unwrap_or(defaults.dim),
-        threads: p.flag::<usize>("threads")?.unwrap_or(defaults.threads),
-        epochs: p.flag::<u32>("epochs")?.unwrap_or(defaults.epochs),
-        negative_samples: p
-            .flag::<usize>("negatives")?
-            .unwrap_or(defaults.negative_samples),
-        seed: p.flag::<u64>("seed")?.unwrap_or(defaults.seed),
-        baseline: p.flag::<bool>("baseline")?.unwrap_or(defaults.baseline),
-        precisions: p.flag::<bool>("precisions")?.unwrap_or(defaults.precisions),
-        repetitions: p.flag::<u32>("reps")?.unwrap_or(defaults.repetitions),
-    };
-    if cfg.threads == 0 || cfg.vertices < 2 {
-        return Err("bench-train needs --threads >= 1 and --vertices >= 2".into());
-    }
-    let report = run_hotpath(&cfg);
-    let out = p.flag_str("out").unwrap_or("BENCH_hotpath.json");
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "hotpath: {:.0} updates/sec ({} updates, {} threads, d = {}, {:.3}s)",
-        report.updates_per_sec, report.updates, report.threads, report.dim, report.seconds
-    );
-    if let (Some(s), Some(x)) = (report.scalar_seconds, report.speedup_vs_scalar()) {
-        println!(
-            "scalar engine: {:.0} updates/sec — SIMD speedup {x:.2}x",
-            report.updates as f64 / s
-        );
-    }
-    if let (Some(b), Some(x)) = (report.seed_updates_per_sec(), report.speedup_vs_seed()) {
-        println!("seed engine: {b:.0} updates/sec — speedup {x:.2}x");
-    }
-    for (name, precision, secs) in [
-        ("f16", gosh_core::Precision::F16, report.f16_seconds),
-        ("i8", gosh_core::Precision::I8, report.i8_seconds),
-    ] {
-        if let (Some(s), Some(x)) = (secs, report.speedup_vs_f32_per_byte(precision)) {
-            println!(
-                "{name}: {:.0} updates/sec — per-byte speedup {x:.2}x",
-                report.updates as f64 / s
-            );
-        }
-    }
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `gosh bench-coarsen [...]`: time the fused coarsening pipeline
-/// against the frozen seed sequential path and write the
-/// `BENCH_coarsen.json` perf-trajectory report (schema documented in
-/// `gosh_bench::coarsen`).
-pub fn bench_coarsen(args: &[String]) -> Result<(), String> {
-    let p = parse(
-        args,
-        &[
-            "vertices",
-            "degree",
-            "threads",
-            "threshold",
-            "seed",
-            "baseline",
-            "reps",
-            "out",
-        ],
-    )?;
-    let defaults = CoarsenBenchConfig::default();
-    let cfg = CoarsenBenchConfig {
-        vertices: p.flag::<usize>("vertices")?.unwrap_or(defaults.vertices),
-        degree: p.flag::<usize>("degree")?.unwrap_or(defaults.degree),
-        threads: p.flag::<usize>("threads")?.unwrap_or(defaults.threads),
-        threshold: p.flag::<usize>("threshold")?.unwrap_or(defaults.threshold),
-        seed: p.flag::<u64>("seed")?.unwrap_or(defaults.seed),
-        baseline: p.flag::<bool>("baseline")?.unwrap_or(defaults.baseline),
-        repetitions: p.flag::<u32>("reps")?.unwrap_or(defaults.repetitions),
-    };
-    if cfg.vertices < 4 || cfg.threads < 2 || cfg.threshold < 2 {
-        return Err(
-            "bench-coarsen needs --vertices >= 4, --threads >= 2 (1 selects the \
-             sequential reference path, not the fused pipeline), --threshold >= 2"
-                .into(),
-        );
-    }
-    let report = run_coarsen_bench(&cfg);
-    let out = p.flag_str("out").unwrap_or("BENCH_coarsen.json");
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "coarsen: {} levels to {} vertices in {:.4}s ({:.0} collapsed vertices/sec, {} threads)",
-        report.levels,
-        report.coarsest_vertices,
-        report.seconds,
-        report.vertices_collapsed_per_sec(),
-        report.threads,
-    );
-    if let (Some(s), Some(x)) = (report.seq_seconds, report.speedup_vs_seq()) {
-        println!("frozen sequential path: {s:.4}s — speedup {x:.2}x");
-    }
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `gosh bench-ingest [...]`: time the parallel streaming edge-list
-/// parser against the sequential reference parser and write the
-/// `BENCH_ingest.json` perf-trajectory report (schema documented in
-/// `gosh_bench::ingest`).
-pub fn bench_ingest(args: &[String]) -> Result<(), String> {
-    let p = parse(
-        args,
-        &[
-            "vertices", "degree", "threads", "seed", "baseline", "reps", "out",
-        ],
-    )?;
-    let defaults = IngestBenchConfig::default();
-    let cfg = IngestBenchConfig {
-        vertices: p.flag::<usize>("vertices")?.unwrap_or(defaults.vertices),
-        degree: p.flag::<usize>("degree")?.unwrap_or(defaults.degree),
-        threads: p.flag::<usize>("threads")?.unwrap_or(defaults.threads),
-        seed: p.flag::<u64>("seed")?.unwrap_or(defaults.seed),
-        baseline: p.flag::<bool>("baseline")?.unwrap_or(defaults.baseline),
-        repetitions: p.flag::<u32>("reps")?.unwrap_or(defaults.repetitions),
-    };
-    if cfg.threads == 0 || cfg.vertices < 2 {
-        return Err("bench-ingest needs --threads >= 1 and --vertices >= 2".into());
-    }
-    let report = run_ingest_bench(&cfg);
-    let out = p.flag_str("out").unwrap_or("BENCH_ingest.json");
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "ingest: {:.0} edges/sec ({} edge lines, {:.1} MB, {} threads, {:.4}s, {:.1} MB/s)",
-        report.edges_per_sec(),
-        report.edge_lines,
-        report.bytes as f64 / (1024.0 * 1024.0),
-        report.threads,
-        report.seconds,
-        report.mb_per_sec(),
-    );
-    if let (Some(b), Some(x)) = (report.seq_edges_per_sec(), report.speedup_vs_seq()) {
-        println!("frozen seed parser: {b:.0} edges/sec — speedup {x:.2}x");
-    }
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `gosh bench-distrib [...]`: time the multi-node replica trainer
-/// against the single-node path and write the `BENCH_distrib.json`
-/// perf-trajectory report (schema documented in `gosh_bench::distrib`).
-pub fn bench_distrib(args: &[String]) -> Result<(), String> {
-    let p = parse(
-        args,
-        &[
-            "vertices",
-            "degree",
-            "dim",
-            "threads",
-            "nodes",
-            "transport",
-            "net-gbps",
-            "exchange-every",
-            "shard-min",
-            "epochs",
-            "seed",
-            "baseline",
-            "reps",
-            "out",
-        ],
-    )?;
-    let defaults = DistribBenchConfig::default();
-    let cfg = DistribBenchConfig {
-        vertices: p.flag::<usize>("vertices")?.unwrap_or(defaults.vertices),
-        degree: p.flag::<usize>("degree")?.unwrap_or(defaults.degree),
-        dim: p.flag::<usize>("dim")?.unwrap_or(defaults.dim),
-        threads: p.flag::<usize>("threads")?.unwrap_or(defaults.threads),
-        nodes: p.flag::<usize>("nodes")?.unwrap_or(defaults.nodes),
-        transport: p
-            .flag::<TransportKind>("transport")?
-            .unwrap_or(defaults.transport),
-        net_gbps: p.flag::<f64>("net-gbps")?.unwrap_or(defaults.net_gbps),
-        exchange_every: p
-            .flag::<u32>("exchange-every")?
-            .unwrap_or(defaults.exchange_every),
-        shard_min: p.flag::<usize>("shard-min")?.unwrap_or(defaults.shard_min),
-        epochs: p.flag::<u32>("epochs")?.unwrap_or(defaults.epochs),
-        seed: p.flag::<u64>("seed")?.unwrap_or(defaults.seed),
-        baseline: p.flag::<bool>("baseline")?.unwrap_or(defaults.baseline),
-        repetitions: p.flag::<u32>("reps")?.unwrap_or(defaults.repetitions),
-    };
-    if cfg.vertices < 4 || cfg.nodes == 0 || cfg.threads == 0 || cfg.net_gbps <= 0.0 {
-        return Err(
-            "bench-distrib needs --vertices >= 4, --nodes >= 1, --threads >= 1, --net-gbps > 0"
-                .into(),
-        );
-    }
-    let report = run_distrib_bench(&cfg);
-    let out = p.flag_str("out").unwrap_or("BENCH_distrib.json");
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    let d = &report.distrib;
-    println!(
-        "distrib: {:.0} updates/sec over {} nodes ({} levels sharded, {} replicated, \
-         {} exchanges, {:.1} MB on wire, {:.3}s exchange stall, {:.3}s training)",
-        d.updates_per_sec(),
-        d.nodes,
-        d.sharded_levels,
-        d.replicated_levels,
-        d.exchanges,
-        d.bytes_exchanged as f64 / (1024.0 * 1024.0),
-        d.exchange_stall_seconds,
-        d.training_seconds,
-    );
-    if let (Some(s), Some(x)) = (report.single_seconds, report.speedup_vs_single()) {
-        println!("single-node path: {s:.3}s training — speedup {x:.2}x");
-    }
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `gosh bench-large [...]`: time the stream-overlapped Algorithm 5
-/// pipeline against the frozen synchronous engine and write the
-/// `BENCH_large.json` perf-trajectory report (schema documented in
-/// `gosh_bench::large`).
-pub fn bench_large(args: &[String]) -> Result<(), String> {
-    let p = parse(
-        args,
-        &[
-            "vertices",
-            "degree",
-            "dim",
-            "device-kb",
-            "pcie-gbps",
-            "host-threads",
-            "threads",
-            "epochs",
-            "batch",
-            "negatives",
-            "pgpu",
-            "sgpu",
-            "seed",
-            "baseline",
-            "reps",
-            "out",
-        ],
-    )?;
-    let defaults = LargeBenchConfig::default();
-    let cfg = LargeBenchConfig {
-        vertices: p.flag::<usize>("vertices")?.unwrap_or(defaults.vertices),
-        degree: p.flag::<usize>("degree")?.unwrap_or(defaults.degree),
-        dim: p.flag::<usize>("dim")?.unwrap_or(defaults.dim),
-        device_bytes: p
-            .flag::<usize>("device-kb")?
-            .map(|kb| kb << 10)
-            .unwrap_or(defaults.device_bytes),
-        pcie_gbps: p.flag::<f64>("pcie-gbps")?.unwrap_or(defaults.pcie_gbps),
-        host_threads: p
-            .flag::<usize>("host-threads")?
-            .unwrap_or(defaults.host_threads),
-        threads: p.flag::<usize>("threads")?.unwrap_or(defaults.threads),
-        epochs: p.flag::<u32>("epochs")?.unwrap_or(defaults.epochs),
-        batch_b: p.flag::<usize>("batch")?.unwrap_or(defaults.batch_b),
-        negative_samples: p
-            .flag::<usize>("negatives")?
-            .unwrap_or(defaults.negative_samples),
-        p_gpu: p.flag::<usize>("pgpu")?.unwrap_or(defaults.p_gpu),
-        s_gpu: p.flag::<usize>("sgpu")?.unwrap_or(defaults.s_gpu),
-        seed: p.flag::<u64>("seed")?.unwrap_or(defaults.seed),
-        baseline: p.flag::<bool>("baseline")?.unwrap_or(defaults.baseline),
-        repetitions: p.flag::<u32>("reps")?.unwrap_or(defaults.repetitions),
-    };
-    if cfg.vertices < 4 || cfg.batch_b == 0 || cfg.p_gpu < 2 || cfg.s_gpu < 1 {
-        return Err(
-            "bench-large needs --vertices >= 4, --batch >= 1, --pgpu >= 2, --sgpu >= 1".into(),
-        );
-    }
-    let report = run_large_bench(&cfg).map_err(|e| format!("bench-large: {e}"))?;
-    let out = p.flag_str("out").unwrap_or("BENCH_large.json");
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    let r = &report.pipelined;
-    println!(
-        "large path: {:.1} kernels/sec ({} kernels, K = {}, {} bins, {:.3}s; {:.3}s transfer stall, {} of {} loads prefetched)",
-        report.kernels_per_sec(),
-        r.kernels,
-        r.num_parts,
-        r.bins,
-        r.seconds,
-        r.transfer_stall_seconds,
-        r.prefetches,
-        r.loads,
-    );
-    if let (Some(b), Some(x)) = (report.sync_kernels_per_sec(), report.speedup_vs_sync()) {
-        println!("sync engine: {b:.1} kernels/sec — speedup {x:.2}x");
-    }
-    println!("wrote {out}");
-    Ok(())
-}
-
 /// `gosh serve <store.embin> [--addr H:P] [--threads N] [--ivf BOOL]`:
 /// map an `.embin` store and answer top-k queries over TCP until a
 /// client sends shutdown. `--ivf false` skips the coarse-quantizer build
@@ -997,159 +675,6 @@ pub fn query(args: &[String]) -> Result<(), String> {
         client.shutdown().map_err(|e| e.to_string())?;
         println!("server shut down");
     }
-    Ok(())
-}
-
-/// `gosh bench-serve [...]`: time the IVF query engine against
-/// brute-force exact search through a real TCP loopback server and write
-/// the `BENCH_serve.json` perf-trajectory report (schema documented in
-/// `gosh_bench::serve`).
-pub fn bench_serve(args: &[String]) -> Result<(), String> {
-    let p = parse(
-        args,
-        &[
-            "vertices",
-            "degree",
-            "dim",
-            "threads",
-            "precision",
-            "k",
-            "nprobe",
-            "batch",
-            "latency",
-            "epochs",
-            "seed",
-            "reps",
-            "out",
-        ],
-    )?;
-    let defaults = ServeBenchConfig::default();
-    let cfg = ServeBenchConfig {
-        vertices: p.flag::<usize>("vertices")?.unwrap_or(defaults.vertices),
-        degree: p.flag::<usize>("degree")?.unwrap_or(defaults.degree),
-        dim: p.flag::<usize>("dim")?.unwrap_or(defaults.dim),
-        threads: p.flag::<usize>("threads")?.unwrap_or(defaults.threads),
-        precision: p
-            .flag::<Precision>("precision")?
-            .unwrap_or(defaults.precision),
-        k: p.flag::<usize>("k")?.unwrap_or(defaults.k),
-        nprobe: p.flag::<usize>("nprobe")?.unwrap_or(defaults.nprobe),
-        batch_queries: p.flag::<usize>("batch")?.unwrap_or(defaults.batch_queries),
-        latency_queries: p
-            .flag::<usize>("latency")?
-            .unwrap_or(defaults.latency_queries),
-        epochs: p.flag::<u32>("epochs")?.unwrap_or(defaults.epochs),
-        seed: p.flag::<u64>("seed")?.unwrap_or(defaults.seed),
-        repetitions: p.flag::<u32>("reps")?.unwrap_or(defaults.repetitions),
-    };
-    if cfg.vertices < 4 || cfg.k == 0 || cfg.nprobe == 0 || cfg.batch_queries == 0 {
-        return Err(
-            "bench-serve needs --vertices >= 4, --k >= 1, --nprobe >= 1, --batch >= 1".into(),
-        );
-    }
-    let report = run_serve_bench(&cfg);
-    let out = p.flag_str("out").unwrap_or("BENCH_serve.json");
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "serve: exact {:.0} q/s, ivf {:.0} q/s (nprobe {}/{} lists, recall@{} {:.3}, \
-         p50 {:.3} ms, p99 {:.3} ms, {} threads)",
-        report.exact_qps,
-        report.ivf_qps,
-        report.nprobe,
-        report.nlist,
-        report.k,
-        report.recall_at_k,
-        report.p50_ms,
-        report.p99_ms,
-        report.threads,
-    );
-    println!("ivf vs exact: speedup {:.2}x", report.speedup_vs_exact());
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// `gosh bench-stream [...]`: time the streaming delta path (edge-delta
-/// apply + hierarchy repair + warm-start retrain) against a full rebuild
-/// on a rolling temporal window, and write the `BENCH_stream.json`
-/// perf-trajectory report (schema documented in `gosh_bench::stream`).
-pub fn bench_stream(args: &[String]) -> Result<(), String> {
-    let p = parse(
-        args,
-        &[
-            "dataset",
-            "vertices",
-            "degree",
-            "dim",
-            "threads",
-            "window",
-            "steps",
-            "epochs",
-            "warm-scale",
-            "fallback-fraction",
-            "max-gap",
-            "seed",
-            "out",
-        ],
-    )?;
-    let defaults = StreamBenchConfig::default();
-    let dataset = match (p.flag_str("dataset"), p.flag::<usize>("vertices")?) {
-        (Some(name), _) => Some(
-            gosh_graph::gen::dataset(name)
-                .ok_or_else(|| format!("unknown dataset `{name}`"))?
-                .name,
-        ),
-        (None, Some(_)) => None, // explicit --vertices: community graph
-        (None, None) => defaults.dataset,
-    };
-    let cfg = StreamBenchConfig {
-        dataset,
-        vertices: p.flag::<usize>("vertices")?.unwrap_or(defaults.vertices),
-        degree: p.flag::<usize>("degree")?.unwrap_or(defaults.degree),
-        dim: p.flag::<usize>("dim")?.unwrap_or(defaults.dim),
-        threads: p.flag::<usize>("threads")?.unwrap_or(defaults.threads),
-        window_fraction: p.flag::<f64>("window")?.unwrap_or(defaults.window_fraction),
-        steps: p.flag::<usize>("steps")?.unwrap_or(defaults.steps),
-        epochs: p.flag::<u32>("epochs")?.unwrap_or(defaults.epochs),
-        warm_epoch_scale: p
-            .flag::<f64>("warm-scale")?
-            .unwrap_or(defaults.warm_epoch_scale),
-        fallback_fraction: p
-            .flag::<f64>("fallback-fraction")?
-            .unwrap_or(defaults.fallback_fraction),
-        max_auc_gap: p.flag::<f64>("max-gap")?.unwrap_or(defaults.max_auc_gap),
-        seed: p.flag::<u64>("seed")?.unwrap_or(defaults.seed),
-    };
-    if cfg.steps == 0 || !(0.1..1.0).contains(&cfg.window_fraction) {
-        return Err("bench-stream needs --steps >= 1 and --window in [0.1, 1.0)".into());
-    }
-    let report = run_stream_bench(&cfg);
-    let out = p.flag_str("out").unwrap_or("BENCH_stream.json");
-    std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "stream: {} steps of {} edges over a {}-edge window ({} vertices, {} threads)",
-        report.steps, report.batch_edges, report.window_edges, report.vertices, report.threads,
-    );
-    println!(
-        "delta path {:.2}s vs rebuild {:.2}s; AUC warm {:.4} vs full {:.4} (gap {:+.4})",
-        report.delta_seconds,
-        report.rebuild_seconds,
-        report.auc_warm,
-        report.auc_full,
-        report.auc_gap(),
-    );
-    println!(
-        "delta vs rebuild: speedup {:.2}x{}",
-        report.speedup_vs_rebuild(),
-        if report.fell_back_steps > 0 {
-            format!(
-                " ({} step(s) fell back to recoarsening)",
-                report.fell_back_steps
-            )
-        } else {
-            String::new()
-        },
-    );
-    println!("wrote {out}");
     Ok(())
 }
 

@@ -23,33 +23,6 @@
 //! gosh serve <store.embin> [--addr H:P] [--threads N] [--ivf true|false]
 //! gosh query <store.embin> --addr H:P [--ids 0,1,2] [--k K]
 //!                          [--nprobe P] [--shutdown true|false]
-//! gosh bench-train [--vertices N] [--degree K] [--dim D] [--threads T]
-//!                  [--epochs E] [--negatives NS] [--seed S] [--reps R]
-//!                  [--baseline true|false] [--precisions true|false]
-//!                  [--out FILE]
-//! gosh bench-coarsen [--vertices N] [--degree K] [--threads T]
-//!                    [--threshold V] [--seed S] [--reps R]
-//!                    [--baseline true|false] [--out FILE]
-//! gosh bench-ingest [--vertices N] [--degree K] [--threads T]
-//!                   [--seed S] [--reps R] [--baseline true|false]
-//!                   [--out FILE]
-//! gosh bench-distrib [--vertices N] [--degree K] [--dim D] [--threads T]
-//!                    [--nodes N] [--transport channel|tcp] [--net-gbps G]
-//!                    [--exchange-every E] [--shard-min V] [--epochs E]
-//!                    [--seed S] [--reps R] [--baseline true|false]
-//!                    [--out FILE]
-//! gosh bench-large [--vertices N] [--degree K] [--dim D] [--device-kb M]
-//!                  [--pcie-gbps G] [--epochs E] [--batch B] [--negatives NS]
-//!                  [--pgpu P] [--sgpu S] [--threads T] [--host-threads H]
-//!                  [--seed S] [--reps R] [--baseline true|false] [--out FILE]
-//! gosh bench-serve [--vertices N] [--degree K] [--dim D] [--threads T]
-//!                  [--precision f32|f16|i8] [--k K] [--nprobe P]
-//!                  [--batch B] [--latency L] [--epochs E] [--seed S]
-//!                  [--reps R] [--out FILE]
-//! gosh bench-stream [--dataset NAME | --vertices N [--degree K]]
-//!                   [--dim D] [--threads T] [--window F] [--steps S]
-//!                   [--epochs E] [--warm-scale X] [--fallback-fraction F]
-//!                   [--max-gap G] [--seed S] [--out FILE]
 //! gosh audit [--root DIR] [--write true]         safety static-analysis gate
 //! ```
 //!
@@ -81,13 +54,6 @@ fn main() -> ExitCode {
         Some("update") => commands::update(&argv[1..]),
         Some("serve") => commands::serve(&argv[1..]),
         Some("query") => commands::query(&argv[1..]),
-        Some("bench-train") => commands::bench_train(&argv[1..]),
-        Some("bench-coarsen") => commands::bench_coarsen(&argv[1..]),
-        Some("bench-ingest") => commands::bench_ingest(&argv[1..]),
-        Some("bench-distrib") => commands::bench_distrib(&argv[1..]),
-        Some("bench-large") => commands::bench_large(&argv[1..]),
-        Some("bench-serve") => commands::bench_serve(&argv[1..]),
-        Some("bench-stream") => commands::bench_stream(&argv[1..]),
         Some("audit") => commands::audit(&argv[1..]),
         Some("--help") | Some("-h") | None => {
             print!("{}", USAGE);
@@ -130,33 +96,6 @@ USAGE:
   gosh serve <store.embin> [--addr H:P] [--threads N] [--ivf true|false]
   gosh query <store.embin> --addr H:P [--ids 0,1,2] [--k K]
                            [--nprobe P] [--shutdown true|false]
-  gosh bench-train [--vertices N] [--degree K] [--dim D] [--threads T]
-                   [--epochs E] [--negatives NS] [--seed S] [--reps R]
-                   [--baseline true|false] [--precisions true|false]
-                   [--out FILE]
-  gosh bench-coarsen [--vertices N] [--degree K] [--threads T]
-                     [--threshold V] [--seed S] [--reps R]
-                     [--baseline true|false] [--out FILE]
-  gosh bench-ingest [--vertices N] [--degree K] [--threads T]
-                    [--seed S] [--reps R] [--baseline true|false]
-                    [--out FILE]
-  gosh bench-distrib [--vertices N] [--degree K] [--dim D] [--threads T]
-                     [--nodes N] [--transport channel|tcp] [--net-gbps G]
-                     [--exchange-every E] [--shard-min V] [--epochs E]
-                     [--seed S] [--reps R] [--baseline true|false]
-                     [--out FILE]
-  gosh bench-large [--vertices N] [--degree K] [--dim D] [--device-kb M]
-                   [--pcie-gbps G] [--epochs E] [--batch B] [--negatives NS]
-                   [--pgpu P] [--sgpu S] [--threads T] [--host-threads H]
-                   [--seed S] [--reps R] [--baseline true|false] [--out FILE]
-  gosh bench-serve [--vertices N] [--degree K] [--dim D] [--threads T]
-                   [--precision f32|f16|i8] [--k K] [--nprobe P]
-                   [--batch B] [--latency L] [--epochs E] [--seed S]
-                   [--reps R] [--out FILE]
-  gosh bench-stream [--dataset NAME | --vertices N [--degree K]]
-                    [--dim D] [--threads T] [--window F] [--steps S]
-                    [--epochs E] [--warm-scale X] [--fallback-fraction F]
-                    [--max-gap G] [--seed S] [--out FILE]
   gosh audit [--root DIR] [--write true]         safety static-analysis gate
 
   <dataset> is a suite name (dblp-like, orkut-like, ...; see
@@ -208,36 +147,4 @@ USAGE:
   brute-force exact). query reads vertex rows from a local copy of the
   store, sends them as one batch, and prints id:score pairs per vertex;
   --shutdown true stops the server after the batch.
-  bench-serve times the IVF query engine against exact search through
-  a real TCP loopback server and writes BENCH_serve.json (queries/sec
-  per engine, p50/p99 single-query latency, recall@k, and
-  speedup_vs_exact).
-  bench-distrib times the multi-node replica trainer against the
-  single-node path on a synthetic community graph and writes
-  BENCH_distrib.json (updates/sec, exchange-stall seconds, bytes on
-  the wire, plus speedup_vs_single unless --baseline false).
-  bench-train times the sharded CPU trainer hot path on a synthetic
-  community graph and writes BENCH_hotpath.json (updates/sec, threads,
-  dim, plus the frozen scalar- and seed-engine baselines unless
-  --baseline false, and per-precision f16/i8 rows with bytes-normalized
-  throughput unless --precisions false).
-  bench-coarsen times the fused multi-level coarsening pipeline on a
-  synthetic community graph and writes BENCH_coarsen.json (levels/sec,
-  collapsed vertices/sec, plus the frozen sequential-path baseline
-  unless --baseline false).
-  bench-ingest times the parallel streaming edge-list parser on a
-  frozen-seed synthetic SNAP-style file and writes BENCH_ingest.json
-  (edges/sec, MB/sec, plus the frozen seed-parser baseline unless
-  --baseline false).
-  bench-large squeezes a synthetic graph through the partitioned
-  Algorithm 5 pipeline on a small simulated device and writes
-  BENCH_large.json (kernels/sec, transfer-stall seconds, plus the
-  frozen synchronous-engine baseline unless --baseline false);
-  --pcie-gbps scales the modeled interconnect, --device-kb the device.
-  bench-stream rolls a temporal window over a suite graph's edge
-  stream: each step retires the oldest batch and ingests the next one,
-  processed by both the delta path (apply + repair + warm retrain) and
-  a full rebuild, scored on the unseen future batch. Writes
-  BENCH_stream.json (delta vs rebuild seconds, AUC of both paths and
-  their gap, and speedup_vs_rebuild).
 ";

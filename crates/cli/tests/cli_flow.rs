@@ -3,6 +3,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use gosh_runtime::TempDir;
+
 fn gosh_bin() -> PathBuf {
     // Cargo puts integration-test binaries in target/<profile>/deps; the
     // CLI binary sits one directory up.
@@ -29,8 +31,7 @@ fn run(args: &[&str]) -> (bool, String) {
 
 #[test]
 fn generate_stats_coarsen_eval_flow() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("cli").unwrap();
     let graph = dir.join("g.csr");
     let graph_s = graph.to_str().unwrap();
 
@@ -65,15 +66,17 @@ fn generate_stats_coarsen_eval_flow() {
     ]);
     assert!(ok, "{text}");
     assert!(text.contains("AUCROC"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bad_inputs_fail_cleanly() {
-    let (ok, text) = run(&["bogus-command"]);
-    assert!(!ok);
-    assert!(text.contains("unknown command"));
+    // There is no `bench-*` command family: `benchmark/` measures performance.
+    for command in ["bogus-command", "bench-train"] {
+        let (ok, text) = run(&[command]);
+        assert!(!ok);
+        assert!(text.contains("unknown command"), "{text}");
+        assert!(text.contains("USAGE"), "{text}");
+    }
 
     let (ok, text) = run(&["generate", "not-a-spec", "/tmp/never.csr"]);
     assert!(!ok);
@@ -110,8 +113,7 @@ fn flag_validation_catches_typos_and_misuse() {
 
 #[test]
 fn equals_form_flags_work_end_to_end() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_eq_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("cli-eq").unwrap();
     let graph = dir.join("g.csr");
     let graph_s = graph.to_str().unwrap();
     let (ok, text) = run(&["generate", "500:5", graph_s, "--seed=7"]);
@@ -128,98 +130,11 @@ fn equals_form_flags_work_end_to_end() {
     assert!(ok, "{text}");
     let first_line = std::fs::read_to_string(&emb).unwrap();
     assert!(first_line.starts_with("500 8"), "{first_line}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_train_emits_hotpath_json() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_bt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_hotpath.json");
-    let (ok, text) = run(&[
-        "bench-train",
-        "--vertices",
-        "512",
-        "--degree",
-        "6",
-        "--dim",
-        "16",
-        "--threads",
-        "2",
-        "--epochs",
-        "3",
-        "--reps",
-        "1",
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(ok, "{text}");
-    assert!(text.contains("updates/sec"), "{text}");
-    assert!(text.contains("speedup"), "{text}");
-    let json = std::fs::read_to_string(&out).unwrap();
-    for key in [
-        "\"bench\": \"hotpath\"",
-        "\"updates_per_sec\"",
-        "\"speedup_vs_seed\"",
-        "\"threads\": 2",
-        "\"dim\": 16",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_coarsen_emits_coarsen_json() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_bc_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_coarsen.json");
-    let (ok, text) = run(&[
-        "bench-coarsen",
-        "--vertices",
-        "3000",
-        "--degree",
-        "8",
-        "--threads",
-        "2",
-        "--threshold",
-        "50",
-        "--reps",
-        "1",
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(ok, "{text}");
-    assert!(text.contains("collapsed vertices/sec"), "{text}");
-    assert!(text.contains("speedup"), "{text}");
-    let json = std::fs::read_to_string(&out).unwrap();
-    for key in [
-        "\"bench\": \"coarsen\"",
-        "\"levels_per_sec\"",
-        "\"vertices_collapsed_per_sec\"",
-        "\"speedup_vs_seq\"",
-        "\"threads\": 2",
-        "\"threshold\": 50",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-
-    let (ok, text) = run(&["bench-coarsen", "--threshold", "1"]);
-    assert!(!ok);
-    assert!(text.contains("--threshold >= 2"), "{text}");
-
-    // --threads 1 would silently measure the sequential reference path
-    // instead of the fused pipeline: rejected, not coerced.
-    let (ok, text) = run(&["bench-coarsen", "--threads", "1"]);
-    assert!(!ok);
-    assert!(text.contains("--threads >= 2"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn convert_round_trips_formats_and_original_ids() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_cv_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("cli-cv").unwrap();
 
     // A SNAP-style text file with sparse ids, a weight column, a self
     // loop, and a duplicate line.
@@ -265,100 +180,11 @@ fn convert_round_trips_formats_and_original_ids() {
     let (ok, text) = run(&["convert", txt_s]);
     assert!(!ok);
     assert!(text.contains("missing <output file>"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_ingest_emits_ingest_json() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_bi_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_ingest.json");
-    let (ok, text) = run(&[
-        "bench-ingest",
-        "--vertices",
-        "2000",
-        "--degree",
-        "6",
-        "--threads",
-        "2",
-        "--reps",
-        "1",
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(ok, "{text}");
-    assert!(text.contains("edges/sec"), "{text}");
-    assert!(text.contains("speedup"), "{text}");
-    let json = std::fs::read_to_string(&out).unwrap();
-    for key in [
-        "\"bench\": \"ingest\"",
-        "\"edges_per_sec\"",
-        "\"mb_per_sec\"",
-        "\"speedup_vs_seq\"",
-        "\"threads\": 2",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-
-    let (ok, text) = run(&["bench-ingest", "--threads", "0"]);
-    assert!(!ok);
-    assert!(text.contains("--threads >= 1"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_large_emits_large_json() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_bl_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_large.json");
-    let (ok, text) = run(&[
-        "bench-large",
-        "--vertices",
-        "512",
-        "--degree",
-        "6",
-        "--dim",
-        "16",
-        "--device-kb",
-        "24",
-        "--threads",
-        "2",
-        "--epochs",
-        "8",
-        "--batch",
-        "2",
-        "--negatives",
-        "2",
-        "--reps",
-        "1",
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(ok, "{text}");
-    assert!(text.contains("kernels/sec"), "{text}");
-    assert!(text.contains("speedup"), "{text}");
-    let json = std::fs::read_to_string(&out).unwrap();
-    for key in [
-        "\"bench\": \"large\"",
-        "\"kernels_per_sec\"",
-        "\"transfer_stall_seconds\"",
-        "\"speedup_vs_sync\"",
-        "\"num_parts\"",
-        "\"dim\": 16",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-
-    let (ok, text) = run(&["bench-large", "--pgpu", "1"]);
-    assert!(!ok);
-    assert!(text.contains("--pgpu >= 2"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn backend_flag_selects_engines() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_be_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("cli-be").unwrap();
     let graph = dir.join("g.csr");
     let graph_s = graph.to_str().unwrap();
     let (ok, text) = run(&["generate", "600:5", graph_s]);
@@ -392,16 +218,13 @@ fn backend_flag_selects_engines() {
         text.contains("unknown backend `tpu` (cpu|gpu|auto)"),
         "{text}"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn embed_serve_query_flow_over_tcp_loopback() {
     use std::io::BufRead;
 
-    let dir = std::env::temp_dir().join(format!("gosh_cli_sv_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("cli-sv").unwrap();
     let graph = dir.join("g.csr");
     let graph_s = graph.to_str().unwrap();
     let (ok, text) = run(&["generate", "800:6", graph_s]);
@@ -494,57 +317,6 @@ fn embed_serve_query_flow_over_tcp_loopback() {
     let (ok, text) = run(&["serve", bad.to_str().unwrap()]);
     assert!(!ok);
     assert!(text.contains("checksum"), "{text}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_serve_emits_serve_json() {
-    let dir = std::env::temp_dir().join(format!("gosh_cli_bs_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("BENCH_serve.json");
-    let (ok, text) = run(&[
-        "bench-serve",
-        "--vertices",
-        "600",
-        "--degree",
-        "6",
-        "--dim",
-        "16",
-        "--threads",
-        "2",
-        "--epochs",
-        "6",
-        "--batch",
-        "32",
-        "--latency",
-        "8",
-        "--reps",
-        "1",
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    assert!(ok, "{text}");
-    assert!(text.contains("q/s"), "{text}");
-    assert!(text.contains("speedup"), "{text}");
-    let json = std::fs::read_to_string(&out).unwrap();
-    for key in [
-        "\"bench\": \"serve\"",
-        "\"exact_qps\"",
-        "\"ivf_qps\"",
-        "\"p50_ms\"",
-        "\"p99_ms\"",
-        "\"recall_at_k\"",
-        "\"speedup_vs_exact\"",
-        "\"threads\": 2",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-
-    let (ok, text) = run(&["bench-serve", "--nprobe", "0"]);
-    assert!(!ok);
-    assert!(text.contains("--nprobe >= 1"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! Multi-node training — the [`crate::multi_gpu`] replica scheme
-//! generalized from devices on one PCIe bus to nodes on a network.
+//! Multi-node training — synchronous data-parallel replica training
+//! (the multi-device extension §1 promises), with the replicas on
+//! nodes of a network rather than devices on one PCIe bus.
 //!
 //! `gosh train --nodes N` runs N node "processes" (threads with fully
 //! private state — own worker [`Runtime`], own matrix replica, no shared

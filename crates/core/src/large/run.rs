@@ -592,6 +592,16 @@ mod tests {
     }
 
     #[test]
+    fn unsatisfiable_device_is_a_clean_error() {
+        // 64 bytes cannot hold one d = 16 vertex row per bin.
+        let g = erdos_renyi(128, 1024, 5);
+        let device = Device::new(DeviceConfig::tiny(64));
+        let mut m = Embedding::random(128, 16, 4);
+        let r = train_large(&device, &g, &mut m, &params(16, 20), &opts());
+        assert!(r.is_err(), "expected OutOfMemory, got {r:?}");
+    }
+
+    #[test]
     fn rotation_count_tracks_epoch_budget() {
         let g = erdos_renyi(100, 1000, 7);
         let device = Device::new(DeviceConfig::tiny(8 * 1024));

@@ -29,10 +29,10 @@
 //! * [`large`] — the out-of-memory path (Algorithm 5): embedding-matrix
 //!   partitioning, inside-out rotations, host-side sample pools with
 //!   `SampleManager`/`PoolManager` threads, and copy/compute overlap.
-//! * [`multi_gpu`] — synchronous data-parallel replica training.
-//! * [`distrib`] — the replica scheme stretched across a [`gosh_runtime::transport::Transport`]
-//!   mesh: `gosh train --nodes N` with replicated coarse levels and
-//!   delta-exchanged sharded fine levels.
+//! * [`distrib`] — synchronous data-parallel replica training across a
+//!   [`gosh_runtime::transport::Transport`] mesh: `gosh train --nodes N`
+//!   with replicated coarse levels and delta-exchanged sharded fine
+//!   levels.
 //! * [`pipeline`] — Algorithm 2 tying everything together, dispatching
 //!   every level through the backend chain.
 //! * [`config`] — the fast/normal/slow/no-coarsening presets of Table 3.
@@ -49,7 +49,6 @@ pub mod distrib;
 pub mod expand;
 pub mod large;
 pub mod model;
-pub mod multi_gpu;
 pub mod pipeline;
 pub mod quant;
 pub mod schedule;

@@ -700,11 +700,14 @@ mod tests {
     use crate::model::Embedding;
     use crate::quant::Precision;
     use crate::store::write_store;
+    use gosh_runtime::TempDir;
 
+    /// The returned store outlives its file: the directory guard unlinks
+    /// it on return, and an unlinked file stays readable through an open
+    /// mapping.
     fn store_from(m: &Embedding, precision: Precision, name: &str) -> EmbeddingStore {
-        let dir = std::env::temp_dir().join("gosh-serve-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-{name}.embin", std::process::id()));
+        let dir = TempDir::new(name).unwrap();
+        let path = dir.join("m.embin");
         write_store(&path, m, precision).unwrap();
         EmbeddingStore::open(&path).unwrap()
     }
@@ -883,5 +886,58 @@ mod tests {
         // Quantization moves scores a little; the query's own row must
         // still land in the top 5.
         assert!(hits.iter().any(|h| h.id == 31), "{hits:?}");
+    }
+
+    /// Evenly spaced stored rows, decoded, as a flat query batch.
+    fn pick_queries(store: &EmbeddingStore, count: usize) -> Vec<f32> {
+        let n = store.num_vertices();
+        let dim = store.dim();
+        let mut queries = vec![0.0f32; count * dim];
+        for (i, chunk) in queries.chunks_exact_mut(dim).enumerate() {
+            store.decode_row((i * n / count) as u32, chunk);
+        }
+        queries
+    }
+
+    /// Mean |exact ∩ ivf| / k over paired per-query hit lists.
+    fn mean_recall(exact: &[Vec<Hit>], ivf: &[Vec<Hit>]) -> f64 {
+        assert_eq!(exact.len(), ivf.len());
+        let mut total = 0.0f64;
+        for (e, a) in exact.iter().zip(ivf) {
+            let got = a.iter().filter(|h| e.iter().any(|x| x.id == h.id)).count();
+            total += got as f64 / e.len() as f64;
+        }
+        total / exact.len() as f64
+    }
+
+    /// IVF recall@10 ≥ 0.9 against exact search on a `gen::suite` graph
+    /// embedding, probing a quarter of the lists.
+    #[test]
+    fn ivf_recall_at_10_clears_090_on_a_suite_graph_embedding() {
+        use crate::config::{GoshConfig, Preset};
+        let g = gosh_graph::gen::dataset("dblp-like")
+            .expect("suite graph")
+            .generate(11);
+        let mut gcfg = GoshConfig::preset(Preset::Normal, false)
+            .with_dim(16)
+            .with_epochs(30)
+            .with_threads(4)
+            .with_backend(crate::backend::BackendChoice::Cpu);
+        gcfg.seed = 11;
+        let device = gosh_gpu::Device::new(gosh_gpu::DeviceConfig::titan_x());
+        let (m, _) = crate::pipeline::embed(&g, &gcfg, &device);
+        let store = store_from(&m, Precision::F32, "recall");
+
+        let ivf = IvfIndex::build(&store, 4);
+        let nprobe = (ivf.nlist() / 4).max(1);
+        let queries = pick_queries(&store, 64);
+        let exact = search_batch(&store, None, &queries, 10, 0, 4);
+        let approx = search_batch(&store, Some(&ivf), &queries, 10, nprobe, 4);
+        let recall = mean_recall(&exact, &approx);
+        assert!(
+            recall >= 0.9,
+            "IVF recall@10 = {recall:.3} with nprobe {nprobe}/{} lists",
+            ivf.nlist()
+        );
     }
 }

@@ -491,12 +491,7 @@ impl EmbeddingStore {
 mod tests {
     use super::*;
     use crate::quant::quantize_roundtrip;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("gosh-store-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{}-{name}", std::process::id()))
-    }
+    use gosh_runtime::TempDir;
 
     /// Adversarial rows for the precision-loss regression: subnormals,
     /// values separated only past the 6th decimal, huge magnitudes text
@@ -519,7 +514,8 @@ mod tests {
     #[test]
     fn f32_roundtrip_is_bitwise_exact() {
         let m = adversarial();
-        let path = tmp("f32.embin");
+        let dir = TempDir::new("store").unwrap();
+        let path = dir.join("f32.embin");
         write_store(&path, &m, Precision::F32).unwrap();
         let store = EmbeddingStore::open(&path).unwrap();
         assert_eq!(store.precision(), Precision::F32);
@@ -537,7 +533,8 @@ mod tests {
     fn quantized_roundtrip_matches_canonical_decode_bitwise() {
         for precision in [Precision::F16, Precision::I8] {
             let m = Embedding::random(37, 12, 99);
-            let path = tmp(&format!("{precision}.embin"));
+            let dir = TempDir::new("store").unwrap();
+            let path = dir.join(format!("{precision}.embin"));
             write_store(&path, &m, precision).unwrap();
             let store = EmbeddingStore::open(&path).unwrap();
             let mut canonical = m.as_slice().to_vec();
@@ -566,7 +563,8 @@ mod tests {
             "adversarial rows survived text formatting — pick harder ones"
         );
 
-        let path = tmp("adversarial.embin");
+        let dir = TempDir::new("store").unwrap();
+        let path = dir.join("adversarial.embin");
         write_store(&path, &m, Precision::F32).unwrap();
         let binary_roundtrip = EmbeddingStore::open(&path).unwrap().to_embedding();
         assert_eq!(binary_roundtrip.as_slice(), m.as_slice());
@@ -576,8 +574,9 @@ mod tests {
     fn i8_store_is_4x_smaller_and_scores_without_decoding() {
         let dim = 32;
         let m = Embedding::random(64, dim, 5);
-        let p32 = tmp("size32.embin");
-        let p8 = tmp("size8.embin");
+        let dir = TempDir::new("store").unwrap();
+        let p32 = dir.join("size32.embin");
+        let p8 = dir.join("size8.embin");
         write_store(&p32, &m, Precision::F32).unwrap();
         write_store(&p8, &m, Precision::I8).unwrap();
         let s32 = EmbeddingStore::open(&p32).unwrap();
@@ -605,7 +604,8 @@ mod tests {
     #[test]
     fn truncated_and_corrupted_files_error_cleanly() {
         let m = Embedding::random(10, 8, 3);
-        let path = tmp("corrupt.embin");
+        let dir = TempDir::new("store").unwrap();
+        let path = dir.join("corrupt.embin");
         write_store(&path, &m, Precision::F32).unwrap();
         let good = std::fs::read(&path).unwrap();
 
@@ -631,7 +631,8 @@ mod tests {
     #[test]
     fn i8_store_rejects_non_finite_scales() {
         let m = Embedding::random(4, 4, 11);
-        let path = tmp("nan-scale.embin");
+        let dir = TempDir::new("store").unwrap();
+        let path = dir.join("nan-scale.embin");
         write_store(&path, &m, Precision::I8).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // Poison row 2's scale with NaN, then re-stamp the checksum so

@@ -128,18 +128,10 @@ pub struct HogwildPlan {
 }
 
 impl HogwildPlan {
+    /// The plan over every vertex in id order: [`Self::new_for_sources`]
+    /// with the source list `0..|V|`.
     pub fn new(g: &Csr) -> Self {
-        let n = g.num_vertices() as u32;
-        let mut arc_src: Vec<u32> = Vec::with_capacity(g.num_edges());
-        for v in 0..n {
-            arc_src.extend(std::iter::repeat_n(v, g.degree(v)));
-        }
-        let num_arcs = arc_src.len();
-        Self {
-            arc_src,
-            num_arcs,
-            sources: (num_arcs / 2).max(1),
-        }
+        Self::from_sources(g, 0..g.num_vertices() as u32)
     }
 
     /// A plan whose arc list covers only `sources` (each repeated by its
@@ -150,11 +142,15 @@ impl HogwildPlan {
     /// all-isolated source set yields a plan whose `run_range` is a
     /// no-op.
     pub fn new_for_sources(g: &Csr, sources: &[u32]) -> Self {
-        let mut arc_src: Vec<u32> = Vec::new();
-        for &v in sources {
+        Self::from_sources(g, sources.iter().copied())
+    }
+
+    fn from_sources(g: &Csr, sources: impl Iterator<Item = u32> + Clone) -> Self {
+        let num_arcs = sources.clone().map(|v| g.degree(v)).sum();
+        let mut arc_src: Vec<u32> = Vec::with_capacity(num_arcs);
+        for v in sources {
             arc_src.extend(std::iter::repeat_n(v, g.degree(v)));
         }
-        let num_arcs = arc_src.len();
         Self {
             arc_src,
             num_arcs,
@@ -162,7 +158,8 @@ impl HogwildPlan {
         }
     }
 
-    /// Source processings per epoch (half the arc count, minimum one).
+    /// Source processings per epoch: half the arc count, at least one
+    /// while the plan has an arc, zero when it has none.
     pub fn sources(&self) -> usize {
         self.sources
     }
@@ -376,8 +373,7 @@ pub fn fused_update(src: &mut [f32], sample: &[AtomicU64], b: f32, lr: f32) {
 /// **requantizes on store**. Each sample update is whole-row (an i8 row's
 /// scale pair depends on its min/max), so the engine stages both sides
 /// instead of updating the sample in place; the extra quantize work is
-/// the price of rows that are 2–4x narrower than f32 — the trade
-/// `updates_per_sec_per_byte` in the hotpath bench measures.
+/// the price of rows that are 2–4x narrower than f32.
 fn train_cpu_quantized(g: &Csr, m: &mut Embedding, params: &TrainParams) {
     let n = g.num_vertices() as u32;
     let dim = m.dim();
@@ -637,10 +633,11 @@ mod tests {
     fn full_source_list_matches_unrestricted_engine_bit_exactly() {
         // `new_for_sources` over every vertex in id order builds the same
         // arc list as `new`, so the warm engine with a full source list
-        // must reproduce `train_cpu` bit-for-bit.
+        // must reproduce `train_cpu` bit-for-bit — on one thread: two
+        // Hogwild threads race on shared rows and no two runs agree.
         let (g, _, _) = two_cliques();
         let p = TrainParams {
-            threads: 2,
+            threads: 1,
             epochs: 5,
             lr: 0.05,
             seed: 0x77,

@@ -9,16 +9,18 @@ use gosh_core::model::Embedding;
 use gosh_core::quant::Precision;
 use gosh_core::serve::{search_batch, search_exact, IvfIndex};
 use gosh_core::store::{write_store, EmbeddingStore};
+use gosh_runtime::TempDir;
 use proptest::prelude::*;
 
 fn precision_from(idx: usize) -> Precision {
     [Precision::F32, Precision::F16, Precision::I8][idx % 3]
 }
 
+/// The returned store outlives its file: the directory guard unlinks it
+/// on return, and an unlinked file stays readable through an open mapping.
 fn store_for(n: usize, dim: usize, precision: Precision, seed: u64) -> EmbeddingStore {
-    let dir = std::env::temp_dir().join("gosh-prop-serve");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{}-case.embin", std::process::id()));
+    let dir = TempDir::new("prop-serve").unwrap();
+    let path = dir.join("case.embin");
     let m = Embedding::random(n, dim, seed);
     write_store(&path, &m, precision).unwrap();
     EmbeddingStore::open(&path).unwrap()

@@ -8,6 +8,7 @@
 use gosh_core::model::Embedding;
 use gosh_core::quant::{quantize_roundtrip, Precision};
 use gosh_core::store::{write_store, EmbeddingStore, EMBIN_HEADER_BYTES, EMBIN_MAGIC};
+use gosh_runtime::TempDir;
 use proptest::prelude::*;
 
 fn precision_from(idx: usize) -> Precision {
@@ -16,19 +17,17 @@ fn precision_from(idx: usize) -> Precision {
 
 /// Write a fresh valid store for one proptest case and return its bytes.
 fn valid_store_bytes(n: usize, dim: usize, precision: Precision, seed: u64) -> Vec<u8> {
-    let dir = std::env::temp_dir().join("gosh-prop-store");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{}-gen.embin", std::process::id()));
+    let dir = TempDir::new("prop-store").unwrap();
+    let path = dir.join("gen.embin");
     let m = Embedding::random(n, dim, seed);
     write_store(&path, &m, precision).unwrap();
     std::fs::read(&path).unwrap()
 }
 
 /// Round-trip `bytes` through a file and the full open-time validation.
-fn open_bytes(bytes: &[u8], tag: &str) -> std::io::Result<EmbeddingStore> {
-    let dir = std::env::temp_dir().join("gosh-prop-store");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{}-{tag}.embin", std::process::id()));
+fn open_bytes(bytes: &[u8]) -> std::io::Result<EmbeddingStore> {
+    let dir = TempDir::new("prop-store").unwrap();
+    let path = dir.join("case.embin");
     std::fs::write(&path, bytes).unwrap();
     EmbeddingStore::open(&path)
 }
@@ -45,9 +44,8 @@ proptest! {
     ) {
         let precision = precision_from(pidx);
         let m = Embedding::random(n, dim, seed);
-        let dir = std::env::temp_dir().join("gosh-prop-store");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-rt.embin", std::process::id()));
+        let dir = TempDir::new("prop-store").unwrap();
+        let path = dir.join("rt.embin");
         write_store(&path, &m, precision).unwrap();
         let store = EmbeddingStore::open(&path).unwrap();
         prop_assert_eq!(store.num_vertices(), n);
@@ -74,14 +72,14 @@ proptest! {
         // Any strict prefix: header implies a length the file cannot have.
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(
-            open_bytes(&bytes[..cut], "cut").is_err(),
+            open_bytes(&bytes[..cut]).is_err(),
             "truncation to {cut}/{} bytes opened",
             bytes.len()
         );
         // Appended garbage is the dual failure: too long, same check.
         let mut long = bytes.clone();
         long.push(0u8);
-        prop_assert!(open_bytes(&long, "long").is_err(), "oversize file opened");
+        prop_assert!(open_bytes(&long).is_err(), "oversize file opened");
     }
 
     #[test]
@@ -100,7 +98,7 @@ proptest! {
         // precision code, reserved zeros, counts vs file length, stored
         // checksum); payload bytes are pinned by the checksum. So every
         // flip must surface as InvalidData.
-        let err = open_bytes(&bytes, "flip");
+        let err = open_bytes(&bytes);
         prop_assert!(
             err.is_err(),
             "bit {bit} of byte {pos} flipped silently (header is {EMBIN_HEADER_BYTES} bytes)"
@@ -111,7 +109,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_the_reader(
         bytes in proptest::collection::vec(0u8..=255, 0..256),
     ) {
-        match open_bytes(&bytes, "garbage") {
+        match open_bytes(&bytes) {
             // Random bytes opening at all requires forging the magic,
             // version, counts matching the length, *and* the checksum.
             Ok(_) => prop_assert!(

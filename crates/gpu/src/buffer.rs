@@ -527,25 +527,44 @@ mod tests {
 
     #[test]
     fn stream_copies_overlap_with_host_work() {
-        // Two 20 ms transfers enqueued on a stream run while the
-        // "kernel" (here: a 40 ms main-thread sleep) executes: the
-        // modeled DMA time is idle, so the wall-clock must land well
-        // under the 80 ms serialized sum even on a single-core host.
-        // Margins are wide (30 ms of scheduling slack) to stay stable
-        // on loaded CI runners.
+        // Two 20 ms transfers and a "kernel" (a 40 ms main-thread
+        // sleep). Blocking copies serialize in front of the kernel;
+        // enqueued on a stream their modeled DMA time is idle, so they
+        // run while the kernel does, even on a single-core host. Both
+        // orders are timed here, on this host under this load (best of
+        // three each: interference only ever adds time), so the check
+        // is the 40 ms the stream hides, less 20 ms of scheduling slack.
         let dev = Device::new(DeviceConfig {
             pcie_gbps: 0.4,
             ..DeviceConfig::tiny(32 << 20)
         });
         let buf = dev.alloc_floats(4_000_000).unwrap();
         let stream = dev.create_stream();
-        let t0 = std::time::Instant::now();
-        let _rb = buf.copy_to_host_at_async(&stream, 0, 2_000_000);
-        let ev = buf.copy_from_host_at_async(&stream, 0, vec![1.0; 2_000_000]);
-        std::thread::sleep(std::time::Duration::from_millis(40)); // the kernel
-        ev.wait();
-        let total = t0.elapsed().as_secs_f64();
-        assert!(total < 70e-3, "no overlap: {total}s for 40ms + 2×20ms");
+        let kernel = || std::thread::sleep(std::time::Duration::from_millis(40));
+        let best_of_three = |run: &dyn Fn()| {
+            (0..3)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    run();
+                    t0.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let serialized = best_of_three(&|| {
+            buf.copy_to_host_at(0, &mut vec![0.0; 2_000_000]);
+            buf.copy_from_host_at(0, &vec![1.0; 2_000_000]);
+            kernel();
+        });
+        let overlapped = best_of_three(&|| {
+            let _rb = buf.copy_to_host_at_async(&stream, 0, 2_000_000);
+            let ev = buf.copy_from_host_at_async(&stream, 0, vec![1.0; 2_000_000]);
+            kernel();
+            ev.wait();
+        });
+        assert!(
+            overlapped + 20e-3 < serialized,
+            "no overlap: {overlapped}s on a stream vs {serialized}s blocking"
+        );
     }
 
     #[test]

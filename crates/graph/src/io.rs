@@ -352,6 +352,7 @@ pub fn read_binary<R: Read>(mut r: R, total_len: u64) -> io::Result<Csr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gosh_runtime::TempDir;
     use std::io::Cursor;
 
     #[test]
@@ -431,8 +432,7 @@ mod tests {
     #[test]
     fn round_trip_through_disk() {
         let g = crate::builder::csr_from_edges(5, &[(0, 1), (1, 2), (3, 4), (0, 4)]);
-        let dir = std::env::temp_dir().join("gosh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io").unwrap();
         let path = dir.join("roundtrip.txt");
         write_edge_list(&path, &g).unwrap();
         let loaded = load_edge_list(&path).unwrap();
@@ -441,7 +441,6 @@ mod tests {
             g.num_undirected_edges()
         );
         assert_eq!(loaded.graph.num_vertices(), g.num_vertices());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -450,8 +449,7 @@ mod tests {
         // silently relabelled everything to dense 0..n on round trip.
         let text = "# snap-ish\n9000001 17\n17 400\n400 9000001\n400 52\n";
         let loaded = read_edge_list(Cursor::new(text)).unwrap();
-        let dir = std::env::temp_dir().join("gosh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io").unwrap();
         let path = dir.join("orig_ids.txt");
         loaded.write_edge_list(&path).unwrap();
         let reloaded = load_edge_list(&path).unwrap();
@@ -475,25 +473,21 @@ mod tests {
             set
         };
         assert_eq!(edge_set(&loaded), edge_set(&reloaded));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_round_trip_is_exact() {
         let g = crate::gen::erdos_renyi(300, 1200, 5);
-        let dir = std::env::temp_dir().join("gosh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io").unwrap();
         let path = dir.join("roundtrip.csr");
         write_binary(&path, &g).unwrap();
         let loaded = load_binary(&path).unwrap();
         assert_eq!(loaded, g);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_rejects_garbage() {
-        let dir = std::env::temp_dir().join("gosh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io").unwrap();
         let path = dir.join("garbage.csr");
         std::fs::write(&path, b"not a graph at all").unwrap();
         assert!(load_binary(&path).is_err());
@@ -503,15 +497,13 @@ mod tests {
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
         assert!(load_binary(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_rejects_overflowing_header() {
         // |V| near u64::MAX must fail cleanly, not overflow-panic while
         // computing the expected file size.
-        let dir = std::env::temp_dir().join("gosh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io").unwrap();
         let path = dir.join("overflow.csr");
         let mut bytes = BINARY_MAGIC.to_vec();
         bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // |V|
@@ -519,13 +511,11 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = load_binary(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
     }
 
-    fn raw_csr_file(name: &str, xadj: &[u64], adj: &[u32]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("gosh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+    fn raw_csr_file(xadj: &[u64], adj: &[u32]) -> (TempDir, std::path::PathBuf) {
+        let dir = TempDir::new("io").unwrap();
+        let path = dir.join("raw.csr");
         let mut bytes = BINARY_MAGIC.to_vec();
         bytes.extend_from_slice(&((xadj.len() - 1) as u64).to_le_bytes());
         bytes.extend_from_slice(&(adj.len() as u64).to_le_bytes());
@@ -536,42 +526,38 @@ mod tests {
             bytes.extend_from_slice(&u.to_le_bytes());
         }
         std::fs::write(&path, &bytes).unwrap();
-        path
+        (dir, path)
     }
 
     #[test]
     fn binary_rejects_nonmonotone_xadj() {
         // Right length, last entry matches |arcs| — but the middle offset
         // points past the adj array, which the seed loader accepted.
-        let path = raw_csr_file("nonmono.csr", &[0, 3, 2], &[1, 0]);
+        let (_dir, path) = raw_csr_file(&[0, 3, 2], &[1, 0]);
         let err = load_binary(&path).unwrap_err();
         assert!(err.to_string().contains("monotone"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_rejects_out_of_range_adj() {
-        let path = raw_csr_file("badadj.csr", &[0, 1, 2], &[5, 0]);
+        let (_dir, path) = raw_csr_file(&[0, 1, 2], &[5, 0]);
         let err = load_binary(&path).unwrap_err();
         assert!(err.to_string().contains("vertex range"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_rejects_nonzero_xadj_start() {
-        let path = raw_csr_file("badstart.csr", &[1, 1, 2], &[1, 0]);
+        let (_dir, path) = raw_csr_file(&[1, 1, 2], &[1, 0]);
         assert!(load_binary(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_rejects_short_xadj_tail() {
         // xadj monotone but ends below |arcs|: the stream must flag the
         // mismatch instead of mis-slicing adj.
-        let path = raw_csr_file("shorttail.csr", &[0, 1, 1], &[1, 0]);
+        let (_dir, path) = raw_csr_file(&[0, 1, 1], &[1, 0]);
         let err = load_binary(&path).unwrap_err();
         assert!(err.to_string().contains("inconsistent"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -581,12 +567,10 @@ mod tests {
         let g = crate::gen::erdos_renyi(20_000, 60_000, 11);
         assert!(g.num_vertices() * 8 > BINARY_CHUNK);
         assert!(g.num_edges() * 4 > BINARY_CHUNK);
-        let dir = std::env::temp_dir().join("gosh_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("io").unwrap();
         let path = dir.join("big.csr");
         write_binary(&path, &g).unwrap();
         assert_eq!(load_binary(&path).unwrap(), g);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -699,8 +699,7 @@ mod tests {
 
     #[test]
     fn write_then_load_delta() {
-        let dir = std::env::temp_dir().join(format!("gosh-delta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = gosh_runtime::TempDir::new("delta").unwrap();
         let path = dir.join("d.delta");
         let epochs = vec![
             RawDelta {
@@ -715,7 +714,6 @@ mod tests {
         write_delta(&path, &epochs).unwrap();
         let (back, _) = load_delta(&path).unwrap();
         assert_eq!(back, epochs);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -43,9 +43,11 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 mod pool;
+mod tempdir;
 pub mod transport;
 
 pub use pool::{Runtime, WorkerCtx};
+pub use tempdir::TempDir;
 
 use std::ops::Range;
 use std::sync::OnceLock;
