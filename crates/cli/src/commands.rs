@@ -607,8 +607,9 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let local = server.local_addr().map_err(|e| e.to_string())?;
     match server.index() {
         Some(ivf) => println!(
-            "serving {path} ({n} x {dim}, {precision}) on {local}, {} IVF lists",
-            ivf.nlist()
+            "serving {path} ({n} x {dim}, {precision}) on {local}, {} IVF lists (built in {:.3} s)",
+            ivf.nlist(),
+            server.index_build_seconds()
         ),
         None => println!("serving {path} ({n} x {dim}, {precision}) on {local}, exact only"),
     }

@@ -268,20 +268,28 @@ fn embed_serve_query_flow_over_tcp_loopback() {
     std::io::BufReader::new(stdout)
         .read_line(&mut first_line)
         .unwrap();
-    let addr = first_line
-        .split(" on ")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .unwrap_or_else(|| panic!("no address in serve banner: {first_line}"))
+    // Shape of the banner, as its readers take it apart: the address is
+    // what follows the *last* " on " up to the first comma, and the rest
+    // reports the list count and the index build time.
+    // `serving g.embin (800 x 8, i8) on 127.0.0.1:4242, 29 IVF lists (built in 0.002 s)`
+    let (_, tail) = first_line
+        .rsplit_once(" on ")
+        .unwrap_or_else(|| panic!("no address in serve banner: {first_line}"));
+    let (addr, rest) = tail.split_once(',').expect("list count after the address");
+    assert!(addr.parse::<std::net::SocketAddr>().is_ok(), "{first_line}");
+    let built = rest
         .trim()
-        .to_string();
+        .strip_prefix("29 IVF lists (built in ")
+        .and_then(|s| s.strip_suffix(" s)"))
+        .unwrap_or_else(|| panic!("no build time in serve banner: {first_line}"));
+    assert!(built.parse::<f64>().is_ok(), "{first_line}");
 
     // Exact and IVF top-k over the socket, then shut the server down.
     let (ok, text) = run(&[
         "query",
         embin.to_str().unwrap(),
         "--addr",
-        &addr,
+        addr,
         "--ids",
         "0,5,17",
         "--k",
@@ -294,7 +302,7 @@ fn embed_serve_query_flow_over_tcp_loopback() {
         "query",
         embin.to_str().unwrap(),
         "--addr",
-        &addr,
+        addr,
         "--ids",
         "3",
         "--nprobe",

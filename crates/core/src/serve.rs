@@ -22,6 +22,17 @@
 //!   is a logged [`gosh_runtime::transport::TransportError`], never a
 //!   server crash.
 //!
+//! The index build is k-means assignment — every row against every
+//! centroid, five passes — and runs on
+//! [`crate::simd::nearest_centroid`]: the centroids are transposed once
+//! per pass into blocks of eight, dimension-major
+//! (`ct[(b·dim + j)·8 + lane]` = dimension `j` of centroid `8b + lane`),
+//! so one 8-lane `sub`/`mul`/`add` advances eight distances at once.
+//! Each lane is the scalar chain of a one-centroid-at-a-time loop (from
+//! 0.0, `j` ascending, no fused multiply-add) and the argmin walks the
+//! lanes in centroid order under strict `<`, so the index has the bits a
+//! scalar build would give it, on every target and thread count.
+//!
 //! Determinism is the same contract as everywhere else in the
 //! workspace: all selection runs under a *total* order — score by
 //! `total_cmp`, ties to the smaller vertex id — so the top-k of a set
@@ -191,15 +202,17 @@ impl IvfIndex {
         }
 
         let mut assign = vec![0u32; n];
+        let mut sums = vec![0.0f64; nlist * dim];
+        let mut counts = vec![0usize; nlist];
+        let mut row = vec![0.0f32; dim];
         const LLOYD_ITERS: usize = 4;
         for _ in 0..LLOYD_ITERS {
-            assign_rows(store, &centroids, nlist, threads, &mut assign);
+            assign_rows(store, &centroids, threads, &mut assign);
             // Accumulate sequentially in row id order: cheap next to the
             // parallel assignment, and it keeps float addition order —
             // hence the centroids — independent of the thread count.
-            let mut sums = vec![0.0f64; nlist * dim];
-            let mut counts = vec![0usize; nlist];
-            let mut row = vec![0.0f32; dim];
+            sums.fill(0.0);
+            counts.fill(0);
             for v in 0..n as u32 {
                 let c = assign[v as usize] as usize;
                 store.decode_row(v, &mut row);
@@ -222,7 +235,7 @@ impl IvfIndex {
                 }
             }
         }
-        assign_rows(store, &centroids, nlist, threads, &mut assign);
+        assign_rows(store, &centroids, threads, &mut assign);
 
         // Counting-sort CSR: ascending row id inside each list because
         // the scatter walks ids in order.
@@ -288,16 +301,12 @@ impl IvfIndex {
 
 /// Parallel nearest-centroid assignment (squared L2, ties to the
 /// smaller centroid id). Pure per row, sharded contiguously — the
-/// result is independent of `threads`.
-fn assign_rows(
-    store: &EmbeddingStore,
-    centroids: &[f32],
-    nlist: usize,
-    threads: usize,
-    assign: &mut [u32],
-) {
+/// result is independent of `threads`. The centroids are transposed
+/// once per pass into the lane-per-centroid blocks the kernel scans.
+fn assign_rows(store: &EmbeddingStore, centroids: &[f32], threads: usize, assign: &mut [u32]) {
     let n = store.num_vertices();
     let dim = store.dim();
+    let ct = crate::simd::transpose_centroids(centroids, dim);
     let shards = gosh_runtime::shard_ranges(n, threads.max(1));
     let parts = gosh_runtime::map_jobs(threads.max(1), shards.len(), |t| {
         let span = shards[t].clone();
@@ -305,21 +314,7 @@ fn assign_rows(
         let mut row = vec![0.0f32; dim];
         for v in span {
             store.decode_row(v as u32, &mut row);
-            let mut best = 0u32;
-            let mut best_d2 = f32::INFINITY;
-            for c in 0..nlist {
-                let cen = &centroids[c * dim..(c + 1) * dim];
-                let mut d2 = 0.0f32;
-                for (&x, &y) in row.iter().zip(cen) {
-                    let d = x - y;
-                    d2 += d * d;
-                }
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                    best = c as u32;
-                }
-            }
-            out.push(best);
+            out.push(crate::simd::nearest_centroid(&row, &ct));
         }
         out
     });
@@ -516,6 +511,7 @@ pub struct Server {
     listener: TcpListener,
     store: EmbeddingStore,
     index: Option<IvfIndex>,
+    index_build_seconds: f64,
     cfg: ServeConfig,
 }
 
@@ -527,11 +523,13 @@ impl Server {
         cfg: ServeConfig,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        let t0 = std::time::Instant::now();
         let index = cfg.build_ivf.then(|| IvfIndex::build(&store, cfg.threads));
         Ok(Self {
             listener,
             store,
             index,
+            index_build_seconds: t0.elapsed().as_secs_f64(),
             cfg,
         })
     }
@@ -547,6 +545,11 @@ impl Server {
 
     pub fn index(&self) -> Option<&IvfIndex> {
         self.index.as_ref()
+    }
+
+    /// Wall-clock seconds [`Server::bind`] spent building the index.
+    pub fn index_build_seconds(&self) -> f64 {
+        self.index_build_seconds
     }
 
     /// Serve until a client sends [`TAG_SHUTDOWN`]. A client dying
@@ -777,12 +780,90 @@ mod tests {
     #[test]
     fn ivf_build_is_thread_count_invariant() {
         let m = Embedding::random(400, 8, 21);
-        let store = store_from(&m, Precision::F32, "ivf-threads");
-        let a = IvfIndex::build(&store, 1);
-        let b = IvfIndex::build(&store, 4);
-        assert_eq!(a.centroids, b.centroids);
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.members, b.members);
+        for precision in [Precision::F32, Precision::I8] {
+            let store = store_from(&m, precision, "ivf-threads");
+            let a = IvfIndex::build(&store, 1);
+            let b = IvfIndex::build(&store, 4);
+            assert_eq!(a.centroids, b.centroids);
+            assert_eq!(a.offsets, b.offsets);
+            assert_eq!(a.members, b.members);
+        }
+    }
+
+    /// `IvfIndex::build` as it stood before the lane-per-centroid kernel:
+    /// one thread, the one-centroid-at-a-time assignment loop, fresh
+    /// accumulators every Lloyd iteration.
+    fn reference_build(store: &EmbeddingStore) -> IvfIndex {
+        let (n, dim) = (store.num_vertices(), store.dim());
+        let nlist = IvfIndex::default_nlist(n).min(n);
+        let mut centroids = vec![0.0f32; nlist * dim];
+        for c in 0..nlist {
+            store.decode_row(
+                (c * n / nlist) as u32,
+                &mut centroids[c * dim..(c + 1) * dim],
+            );
+        }
+        let assign_all = |centroids: &[f32]| -> Vec<u32> {
+            let mut row = vec![0.0f32; dim];
+            let nearest = |v| {
+                store.decode_row(v, &mut row);
+                crate::simd::nearest_centroid_reference(&row, centroids)
+            };
+            (0..n as u32).map(nearest).collect()
+        };
+        for _ in 0..4 {
+            let assign = assign_all(&centroids);
+            let mut sums = vec![0.0f64; nlist * dim];
+            let mut counts = vec![0usize; nlist];
+            let mut row = vec![0.0f32; dim];
+            for v in 0..n as u32 {
+                let c = assign[v as usize] as usize;
+                store.decode_row(v, &mut row);
+                for (acc, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(&row) {
+                    *acc += x as f64;
+                }
+                counts[c] += 1;
+            }
+            for c in (0..nlist).filter(|&c| counts[c] > 0) {
+                let inv = 1.0f64 / counts[c] as f64;
+                for j in 0..dim {
+                    centroids[c * dim + j] = (sums[c * dim + j] * inv) as f32;
+                }
+            }
+        }
+        let assign = assign_all(&centroids);
+        let mut offsets = vec![0usize; nlist + 1];
+        let mut members = Vec::with_capacity(n);
+        for c in 0..nlist as u32 {
+            members.extend((0..n as u32).filter(|&v| assign[v as usize] == c));
+            offsets[c as usize + 1] = members.len();
+        }
+        IvfIndex {
+            dim,
+            centroids,
+            offsets,
+            members,
+        }
+    }
+
+    #[test]
+    fn ivf_build_matches_the_scalar_reference_build_bit_for_bit() {
+        // 700 rows → 27 lists (a ragged last lane block), dim 11 (a
+        // ragged row). Rows 25 and 51 seed centroids 1 and 2: made equal,
+        // the first pass ties on every row and leaves list 2 empty.
+        let mut m = Embedding::random(700, 11, 33);
+        let twin = m.row(25).to_vec();
+        m.row_mut(51).copy_from_slice(&twin);
+        for precision in [Precision::F32, Precision::F16, Precision::I8] {
+            let store = store_from(&m, precision, "ivf-reference");
+            let want = reference_build(&store);
+            for threads in [1, 3] {
+                let got = IvfIndex::build(&store, threads);
+                assert_eq!(got.centroids, want.centroids, "{precision} x{threads}");
+                assert_eq!(got.offsets, want.offsets, "{precision} x{threads}");
+                assert_eq!(got.members, want.members, "{precision} x{threads}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,9 @@
 //! reference. Remainder elements land in lanes `0..r`, so a row
 //! zero-padded to the paired-lane width produces exactly the same lane
 //! sums as the unpadded row.
+//!
+//! [`nearest_centroid`] (the IVF build in [`crate::serve`]) uses the
+//! lanes the other way round: one lane per *centroid*, no horizontal sum.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -189,6 +192,101 @@ pub fn fused_axpy8(src: &mut [f32], smp: &mut [f32], score: f32) {
         *x += score * *y;
         *y += score * s_old;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Nearest centroid (the IVF build's k-means assignment)
+// ---------------------------------------------------------------------------
+
+/// Transpose `nlist × dim` centroid rows into blocks of [`LANES`]
+/// centroids, dimension-major: `ct[(b * dim + j) * LANES + lane]` is
+/// dimension `j` of centroid `b * LANES + lane`. The last block's lanes
+/// past `nlist` hold `+∞`, whose distance to any row is `+∞` or NaN —
+/// never `<` anything, so a padding lane cannot win.
+pub fn transpose_centroids(centroids: &[f32], dim: usize) -> Vec<f32> {
+    let blocks = (centroids.len() / dim).div_ceil(LANES);
+    let mut ct = vec![f32::INFINITY; blocks * dim * LANES];
+    for (c, cen) in centroids.chunks_exact(dim).enumerate() {
+        let base = (c / LANES) * dim * LANES + c % LANES;
+        for (j, &y) in cen.iter().enumerate() {
+            ct[base + j * LANES] = y;
+        }
+    }
+    ct
+}
+
+/// Id of the centroid nearest to `row` by squared L2 distance, ties (and
+/// an all-NaN row) to the smaller id; `ct` is [`transpose_centroids`]'
+/// output for centroids of `row.len()` dimensions.
+///
+/// Lane-per-centroid: one 8-lane `sub`/`mul`/`add` advances eight
+/// *independent* distances, and each lane runs exactly the scalar chain
+/// `d2 = 0; for j { d = x[j] - y[j]; d2 += d * d }` — `j` ascending,
+/// no fused multiply-add — so every distance, and the strict-`<` argmin
+/// that walks them in centroid order, has the bits of the one-centroid-
+/// at-a-time loop this replaces.
+#[inline]
+pub fn nearest_centroid(row: &[f32], ct: &[f32]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        return unsafe { nearest_centroid_avx2(row, ct) };
+    }
+    nearest_centroid_scalar(row, ct)
+}
+
+/// Scalar core of [`nearest_centroid`]: chunked lane groups that
+/// autovectorize at whatever width the enclosing function enables.
+#[inline(always)]
+pub fn nearest_centroid_scalar(row: &[f32], ct: &[f32]) -> u32 {
+    let (mut best, mut best_d2) = (0u32, f32::INFINITY);
+    for (b, block) in ct.chunks_exact(row.len() * LANES).enumerate() {
+        let mut acc = [0.0f32; LANES];
+        for (&x, ys) in row.iter().zip(block.chunks_exact(LANES)) {
+            for k in 0..LANES {
+                let d = x - ys[k];
+                acc[k] += d * d;
+            }
+        }
+        for (k, &d2) in acc.iter().enumerate() {
+            if d2 < best_d2 {
+                best_d2 = d2;
+                best = (b * LANES + k) as u32;
+            }
+        }
+    }
+    best
+}
+
+/// AVX2 path of [`nearest_centroid`]: the scalar core compiled with
+/// 256-bit vectors, so one instruction carries a whole lane group.
+///
+/// # Safety
+/// The CPU must support AVX2 (callers check [`avx2_available`] first).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn nearest_centroid_avx2(row: &[f32], ct: &[f32]) -> u32 {
+    nearest_centroid_scalar(row, ct)
+}
+
+/// The one-centroid-at-a-time loop [`nearest_centroid`] replaced, over
+/// untransposed `nlist × dim` rows: the oracle its bits are held to.
+#[cfg(test)]
+pub(crate) fn nearest_centroid_reference(row: &[f32], centroids: &[f32]) -> u32 {
+    let mut best = 0u32;
+    let mut best_d2 = f32::INFINITY;
+    for (c, cen) in centroids.chunks_exact(row.len()).enumerate() {
+        let mut d2 = 0.0f32;
+        for (&x, &y) in row.iter().zip(cen) {
+            let d = x - y;
+            d2 += d * d;
+        }
+        if d2 < best_d2 {
+            best_d2 = d2;
+            best = c as u32;
+        }
+    }
+    best
 }
 
 // ---------------------------------------------------------------------------
@@ -554,6 +652,31 @@ mod tests {
             update_pairs_scalar(&mut src_b, &cells_b, 0.017);
             assert_eq!(src_a, src_b, "d={d} src");
             assert_eq!(pairs_to_vec(&cells_a), pairs_to_vec(&cells_b), "d={d} smp");
+        }
+    }
+
+    #[test]
+    fn nearest_centroid_matches_the_one_at_a_time_loop() {
+        let mut rng = Xorshift128Plus::new(13);
+        for dim in [1usize, 3, 8, 16, 17] {
+            for nlist in [1usize, 7, 8, 9, 40] {
+                let mut centroids = random_vec(&mut rng, nlist * dim);
+                // A duplicated centroid: the tie must go to the smaller id.
+                centroids.copy_within(..dim, (nlist - 1) * dim);
+                let ct = transpose_centroids(&centroids, dim);
+                assert_eq!(ct.len(), nlist.div_ceil(LANES) * dim * LANES);
+                let mut rows: Vec<Vec<f32>> = (0..6).map(|_| random_vec(&mut rng, dim)).collect();
+                rows.push(centroids[..dim].to_vec());
+                rows.push(vec![f32::NAN; dim]);
+                rows.push(vec![f32::INFINITY; dim]);
+                for row in &rows {
+                    let want = nearest_centroid_reference(row, &centroids);
+                    assert_eq!(nearest_centroid(row, &ct), want, "dim={dim} nlist={nlist}");
+                    assert_eq!(nearest_centroid_scalar(row, &ct), want);
+                }
+                assert_eq!(nearest_centroid(&rows[6], &ct), 0, "tie → smaller id");
+                assert_eq!(nearest_centroid(&rows[7], &ct), 0, "NaN row → list 0");
+            }
         }
     }
 

@@ -15,7 +15,8 @@ use gosh_core::quant::{
 };
 use gosh_core::schedule::{decayed_lr, epoch_distribution};
 use gosh_core::simd::{
-    dot8, dot8_scalar, dot_pairs, dot_pairs_scalar, update_pairs, update_pairs_scalar,
+    dot8, dot8_scalar, dot_pairs, dot_pairs_scalar, nearest_centroid, nearest_centroid_scalar,
+    transpose_centroids, update_pairs, update_pairs_scalar,
 };
 use gosh_core::update::update_embedding;
 use gosh_graph::builder::csr_from_edges;
@@ -296,6 +297,49 @@ proptest! {
                 "sample cell {} at d={}", k, d
             );
         }
+    }
+
+    #[test]
+    fn nearest_centroid_dispatch_matches_core_and_the_scalar_loop(
+        (dim, nlist, vals, rows) in (1usize..=70, 1usize..=40).prop_flat_map(|(dim, nlist)| (
+            Just(dim),
+            Just(nlist),
+            prop::collection::vec(-100.0f32..100.0, nlist * dim..=nlist * dim),
+            prop::collection::vec(-100.0f32..100.0, 4 * dim..=4 * dim),
+        )),
+        dup in 0usize..40,
+    ) {
+        // The lane-per-centroid kernel (AVX2 where detected), its chunked
+        // core, and the one-centroid-at-a-time loop it replaced must pick
+        // the same list for every row: ragged dims, ragged last lane
+        // block, a duplicated centroid (tie → smaller id), a row sitting
+        // on that centroid, and an all-NaN row (→ list 0).
+        let mut centroids = vals;
+        let from = dup % nlist * dim;
+        centroids.copy_within(from..from + dim, (nlist - 1) * dim);
+        let ct = transpose_centroids(&centroids, dim);
+        let mut rows: Vec<Vec<f32>> = rows.chunks_exact(dim).map(<[f32]>::to_vec).collect();
+        rows.push(centroids[from..from + dim].to_vec());
+        rows.push(vec![f32::NAN; dim]);
+        for row in &rows {
+            let mut want = 0u32;
+            let mut want_d2 = f32::INFINITY;
+            for (c, cen) in centroids.chunks_exact(dim).enumerate() {
+                let mut d2 = 0.0f32;
+                for (&x, &y) in row.iter().zip(cen) {
+                    let d = x - y;
+                    d2 += d * d;
+                }
+                if d2 < want_d2 {
+                    want_d2 = d2;
+                    want = c as u32;
+                }
+            }
+            prop_assert_eq!(nearest_centroid(row, &ct), want, "dim={} nlist={}", dim, nlist);
+            prop_assert_eq!(nearest_centroid_scalar(row, &ct), want, "dim={} nlist={}", dim, nlist);
+        }
+        prop_assert_eq!(nearest_centroid(&rows[4], &ct) as usize, dup % nlist);
+        prop_assert_eq!(nearest_centroid(&rows[5], &ct), 0);
     }
 
     #[test]

@@ -227,9 +227,8 @@ fn write_frame<W: Write>(w: &mut W, tag: u32, payload: &[u8]) -> io::Result<()> 
     w.flush()
 }
 
-/// Read one frame from a stream. `max_len` bounds the allocation an
-/// untrusted length prefix can demand (a garbage header must not OOM the
-/// server before the payload even arrives).
+/// Read one frame from a stream. `max_len` bounds the length an
+/// untrusted prefix may claim.
 fn read_frame<R: Read>(r: &mut R, max_len: u64) -> io::Result<(u32, Vec<u8>)> {
     let mut header = [0u8; 12];
     r.read_exact(&mut header)?;
@@ -241,9 +240,33 @@ fn read_frame<R: Read>(r: &mut R, max_len: u64) -> io::Result<(u32, Vec<u8>)> {
             format!("frame length {len} exceeds the {max_len}-byte limit"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    read_payload(r, len, &mut payload)?;
     Ok((tag, payload))
+}
+
+/// Largest payload allocated on the length prefix's word alone.
+const EAGER_PAYLOAD_BYTES: u64 = 64 << 10;
+
+/// Read a `len`-byte payload into the empty `payload`. Up to
+/// [`EAGER_PAYLOAD_BYTES`] it is one allocation and one `read_exact`;
+/// beyond that the buffer grows with the bytes actually received, so a
+/// garbage header cannot make the server allocate what the peer never
+/// sends. A peer that stops short is `UnexpectedEof` either way.
+fn read_payload<R: Read>(r: &mut R, len: u64, payload: &mut Vec<u8>) -> io::Result<()> {
+    if len <= EAGER_PAYLOAD_BYTES {
+        payload.resize(len as usize, 0);
+        return r.read_exact(payload);
+    }
+    payload.reserve(EAGER_PAYLOAD_BYTES as usize);
+    let got = r.by_ref().take(len).read_to_end(payload)? as u64;
+    if got < len {
+        return Err(io::Error::new(
+            ErrorKind::UnexpectedEof,
+            format!("frame claims {len} payload bytes, peer sent {got}"),
+        ));
+    }
+    Ok(())
 }
 
 /// Frame-length ceiling for connections that face untrusted peers
@@ -539,6 +562,38 @@ mod tests {
         assert_eq!((tag, body.as_slice()), (6, b"ping".as_slice()));
         drop(client);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn short_payload_is_eof_without_allocating_the_claimed_length() {
+        // The header of a 1 GiB frame (the most `FramedConn` accepts),
+        // then 10 bytes and EOF.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 7, &[0xCD; 10]).unwrap();
+        wire[4..12].copy_from_slice(&MAX_FRAME_BYTES.to_le_bytes());
+        let err = read_frame(&mut wire.as_slice(), MAX_FRAME_BYTES).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("peer sent 10"), "{err}");
+
+        let mut payload = Vec::new();
+        let err = read_payload(&mut &wire[12..], MAX_FRAME_BYTES, &mut payload).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert_eq!(payload, [0xCD; 10]);
+        assert!(payload.capacity() <= 128 << 10, "{}", payload.capacity());
+
+        // An honest frame on either side of the eager limit arrives whole.
+        for len in [
+            EAGER_PAYLOAD_BYTES as usize,
+            EAGER_PAYLOAD_BYTES as usize + 1,
+        ] {
+            let body: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, 9, &body).unwrap();
+            assert_eq!(
+                read_frame(&mut wire.as_slice(), MAX_FRAME_BYTES).unwrap(),
+                (9, body)
+            );
+        }
     }
 
     #[test]
