@@ -40,7 +40,7 @@ use gosh_runtime::{shard_ranges, Runtime};
 use crate::backend::{Similarity, TrainParams};
 use crate::config::GoshConfig;
 use crate::expand::expand_embedding_parallel;
-use crate::model::{Embedding, SharedMatrix};
+use crate::model::Embedding;
 use crate::quant::Precision;
 use crate::schedule::epoch_distribution;
 use crate::train_cpu::HogwildPlan;
@@ -312,18 +312,25 @@ fn run_node(
             if !level_is_sharded(g, dcfg) {
                 // Replicated: identical seeds + salt 0 → every node
                 // computes the same matrix the single-node trainer would.
-                let shared = SharedMatrix::from_embedding(&matrix);
-                plan.run_range(&rt, g, &shared, &params, 0..e_i, e_i, 0..plan.sources(), 0);
-                matrix = shared.to_embedding();
+                let all = 0..plan.sources();
+                plan.train(&rt, g, &mut matrix, &params, 0..e_i, e_i, all, 0);
             } else {
                 let span = shard_ranges(plan.sources(), nodes)[node].clone();
                 let salt = (node as u64) << 32;
                 let mut e0 = 0u32;
                 while e0 < e_i {
                     let e1 = (e0 + dcfg.exchange_every.max(1)).min(e_i);
-                    let shared = SharedMatrix::from_embedding(&matrix);
-                    plan.run_range(&rt, g, &shared, &params, e0..e1, e_i, span.clone(), salt);
-                    let current = shared.to_embedding();
+                    let mut current = matrix.clone();
+                    plan.train(
+                        &rt,
+                        g,
+                        &mut current,
+                        &params,
+                        e0..e1,
+                        e_i,
+                        span.clone(),
+                        salt,
+                    );
                     matrix = exchange_deltas(
                         &mut *tp,
                         &link,

@@ -11,8 +11,8 @@
 //!   autovectorization-shaped scalar cores with runtime-detected AVX2
 //!   intrinsic twins, bit-identical by construction.
 //! * [`quant`] — reduced-precision row storage (f16, per-row-scaled i8)
-//!   behind the `--precision` knob, with the quantized Hogwild engine's
-//!   row codecs.
+//!   behind the `--precision` knob: the row codecs and the
+//!   `QuantizedMatrix` row store the Hogwild engine trains in.
 //! * [`store`] — the `.embin` exact binary embedding store: versioned,
 //!   checksummed, mmap-backed with zero-copy row access.
 //! * [`serve`] — top-k query serving over a store: brute-force exact,
@@ -25,7 +25,8 @@
 //! * [`train_gpu`] — `TrainInGPU` (Algorithm 3) on the simulated device,
 //!   in naive, optimized and packed small-dimension variants.
 //! * [`train_cpu`] — the multi-threaded Hogwild CPU trainer used as the
-//!   §4.8 speedup reference.
+//!   §4.8 speedup reference: one epoch loop over an f32 or an f16/i8 row
+//!   store, for full, restricted-source and per-node training.
 //! * [`large`] — the out-of-memory path (Algorithm 5): embedding-matrix
 //!   partitioning, inside-out rotations, host-side sample pools with
 //!   `SampleManager`/`PoolManager` threads, and copy/compute overlap.

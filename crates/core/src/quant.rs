@@ -16,12 +16,13 @@
 //!   parameters adapt to each vertex's dynamic range (embedding row
 //!   norms vary by orders of magnitude between hubs and leaves).
 //!
-//! Training at reduced precision keeps all arithmetic in f32 lanes:
-//! rows **dequantize on load** into the f32 registers of
-//! [`crate::simd`], update there, and **requantize on store**
-//! ([`QuantizedMatrix`]). f32 stays the bit-exact reference path; the
-//! quantized engines are accuracy-checked end to end against it by the
-//! AUC-parity test (`tests/precision_parity.rs`).
+//! Training at reduced precision keeps all arithmetic in f32 lanes: the
+//! one Hogwild engine (`crate::train_cpu`) trains in a [`QuantizedMatrix`]
+//! whose rows **dequantize on load** into the f32 registers of
+//! [`crate::simd`], update there, and **requantize on store**. At one
+//! thread that is bit-identical to the f32 Algorithm 1 reference with a
+//! quantize round trip on every row it writes; end to end, the AUC-parity
+//! test (`tests/precision_parity.rs`) holds it within 0.08 of f32.
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -566,14 +567,15 @@ pub fn quantize_roundtrip(data: &mut [f32], dim: usize, precision: Precision) {
 // ---------------------------------------------------------------------------
 
 /// Lock-free shared embedding matrix in a reduced-precision row format —
-/// the quantized counterpart of [`crate::model::SharedMatrix`], behind
-/// the same load-row/store-row seam the Hogwild engine stages through.
+/// the quantized counterpart of [`crate::model::SharedMatrix`] and the
+/// Hogwild engine's second row store. Updates are whole-row: the engine
+/// loads a row into f32 lanes, updates it there and stores it back.
 ///
 /// Codes pack into `AtomicU64` cells (four f16 or eight i8 codes per
 /// cell); an i8 row additionally carries one atomic metadata cell holding
 /// its `(scale, zero)` pair, so the two decode parameters are always
 /// mutually consistent. Row stores are cell-granular and relaxed, exactly
-/// the HOGWILD! discipline of the f32 engine: concurrent writers may
+/// the HOGWILD! discipline of the f32 row store: concurrent writers may
 /// interleave cells (lost updates, bounded race noise — a code decoded
 /// against a neighbor store's scale still lands inside that row's value
 /// range) but no load ever observes a torn float.
@@ -603,7 +605,7 @@ impl QuantizedMatrix {
     }
 
     /// Quantize `m` into shared storage. Panics on `Precision::F32` —
-    /// the f32 engine stages through `SharedMatrix`.
+    /// f32 rows live in `SharedMatrix`.
     pub fn from_embedding(m: &Embedding, precision: Precision) -> Self {
         let per_cell = Self::codes_per_cell(precision);
         let dim = m.dim();

@@ -25,12 +25,12 @@
 //!
 //! The 8-lane accumulation order defined here is **the** dot-product
 //! order of the CPU trainer: [`crate::update::update_embedding`] (plain
-//! rows), [`crate::train_cpu::fused_update`] (staged source against an
-//! atomic pair row) and the quantized engine all use [`dot8`] /
-//! [`dot_pairs`], which keeps every path bit-identical to the scalar
-//! reference. Remainder elements land in lanes `0..r`, so a row
-//! zero-padded to the paired-lane width produces exactly the same lane
-//! sums as the unpadded row.
+//! rows — also the f16/i8 row store's sample update) and
+//! [`crate::train_cpu::fused_update`] (staged source against an atomic
+//! pair row) use [`dot8`] / [`dot_pairs`], which keeps every path
+//! bit-identical to the scalar reference. Remainder elements land in
+//! lanes `0..r`, so a row zero-padded to the paired-lane width produces
+//! exactly the same lane sums as the unpadded row.
 //!
 //! [`nearest_centroid`] (the IVF build in [`crate::serve`]) uses the
 //! lanes the other way round: one lane per *centroid*, no horizontal sum.

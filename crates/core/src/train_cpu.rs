@@ -7,120 +7,64 @@
 //! paper cites for CPUs (§3.1). Epoch accounting matches the GPU path:
 //! one epoch = |E| source processings drawn from the arc list.
 //!
-//! Three design decisions keep the hot path at memory speed:
+//! There is one engine over two row stores. The epoch loop — sharding,
+//! barrier, RNG keying, arc indexing, draw order, prefetch — exists once,
+//! generic over the private `RowStore` seam; what differs is where rows
+//! live and how one sample update touches them:
 //!
-//! * **Copy-free sample updates.** Sample rows are updated through
-//!   [`SharedMatrix::row_atomics`] views, in place: [`fused_update`]
-//!   accumulates the dot and applies both sides' axpy in one fused pass
-//!   over the view. The former engine's `one_update` copied every sample
-//!   row into a `tmp` scratch, re-read it for the axpy, and bounced the
-//!   source through a second scratch per update — that per-sample copy
-//!   discipline is gone, halving atomic traffic per update.
-//! * **Register-staged source row.** Mirroring the GPU kernel (§3.1
-//!   stages the source row in shared memory), each source's row is read
-//!   once, updated locally across its `1 + ns` samples — where it
-//!   vectorizes, since it is plain `f32` — and written back once.
-//! * **Sharded work distribution.** Each epoch's source space is split
-//!   into one contiguous shard per thread ([`shard_ranges`]); the
-//!   persistent [`gosh_runtime`] worker team holds at a poisonable epoch
-//!   barrier ([`gosh_runtime::WorkerCtx::barrier`]), so threads never
-//!   touch a shared cursor, never pay a per-epoch spawn — and a worker
-//!   panic unwinds the team instead of deadlocking it. The former engine
-//!   handed out batches from a global `AtomicUsize`, serializing every
-//!   thread through one contended cache line. Sample rows are prefetched
-//!   as soon as their ids are drawn.
+//! * **f32, [`SharedMatrix`]** — the bit-exact reference path. Each
+//!   source's row is staged once in a padded paired-lane buffer (the CPU
+//!   analogue of the kernel's shared memory, §3.1), updated across its
+//!   `1 + ns` samples and written back once; sample rows are updated in
+//!   place through [`SharedMatrix::row_atomics`] views by [`fused_update`],
+//!   one fused dot + two-sided axpy pass with no scratch copy.
+//! * **f16 / i8, [`QuantizedMatrix`]** — an i8 row's scale pair depends on
+//!   its min/max, so updates are whole-row: each sample row dequantizes
+//!   into f32 lanes, takes [`crate::update::update_embedding`] and
+//!   requantizes; the staged source requantizes once at write-back.
 //!
-//! The engine is range-parametrized through [`HogwildPlan`]: the
-//! single-node [`train_cpu`] trains every epoch of every source, while
-//! the distributed trainer (`crate::distrib`) gives each node a source
-//! span and an epoch window, with globally-indexed learning-rate decay
-//! and RNG streams — full ranges on node 0 reproduce the single-node
-//! engine bit-for-bit at one thread.
+//! Each epoch's source span is split into one contiguous shard per thread
+//! ([`shard_ranges`]); the persistent [`gosh_runtime`] worker team holds at
+//! a poisonable epoch barrier ([`gosh_runtime::WorkerCtx::barrier`]), so
+//! threads never touch a shared cursor or pay a per-epoch spawn, and a
+//! worker panic unwinds the team instead of deadlocking it. Sample rows
+//! are prefetched as soon as their ids are drawn.
+//!
+//! [`HogwildPlan::train`] is the one entry: [`train_cpu`] trains every
+//! source for every epoch, the warm-start trainer (`crate::warm`) a
+//! restricted source list, and the distributed trainer (`crate::distrib`)
+//! a source span and an epoch window per node, with globally-indexed
+//! learning-rate decay and RNG streams — full ranges on node 0 reproduce
+//! [`train_cpu`] bit-for-bit at one thread.
 
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 
 use gosh_graph::csr::Csr;
 use gosh_graph::rng::{mix64, Xorshift128Plus};
-use gosh_runtime::Runtime;
+use gosh_runtime::{shard_ranges, Runtime};
 
 use crate::backend::{Similarity, TrainParams};
 use crate::model::{Embedding, SharedMatrix};
 use crate::quant::{Precision, QuantizedMatrix};
 use crate::schedule::decayed_lr;
 use crate::simd;
-use crate::update::fast_sigmoid;
-
-/// Deterministic contiguous shard assignment (one shard per thread) —
-/// the runtime's, re-exported at its historical home.
-pub use gosh_runtime::shard_ranges;
+use crate::update::{fast_sigmoid, update_embedding};
 
 /// Train `m` on `g` in place with Hogwild threads.
 ///
 /// `params.dim` is ignored — the dimension comes from `m` itself.
 pub fn train_cpu(g: &Csr, m: &mut Embedding, params: &TrainParams) {
-    assert_eq!(g.num_vertices(), m.num_vertices(), "graph/matrix mismatch");
-    assert!(params.threads >= 1);
-    if g.num_edges() == 0 || params.epochs == 0 {
-        return;
-    }
-    if params.precision != Precision::F32 {
-        return train_cpu_quantized(g, m, params);
-    }
-    let shared = SharedMatrix::from_embedding(m);
     let plan = HogwildPlan::new(g);
-    plan.run_range(
-        gosh_runtime::global(),
-        g,
-        &shared,
-        params,
-        0..params.epochs,
-        params.epochs,
-        0..plan.sources(),
-        0,
-    );
-    *m = shared.to_embedding();
-}
-
-/// Train `m` on `g` with Hogwild threads, drawing sources only from
-/// `sources` — the warm-start engine behind [`crate::warm`]: dirty-region
-/// vertices are re-trained in place while the rest of the matrix serves
-/// as (slowly adapting) sample targets. f32 only; epoch accounting is
-/// relative to the restricted arc list.
-pub fn train_cpu_sources(g: &Csr, m: &mut Embedding, params: &TrainParams, sources: &[u32]) {
-    assert_eq!(g.num_vertices(), m.num_vertices(), "graph/matrix mismatch");
-    assert!(params.threads >= 1);
-    assert_eq!(
-        params.precision,
-        Precision::F32,
-        "warm-start training is f32-only"
-    );
-    if g.num_edges() == 0 || params.epochs == 0 || sources.is_empty() {
-        return;
-    }
-    let plan = HogwildPlan::new_for_sources(g, sources);
-    if plan.num_arcs == 0 {
-        return; // every listed source is isolated
-    }
-    let shared = SharedMatrix::from_embedding(m);
-    plan.run_range(
-        gosh_runtime::global(),
-        g,
-        &shared,
-        params,
-        0..params.epochs,
-        params.epochs,
-        0..plan.sources(),
-        0,
-    );
-    *m = shared.to_embedding();
+    let (rt, span) = (gosh_runtime::global(), 0..plan.sources());
+    plan.train(rt, g, m, params, 0..params.epochs, params.epochs, span, 0);
 }
 
 /// Precomputed training plan for one level: the arc list positive
 /// sampling walks (`Q` of Algorithm 1) and the per-epoch source count.
 /// Built once per level, reusable across epoch windows — the distributed
-/// trainer calls [`HogwildPlan::run_range`] once per exchange round
-/// without re-deriving the arc list.
+/// trainer calls [`HogwildPlan::train`] once per exchange round without
+/// re-deriving the arc list.
 pub struct HogwildPlan {
     arc_src: Vec<u32>,
     num_arcs: usize,
@@ -139,8 +83,7 @@ impl HogwildPlan {
     /// epoch costs `Σ deg(v) for v ∈ sources` processings instead of
     /// `|E|`, and only the listed vertices are ever drawn as sources
     /// (sample targets still range over the whole matrix). An empty or
-    /// all-isolated source set yields a plan whose `run_range` is a
-    /// no-op.
+    /// all-isolated source set yields a plan whose `train` is a no-op.
     pub fn new_for_sources(g: &Csr, sources: &[u32]) -> Self {
         Self::from_sources(g, sources.iter().copied())
     }
@@ -164,28 +107,58 @@ impl HogwildPlan {
         self.sources
     }
 
-    /// Train epochs `epochs` (global indices: learning-rate decay and
-    /// RNG seeds use them against `total_epochs`) over source span
-    /// `span`, sharded across `params.threads` workers of `rt`.
+    /// Train `m` on `g` in place: epochs `epochs` (global indices —
+    /// learning-rate decay and RNG seeds use them against
+    /// `total_epochs`) over source span `span`, sharded across
+    /// `params.threads` workers of `rt`, in the row store
+    /// `params.precision` picks.
     ///
     /// `rng_salt` keys this caller's per-thread RNG streams; distributed
-    /// nodes pass `node << 32` so no two nodes share a stream. With the
-    /// full ranges and salt 0 this **is** [`train_cpu`]'s engine.
+    /// nodes pass `node << 32` so no two nodes share a stream.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_range(
+    pub fn train(
         &self,
         rt: &Runtime,
         g: &Csr,
-        shared: &SharedMatrix,
+        m: &mut Embedding,
         params: &TrainParams,
         epochs: Range<u32>,
         total_epochs: u32,
         span: Range<usize>,
         rng_salt: u64,
     ) {
-        if span.is_empty() || epochs.is_empty() || self.num_arcs == 0 {
+        assert_eq!(g.num_vertices(), m.num_vertices(), "graph/matrix mismatch");
+        assert!(params.threads >= 1);
+        if self.num_arcs == 0 || epochs.is_empty() || span.is_empty() {
             return;
         }
+        *m = match params.precision {
+            Precision::F32 => {
+                let rows = SharedMatrix::from_embedding(m);
+                self.run_range(rt, g, &rows, params, epochs, total_epochs, span, rng_salt);
+                rows.to_embedding()
+            }
+            precision => {
+                let rows = QuantizedMatrix::from_embedding(m, precision);
+                self.run_range(rt, g, &rows, params, epochs, total_epochs, span, rng_salt);
+                rows.to_embedding()
+            }
+        };
+    }
+
+    /// The epoch loop of [`Self::train`] over a staged row store.
+    #[allow(clippy::too_many_arguments)]
+    fn run_range<S: RowStore>(
+        &self,
+        rt: &Runtime,
+        g: &Csr,
+        rows: &S,
+        params: &TrainParams,
+        epochs: Range<u32>,
+        total_epochs: u32,
+        span: Range<usize>,
+        rng_salt: u64,
+    ) {
         let n = g.num_vertices() as u32;
         let arc_src = &self.arc_src;
         let num_arcs = self.num_arcs;
@@ -195,10 +168,7 @@ impl HogwildPlan {
         rt.run(threads, |ctx| {
             let t = ctx.index();
             let shard = (shards[t].start + span.start)..(shards[t].end + span.start);
-            // One allocation per worker lifetime: the staged source
-            // row (the CPU analogue of the kernel's shared memory),
-            // padded to the paired-lane width.
-            let mut src_row = vec![0f32; 2 * shared.pairs_per_row()];
+            let mut scratch = rows.scratch();
             for epoch in epochs.clone() {
                 let lr_now = decayed_lr(params.lr, epoch, total_epochs);
                 let mut rng = Xorshift128Plus::new(mix64(
@@ -225,15 +195,82 @@ impl HogwildPlan {
                     // Warm the next source's row while this one trains.
                     if s + 1 < shard.end {
                         src_next = arc_at(s + 1);
-                        prefetch_row(shared.row_atomics(src_next));
+                        rows.prefetch(src_next);
                     }
-                    process_source(g, shared, src, n, params, lr_now, &mut rng, &mut src_row);
+                    process_source(g, rows, src, n, params, lr_now, &mut rng, &mut scratch);
                 }
                 // Epoch synchronization (§3.1): the next epoch's
                 // learning rate applies only once every shard is done.
                 ctx.barrier();
             }
         });
+    }
+}
+
+/// Where the shared rows live: the only thing the f32 and the f16/i8
+/// engines do differently. `Scratch` is one worker's staging buffers,
+/// allocated once per worker lifetime.
+trait RowStore: Sync {
+    type Scratch;
+    fn scratch(&self) -> Self::Scratch;
+    /// Hint the cache that row `v` is about to be read.
+    fn prefetch(&self, v: u32);
+    /// Stage source row `v`.
+    fn load_src(&self, v: u32, scratch: &mut Self::Scratch);
+    /// One Algorithm 1 update of the staged source against sample `u`.
+    fn update_sample(&self, u: u32, b: f32, lr: f32, scratch: &mut Self::Scratch);
+    /// Write the staged source back to row `v`.
+    fn store_src(&self, v: u32, scratch: &mut Self::Scratch);
+}
+
+impl RowStore for SharedMatrix {
+    /// The staged source row, padded to the paired-lane width.
+    type Scratch = Vec<f32>;
+    fn scratch(&self) -> Vec<f32> {
+        vec![0f32; 2 * self.pairs_per_row()]
+    }
+    #[inline]
+    fn prefetch(&self, v: u32) {
+        prefetch_row(self.row_atomics(v));
+    }
+    #[inline]
+    fn load_src(&self, v: u32, src: &mut Vec<f32>) {
+        simd::load_row_pairs(src, self.row_atomics(v));
+    }
+    #[inline]
+    fn update_sample(&self, u: u32, b: f32, lr: f32, src: &mut Vec<f32>) {
+        fused_update(src, self.row_atomics(u), b, lr);
+    }
+    #[inline]
+    fn store_src(&self, v: u32, src: &mut Vec<f32>) {
+        simd::store_row_pairs(self.row_atomics(v), src);
+    }
+}
+
+impl RowStore for QuantizedMatrix {
+    /// The staged source row, a sample row and an i8 code buffer.
+    type Scratch = (Vec<f32>, Vec<f32>, Vec<u8>);
+    fn scratch(&self) -> Self::Scratch {
+        let d = self.dim();
+        (vec![0f32; d], vec![0f32; d], vec![0u8; d])
+    }
+    #[inline]
+    fn prefetch(&self, v: u32) {
+        prefetch_row(self.row_cells(v));
+    }
+    #[inline]
+    fn load_src(&self, v: u32, (src, _, _): &mut Self::Scratch) {
+        self.load_row(v, src);
+    }
+    #[inline]
+    fn update_sample(&self, u: u32, b: f32, lr: f32, (src, smp, codes): &mut Self::Scratch) {
+        self.load_row(u, smp);
+        update_embedding(src, smp, b, lr);
+        self.store_row_scratch(u, smp, codes);
+    }
+    #[inline]
+    fn store_src(&self, v: u32, (src, _, codes): &mut Self::Scratch) {
+        self.store_row_scratch(v, src, codes);
     }
 }
 
@@ -268,24 +305,23 @@ fn prefetch_row(row: &[AtomicU64]) {
     }
 }
 
-/// One source processing: a positive draw from `Q` plus `ns` negatives.
-/// The source row is staged in `src_row` across its samples (written
-/// back once); sample rows are updated fully in place.
+/// One source processing: a positive draw from `Q` plus `ns` negatives,
+/// against the source row staged in `scratch` (written back once).
 ///
 /// Sample ids are drawn *before* any update — positive first, then the
 /// negatives, preserving the per-thread RNG stream order — so every
 /// sample row can be prefetched while earlier updates compute.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn process_source(
+fn process_source<S: RowStore>(
     g: &Csr,
-    shared: &SharedMatrix,
+    rows: &S,
     src: u32,
     n: u32,
     params: &TrainParams,
     lr: f32,
     rng: &mut Xorshift128Plus,
-    src_row: &mut [f32],
+    scratch: &mut S::Scratch,
 ) {
     let pos = positive_sample(g, src, params.similarity, rng);
     let ns = params.negative_samples;
@@ -295,24 +331,23 @@ fn process_source(
         *slot = rng.below(n);
     }
     if let Some(u) = pos {
-        prefetch_row(shared.row_atomics(u));
+        rows.prefetch(u);
     }
     for &u in negs.iter().take(ahead) {
-        prefetch_row(shared.row_atomics(u));
+        rows.prefetch(u);
     }
-    let src_pairs = shared.row_atomics(src);
-    simd::load_row_pairs(src_row, src_pairs);
+    rows.load_src(src, scratch);
     if let Some(u) = pos {
-        fused_update(src_row, shared.row_atomics(u), 1.0, lr);
+        rows.update_sample(u, 1.0, lr, scratch);
     }
     for &u in negs.iter().take(ahead) {
-        fused_update(src_row, shared.row_atomics(u), 0.0, lr);
+        rows.update_sample(u, 0.0, lr, scratch);
     }
     for _ in ahead..ns {
         let u = rng.below(n);
-        fused_update(src_row, shared.row_atomics(u), 0.0, lr);
+        rows.update_sample(u, 0.0, lr, scratch);
     }
-    simd::store_row_pairs(src_pairs, src_row);
+    rows.store_src(src, scratch);
 }
 
 /// Draw a positive sample for `src` under the chosen similarity.
@@ -366,128 +401,10 @@ pub fn fused_update(src: &mut [f32], sample: &[AtomicU64], b: f32, lr: f32) {
     simd::update_pairs(src, sample, score);
 }
 
-/// The reduced-precision Hogwild engine: identical schedule, sharding,
-/// RNG streams and update math as the f32 engine, but the shared matrix
-/// is a [`QuantizedMatrix`] — every touched row **dequantizes on load**
-/// into f32 lanes, updates there through the same [`simd`] kernels, and
-/// **requantizes on store**. Each sample update is whole-row (an i8 row's
-/// scale pair depends on its min/max), so the engine stages both sides
-/// instead of updating the sample in place; the extra quantize work is
-/// the price of rows that are 2–4x narrower than f32.
-fn train_cpu_quantized(g: &Csr, m: &mut Embedding, params: &TrainParams) {
-    let n = g.num_vertices() as u32;
-    let dim = m.dim();
-    let shared = QuantizedMatrix::from_embedding(m, params.precision);
-    let plan = HogwildPlan::new(g);
-    let arc_src = &plan.arc_src;
-    let num_arcs = plan.num_arcs;
-    let threads = params.threads.min(plan.sources);
-    let shards = shard_ranges(plan.sources, threads);
-    let shared_ref = &shared;
-
-    gosh_runtime::global().run(threads, |ctx| {
-        let shard = shards[ctx.index()].clone();
-        let t = ctx.index();
-        let mut src_row = vec![0f32; dim];
-        let mut smp_row = vec![0f32; dim];
-        let mut codes = vec![0u8; dim];
-        for epoch in 0..params.epochs {
-            let lr_now = decayed_lr(params.lr, epoch, params.epochs);
-            let mut rng =
-                Xorshift128Plus::new(mix64(params.seed ^ ((epoch as u64) << 20) ^ t as u64));
-            let offset = epoch as usize % num_arcs;
-            let arc_at = |s: usize| {
-                let mut idx = 2 * s + offset;
-                if idx >= num_arcs {
-                    idx -= num_arcs;
-                }
-                arc_src[idx]
-            };
-            let mut src_next = if shard.is_empty() {
-                0
-            } else {
-                arc_at(shard.start)
-            };
-            for s in shard.clone() {
-                let src = src_next;
-                if s + 1 < shard.end {
-                    src_next = arc_at(s + 1);
-                    prefetch_row(shared_ref.row_cells(src_next));
-                }
-                process_source_quantized(
-                    g,
-                    shared_ref,
-                    src,
-                    n,
-                    params,
-                    lr_now,
-                    &mut rng,
-                    &mut src_row,
-                    &mut smp_row,
-                    &mut codes,
-                );
-            }
-            ctx.barrier();
-        }
-    });
-    *m = shared.to_embedding();
-}
-
-/// One source processing of the quantized engine — the same draw order
-/// and sample schedule as [`process_source`], staged through dequantized
-/// f32 rows on both sides.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn process_source_quantized(
-    g: &Csr,
-    shared: &QuantizedMatrix,
-    src: u32,
-    n: u32,
-    params: &TrainParams,
-    lr: f32,
-    rng: &mut Xorshift128Plus,
-    src_row: &mut [f32],
-    smp_row: &mut [f32],
-    codes: &mut [u8],
-) {
-    let pos = positive_sample(g, src, params.similarity, rng);
-    let ns = params.negative_samples;
-    let ahead = ns.min(PREFETCH_AHEAD);
-    let mut negs = [0u32; PREFETCH_AHEAD];
-    for slot in negs.iter_mut().take(ahead) {
-        *slot = rng.below(n);
-    }
-    if let Some(u) = pos {
-        prefetch_row(shared.row_cells(u));
-    }
-    for &u in negs.iter().take(ahead) {
-        prefetch_row(shared.row_cells(u));
-    }
-    shared.load_row(src, src_row);
-    let mut one = |u: u32, b: f32| {
-        shared.load_row(u, smp_row);
-        let dot = simd::dot8(src_row, smp_row);
-        let score = (b - fast_sigmoid(dot)) * lr;
-        simd::fused_axpy8(src_row, smp_row, score);
-        shared.store_row_scratch(u, smp_row, codes);
-    };
-    if let Some(u) = pos {
-        one(u, 1.0);
-    }
-    for &u in negs.iter().take(ahead) {
-        one(u, 0.0);
-    }
-    for _ in ahead..ns {
-        let u = rng.below(n);
-        one(u, 0.0);
-    }
-    shared.store_row_scratch(src, src_row, codes);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::update_embedding;
+    use crate::quant::quantize_roundtrip;
     use gosh_graph::builder::csr_from_edges;
 
     type CliquePairs = (Csr, Vec<(u32, u32)>, Vec<(u32, u32)>);
@@ -509,6 +426,23 @@ mod tests {
 
     fn mean_cos(m: &Embedding, pairs: &[(u32, u32)]) -> f32 {
         pairs.iter().map(|&(a, b)| m.cosine(a, b)).sum::<f32>() / pairs.len() as f32
+    }
+
+    /// The warm-start trainer's call: every epoch over the plan of
+    /// `sources`.
+    fn train_sources(g: &Csr, m: &mut Embedding, p: &TrainParams, sources: &[u32]) {
+        let plan = HogwildPlan::new_for_sources(g, sources);
+        let span = 0..plan.sources();
+        plan.train(
+            gosh_runtime::global(),
+            g,
+            m,
+            p,
+            0..p.epochs,
+            p.epochs,
+            span,
+            0,
+        );
     }
 
     #[test]
@@ -647,7 +581,7 @@ mod tests {
         let mut b = a.clone();
         train_cpu(&g, &mut a, &p);
         let all: Vec<u32> = (0..16).collect();
-        train_cpu_sources(&g, &mut b, &p, &all);
+        train_sources(&g, &mut b, &p, &all);
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
@@ -661,9 +595,9 @@ mod tests {
             epochs: 10,
             ..Default::default()
         };
-        train_cpu_sources(&g, &mut m, &p, &[]);
+        train_sources(&g, &mut m, &p, &[]);
         assert_eq!(m, before);
-        train_cpu_sources(&g, &mut m, &p, &[3, 4]);
+        train_sources(&g, &mut m, &p, &[3, 4]);
         assert_eq!(m, before);
     }
 
@@ -679,7 +613,7 @@ mod tests {
         };
         // Train only the first clique's vertices as sources.
         let sources: Vec<u32> = (0..8).collect();
-        train_cpu_sources(&g, &mut m, &p, &sources);
+        train_sources(&g, &mut m, &p, &sources);
         let first: Vec<(u32, u32)> = intra.iter().copied().filter(|&(a, _)| a < 8).collect();
         let cross = vec![(0u32, 9u32), (1, 10), (2, 12)];
         assert!(mean_cos(&m, &first) > mean_cos(&m, &cross) + 0.2);
@@ -746,14 +680,19 @@ mod tests {
     // ---- seed-semantics equivalence -------------------------------------
 
     /// The seed engine's semantics, re-expressed through the Algorithm 1
-    /// reference update: stage the source row, update against each
-    /// sample with pre-update values (the sample row read from the
-    /// matrix, so a self-pair sees the pre-stage source), write the
-    /// source back. With one thread this is bit-identical to the new
-    /// engine — the only change of representation is atomics vs plain
-    /// floats.
+    /// reference update over a plain matrix: stage the source row, update
+    /// against each sample with pre-update values (the sample row read
+    /// from the matrix, so a self-pair sees the pre-stage source), write
+    /// the source back. Every row the reference writes — the initial
+    /// matrix, each updated sample, the written-back source — passes one
+    /// `quantize_roundtrip` into `params.precision` (a no-op for f32), so
+    /// with one thread this is bit-identical to the engine over either
+    /// row store.
     fn reference_train(g: &Csr, m: &mut Embedding, params: &TrainParams) {
         let n = g.num_vertices() as u32;
+        let dim = m.dim();
+        let store = |row: &mut [f32]| quantize_roundtrip(row, dim, params.precision);
+        store(m.as_mut_slice());
         let mut arc_src: Vec<u32> = Vec::new();
         for v in 0..n {
             arc_src.extend(std::iter::repeat_n(v, g.degree(v)));
@@ -770,13 +709,13 @@ mod tests {
                 // every negative, then the updates.
                 let pos = positive_sample(g, src, params.similarity, &mut rng);
                 let negs: Vec<u32> = (0..params.negative_samples).map(|_| rng.below(n)).collect();
-                if let Some(u) = pos {
-                    update_embedding(&mut src_row, m.row_mut(u), 1.0, lr);
-                }
-                for &u in &negs {
-                    update_embedding(&mut src_row, m.row_mut(u), 0.0, lr);
+                let samples = pos.map(|u| (u, 1.0)).into_iter();
+                for (u, b) in samples.chain(negs.iter().map(|&u| (u, 0.0))) {
+                    update_embedding(&mut src_row, m.row_mut(u), b, lr);
+                    store(m.row_mut(u));
                 }
                 m.row_mut(src).copy_from_slice(&src_row);
+                store(m.row_mut(src));
             }
         }
     }
@@ -784,23 +723,28 @@ mod tests {
     #[test]
     fn single_thread_matches_seed_update_semantics_bit_exactly() {
         let (g, _, _) = two_cliques();
-        let p = TrainParams {
-            threads: 1,
-            epochs: 7,
-            lr: 0.05,
-            negative_samples: 3,
-            seed: 0xBEEF,
-            ..Default::default()
-        };
-        let mut m_new = Embedding::random(16, 16, 11);
-        let mut m_ref = m_new.clone();
-        train_cpu(&g, &mut m_new, &p);
-        reference_train(&g, &mut m_ref, &p);
-        assert_eq!(
-            m_new.as_slice(),
-            m_ref.as_slice(),
-            "in-place engine diverged from the scratch-discipline reference"
-        );
+        for precision in [Precision::F32, Precision::F16, Precision::I8] {
+            for dim in [16, 13, 32] {
+                let p = TrainParams {
+                    threads: 1,
+                    epochs: 7,
+                    lr: 0.05,
+                    negative_samples: 3,
+                    seed: 0xBEEF,
+                    precision,
+                    ..Default::default()
+                };
+                let mut m_new = Embedding::random(16, dim, 11);
+                let mut m_ref = m_new.clone();
+                train_cpu(&g, &mut m_new, &p);
+                reference_train(&g, &mut m_ref, &p);
+                assert_eq!(
+                    m_new.as_slice(),
+                    m_ref.as_slice(),
+                    "{precision} dim {dim}: the engine diverged from the reference"
+                );
+            }
+        }
     }
 
     #[test]
@@ -827,6 +771,4 @@ mod tests {
             }
         }
     }
-
-    use gosh_graph::csr::Csr;
 }

@@ -50,24 +50,6 @@ pub fn fast_sigmoid(x: f32) -> f32 {
     tab[i] + (tab[i + 1] - tab[i]) * frac
 }
 
-/// Dot product with eight independent accumulator lanes.
-///
-/// A sequentially-summed dot is latency-bound: `d` chained FMAs at 4–5
-/// cycles each dominate the whole Algorithm 1 update once `d ≥ 32`. Eight
-/// lanes break the dependency chain and fill a full AVX2 register. This
-/// is **the** dot-product accumulation order of the CPU trainer —
-/// [`update_embedding`] and the in-place Hogwild engine
-/// ([`crate::train_cpu::fused_update`]) both use it, which keeps them
-/// bit-identical. The implementation (scalar chunked core, runtime-
-/// detected AVX2 path, shared horizontal-sum tree) lives in
-/// [`crate::simd`]; remainder elements land in lanes `0..r`, equivalent
-/// to zero-padding the vectors — exactly what the paired-lane layout of
-/// `SharedMatrix` produces.
-#[inline]
-pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
-    crate::simd::dot8(a, b)
-}
-
 /// One logistic update between a source row and a sample row, using
 /// pre-update values on both sides (the reference-code semantics).
 ///
@@ -77,7 +59,7 @@ pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn update_embedding(src: &mut [f32], sample: &mut [f32], b: f32, lr: f32) {
     debug_assert_eq!(src.len(), sample.len());
-    let dot = dot8(src, sample);
+    let dot = crate::simd::dot8(src, sample);
     let score = (b - fast_sigmoid(dot)) * lr;
     crate::simd::fused_axpy8(src, sample, score);
 }
@@ -88,7 +70,7 @@ pub fn update_embedding(src: &mut [f32], sample: &mut [f32], b: f32, lr: f32) {
 #[inline]
 pub fn update_embedding_literal(src: &mut [f32], sample: &mut [f32], b: f32, lr: f32) {
     debug_assert_eq!(src.len(), sample.len());
-    let dot = dot8(src, sample);
+    let dot = crate::simd::dot8(src, sample);
     let score = (b - fast_sigmoid(dot)) * lr;
     for (s, m) in src.iter_mut().zip(sample.iter_mut()) {
         *s += score * *m;
@@ -163,7 +145,7 @@ mod tests {
             let a: Vec<f32> = (0..d).map(|i| 0.1 * i as f32 - 0.4).collect();
             let b: Vec<f32> = (0..d).map(|i| 0.03 * i as f32 + 0.2).collect();
             let naive = dot(&a, &b);
-            let lanes = dot8(&a, &b);
+            let lanes = crate::simd::dot8(&a, &b);
             assert!((naive - lanes).abs() < 1e-5, "d={d}: {naive} vs {lanes}");
         }
     }

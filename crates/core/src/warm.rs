@@ -12,8 +12,8 @@
 //! 2. the init is aggregated up the repaired hierarchy (coarse row =
 //!    mean of member rows), so every level starts from the old
 //!    solution's projection instead of noise;
-//! 3. each level trains with [`crate::train_cpu::train_cpu_sources`],
-//!    drawing positive samples only from that level's dirty set
+//! 3. each level trains through [`HogwildPlan::new_for_sources`], drawing
+//!    sources only from that level's dirty set
 //!    (`RepairStats::dirty_per_level`) under a scaled
 //!    [`crate::schedule::epoch_distribution`] — clean rows still adapt
 //!    as sample targets, but no epoch budget is spent walking them;
@@ -36,7 +36,7 @@ use crate::config::GoshConfig;
 use crate::model::Embedding;
 use crate::quant::Precision;
 use crate::schedule::epoch_distribution;
-use crate::train_cpu::train_cpu_sources;
+use crate::train_cpu::HogwildPlan;
 
 /// Knobs for one warm-start update.
 #[derive(Clone, Debug)]
@@ -163,9 +163,11 @@ pub fn warm_embed(
     for i in (0..depth).rev() {
         let sources = &rstats.dirty_per_level[i];
         trained_sources[i] = sources.len();
-        params.epochs = dist[i];
         params.seed = cfg.seed ^ i as u64;
-        train_cpu_sources(&hierarchy.graphs[i], &mut matrix, &params, sources);
+        let g = &hierarchy.graphs[i];
+        let plan = HogwildPlan::new_for_sources(g, sources);
+        let (rt, span) = (gosh_runtime::global(), 0..plan.sources());
+        plan.train(rt, g, &mut matrix, &params, 0..dist[i], dist[i], span, 0);
         if i > 0 {
             // Partial expansion: dirty fine rows inherit their cluster's
             // trained row; clean rows keep their (old-solution) init.
