@@ -144,25 +144,21 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 }
 
 /// Convert IEEE binary16 bits back to f32 (exact — every f16 value is
-/// representable in f32).
+/// representable in f32). Branch-free, so a loop over it vectorizes: a
+/// subnormal `man · 2^-24` is computed in f32, which holds it exactly.
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1f) as u32;
     let man = (h & 0x3ff) as u32;
-    if exp == 0x1f {
-        return f32::from_bits(sign | 0x7f80_0000 | (man << 13));
-    }
-    if exp == 0 {
-        if man == 0 {
-            return f32::from_bits(sign);
-        }
-        // Subnormal: normalize the 10-bit mantissa into f32's field.
-        let p = 31 - man.leading_zeros(); // leading-one position, 0..=9
-        let exp32 = p + 103; // (p - 24) + 127
-        let man32 = (man << (23 - p)) & 0x007f_ffff;
-        return f32::from_bits(sign | (exp32 << 23) | man32);
-    }
-    f32::from_bits(sign | ((exp + 112) << 23) | (man << 13))
+    let normal = ((exp + 112) << 23) | (man << 13);
+    let inf_nan = 0x7f80_0000 | (man << 13);
+    let subnormal = (man as f32 * f32::from_bits(0x3380_0000)).to_bits();
+    let mag = match exp {
+        0x1f => inf_nan,
+        0 => subnormal,
+        _ => normal,
+    };
+    f32::from_bits(sign | mag)
 }
 
 // ---------------------------------------------------------------------------
@@ -781,6 +777,34 @@ mod tests {
         for h in 0..=u16::MAX {
             let back = f32_to_f16_bits(f16_bits_to_f32(h));
             assert_eq!(back, h, "h={h:#06x}");
+        }
+    }
+
+    /// The branchy converter `f16_bits_to_f32` replaced: the oracle its
+    /// bits are held to.
+    fn f16_bits_to_f32_reference(h: u16) -> f32 {
+        let sign = ((h & 0x8000) as u32) << 16;
+        let exp = ((h >> 10) & 0x1f) as u32;
+        let man = (h & 0x3ff) as u32;
+        if exp == 0x1f {
+            return f32::from_bits(sign | 0x7f80_0000 | (man << 13));
+        }
+        if exp == 0 {
+            if man == 0 {
+                return f32::from_bits(sign);
+            }
+            let p = 31 - man.leading_zeros();
+            let man32 = (man << (23 - p)) & 0x007f_ffff;
+            return f32::from_bits(sign | ((p + 103) << 23) | man32);
+        }
+        f32::from_bits(sign | ((exp + 112) << 23) | (man << 13))
+    }
+
+    #[test]
+    fn f16_to_f32_matches_the_branchy_reference_on_every_bit_pattern() {
+        for h in 0..=u16::MAX {
+            let (got, want) = (f16_bits_to_f32(h), f16_bits_to_f32_reference(h));
+            assert_eq!(got.to_bits(), want.to_bits(), "h={h:#06x}");
         }
     }
 

@@ -3,18 +3,26 @@
 //!
 //! Three layers:
 //!
-//! * **Execution** — [`search_exact`] (brute force over every row) and
-//!   [`IvfIndex`] (an inverted-file coarse quantizer: ~√n Lloyd-iterated
-//!   centroids, rows bucketed by nearest centroid, queries probing only
-//!   the `nprobe` most promising lists). Both score rows straight off
-//!   the mapped store bytes via [`EmbeddingStore::dot`] — an i8 store is
-//!   never decoded to f32.
-//! * **Batching** — [`search_batch`] runs a batch across the worker team
-//!   with the trainer's discipline: each job *stages* its query row into
-//!   a private buffer (the way `train_cpu` stages source rows), executes
-//!   a pure function of `(store, index, row)`, and `map_jobs` restores
-//!   job order — so batched results are bit-identical to one-at-a-time
-//!   at any thread count.
+//! * **Execution** — exact search ([`search_exact`], and [`search_batch`]
+//!   with `nprobe == 0`) and [`IvfIndex`] (an inverted-file coarse
+//!   quantizer: ~√n Lloyd-iterated centroids, rows bucketed by nearest
+//!   centroid, queries probing only the `nprobe` most promising lists).
+//!   The exact scan makes one pass over the rows per request: a tile of
+//!   rows at a time, scored against the whole batch at once, with the bits
+//!   [`EmbeddingStore::dot`] gives each (row, query) pair — f16/i8 rows
+//!   one lane per query ([`crate::simd::chain_lanes`]), f32 rows eight at
+//!   a time through [`crate::simd::dot8`]'s own accumulators
+//!   ([`crate::simd::dot8_rows`]) — and an exact floor test keeps almost
+//!   every score away from the heaps. IVF lists are scored row by row with
+//!   `dot` itself. Rows are read straight off the mapped store bytes; i8
+//!   rows are scored from their codes and never dequantized.
+//! * **Batching** — [`search_batch`] runs a batch across the worker team.
+//!   The exact scan shards *rows*: each job scans its contiguous span for
+//!   the whole batch, and the per-span lists merge under [`cmp_best`]. IVF
+//!   shards *queries*: each job stages its query row into a private
+//!   buffer (the way `train_cpu` stages source rows) and `map_jobs`
+//!   restores job order. Either way batched results are bit-identical to
+//!   one-at-a-time at any thread count.
 //! * **Wire** — a tagged request/response protocol over the transport
 //!   mesh's frame format, carried on one
 //!   [`gosh_runtime::transport::FramedConn`] per client. [`Server`]
@@ -43,10 +51,13 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
+use std::ops::Range;
 
 use gosh_runtime::transport::{FramedConn, TransportError};
 
-use crate::store::EmbeddingStore;
+use crate::quant::{f16_bits_to_f32, Precision};
+use crate::simd::{QueryLanes, LANES};
+use crate::store::{canonical_nan, EmbeddingStore};
 
 /// Frame tag: a top-k query batch, client → server.
 pub const TAG_QUERY: u32 = 0x51;
@@ -117,6 +128,8 @@ impl TopK {
         }
     }
 
+    // Inlined so the IVF row loop keeps its fast reject in line.
+    #[inline]
     fn push(&mut self, h: Hit) {
         if self.k == 0 {
             return;
@@ -129,6 +142,19 @@ impl TopK {
         }
     }
 
+    /// Order key of the worst retained score: a hit arriving after every
+    /// retained id belongs in the list iff its key is strictly above this.
+    fn floor(&self) -> i32 {
+        order_key(self.heap.peek().expect("nonempty").0.score)
+    }
+
+    /// Put `h`, which passed the [`TopK::floor`] test, in place of the
+    /// worst retained hit; returns the new floor.
+    fn replace_worst(&mut self, h: Hit) -> i32 {
+        *self.heap.peek_mut().expect("nonempty") = WorstFirst(h);
+        self.floor()
+    }
+
     /// Best-first.
     fn finish(self) -> Vec<Hit> {
         self.heap
@@ -139,18 +165,174 @@ impl TopK {
     }
 }
 
-/// Exact top-k: brute-force score of every stored row.
+/// `f32::total_cmp` as an integer: `order_key(a) < order_key(b)` iff
+/// `a.total_cmp(&b)` is `Less`, so `±0` and NaNs keep the selection order.
+#[inline(always)]
+fn order_key(x: f32) -> i32 {
+    let b = x.to_bits() as i32;
+    b ^ (((b >> 31) as u32) >> 1) as i32
+}
+
+/// Exact top-k: brute-force score of every stored row — the one-query
+/// case of the batch scan behind [`search_batch`].
 pub fn search_exact(store: &EmbeddingStore, q: &[f32], k: usize) -> Vec<Hit> {
     assert_eq!(q.len(), store.dim(), "query dimension mismatch");
-    let q_sum: f32 = q.iter().sum();
-    let mut top = TopK::new(k.min(store.num_vertices()));
-    for v in 0..store.num_vertices() as u32 {
-        top.push(Hit {
-            id: v,
-            score: store.dot(v, q, q_sum),
-        });
+    scan_exact(store, q, k, 1).pop().expect("one query")
+}
+
+/// Exact top-k for every query of a packed batch in one pass over the
+/// rows. The rows are sharded contiguously across `threads` jobs; each
+/// job scores its span a tile of rows at a time against the whole batch
+/// (the bits of [`EmbeddingStore::dot`]), and the per-span lists merge
+/// under [`cmp_best`] — a total order, so the result does not depend on
+/// `threads`.
+fn scan_exact(store: &EmbeddingStore, queries: &[f32], k: usize, threads: usize) -> Vec<Vec<Hit>> {
+    let dim = store.dim();
+    let nq = queries.len() / dim;
+    let k = k.min(store.num_vertices());
+    let ql = match store.precision() {
+        Precision::F32 => QueryLanes::dot8(queries, dim),
+        Precision::F16 | Precision::I8 => QueryLanes::chains(queries, dim),
+    };
+    let sums: Vec<f32> = queries.chunks_exact(dim).map(|q| q.iter().sum()).collect();
+
+    let shards = gosh_runtime::shard_ranges(store.num_vertices(), threads.max(1));
+    let mut parts = gosh_runtime::map_jobs(threads.max(1), shards.len(), |t| {
+        let span = shards[t].clone();
+        let mut staged = vec![0.0f32; TILE * dim];
+        let (mut zeros, mut scales) = ([0.0f32; TILE], [0.0f32; TILE]);
+        match store.precision() {
+            Precision::F32 => select(nq, &ql, k, span, |rows, out| {
+                crate::simd::dot8_rows(store.rows_f32(rows.start, rows.len()), &ql, out);
+            }),
+            Precision::F16 => select(nq, &ql, k, span, |rows, out| {
+                let staged = &mut staged[..rows.len() * dim];
+                for (x, &h) in staged
+                    .iter_mut()
+                    .zip(store.rows_f16(rows.start, rows.len()))
+                {
+                    *x = f16_bits_to_f32(h);
+                }
+                crate::simd::chain_lanes(staged, &ql, out);
+            }),
+            Precision::I8 => select(nq, &ql, k, span, |rows, out| {
+                let n = rows.len();
+                let staged = &mut staged[..n * dim];
+                let views = store.rows_i8(rows.start, n);
+                for (((x, zero), scale), (rs, codes)) in staged
+                    .chunks_exact_mut(dim)
+                    .zip(&mut zeros)
+                    .zip(&mut scales)
+                    .zip(views)
+                {
+                    for (x, &c) in x.iter_mut().zip(codes) {
+                        *x = c as f32;
+                    }
+                    (*zero, *scale) = (rs.zero, rs.scale);
+                }
+                crate::simd::chain_lanes(staged, &ql, out);
+                // The affine close of `EmbeddingStore::dot`'s i8 arm.
+                for (s, &q_sum) in out.chunks_exact_mut(n.next_multiple_of(LANES)).zip(&sums) {
+                    for ((s, &zero), &scale) in s[..n].iter_mut().zip(&zeros).zip(&scales) {
+                        *s = zero * q_sum + scale * *s;
+                    }
+                }
+            }),
+        }
+    });
+    if parts.len() == 1 {
+        return parts.pop().expect("one span");
     }
-    top.finish()
+    (0..nq)
+        .map(|q| {
+            let mut top = TopK::new(k);
+            for part in &parts {
+                for &h in &part[q] {
+                    top.push(h);
+                }
+            }
+            top.finish()
+        })
+        .collect()
+}
+
+/// Rows the scan scores per kernel call: a whole number of lane groups.
+const TILE: usize = 64;
+
+/// The best `k` rows of `span` for each of `nq` queries. `score(rows,
+/// out)` scores a tile of at most [`TILE`] rows into `out` in the layout
+/// of [`QueryLanes`]: query `q`'s score for row `rows.start + r` at
+/// `out[q * n8 + r]`, `n8` being the tile's row count rounded up to whole
+/// lane groups.
+///
+/// Rows arrive in ascending id, so once a list holds `k` hits a new one
+/// belongs in it iff its score is strictly above the worst retained score
+/// under `total_cmp` — an equal score loses on the larger id. One integer
+/// compare per score settles that, eight rows at a time, and almost no
+/// score reaches a heap.
+fn select(
+    nq: usize,
+    ql: &QueryLanes,
+    k: usize,
+    span: Range<usize>,
+    mut score: impl FnMut(Range<u32>, &mut [f32]),
+) -> Vec<Vec<Hit>> {
+    let k = k.min(span.len());
+    let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
+    if k == 0 {
+        return tops.into_iter().map(TopK::finish).collect();
+    }
+    let mut scores = vec![0.0f32; ql.width() * TILE];
+    // The first `k` rows fill every list; the rest are floor-tested.
+    let fill = span.start + k;
+    for (filling, part) in [(true, span.start..fill), (false, fill..span.end)] {
+        for first in part.clone().step_by(TILE) {
+            let rows = first as u32..part.end.min(first + TILE) as u32;
+            let n8 = rows.len().next_multiple_of(LANES);
+            let out = &mut scores[..ql.width() * n8];
+            score(rows.clone(), out);
+            for (s, top) in out.chunks_exact_mut(n8).zip(&mut tops) {
+                let s = &mut s[..rows.len()];
+                // The one NaN `EmbeddingStore::dot` returns.
+                for x in s.iter_mut() {
+                    *x = canonical_nan(*x);
+                }
+                if filling {
+                    for (id, &score) in rows.clone().zip(&*s) {
+                        top.push(Hit { id, score });
+                    }
+                } else {
+                    admit(top, rows.start, s);
+                }
+            }
+        }
+    }
+    tops.into_iter().map(TopK::finish).collect()
+}
+
+/// Offer the scores of rows `first..` to a full `top`, in id order.
+fn admit(top: &mut TopK, first: u32, scores: &[f32]) {
+    let mut floor = top.floor();
+    for (c, s) in scores.chunks(LANES).enumerate() {
+        // Eight rows are ruled out with one vector test.
+        if let Ok(s8) = <&[f32; LANES]>::try_from(s) {
+            if !s8.iter().fold(false, |any, &x| any | above(x, floor)) {
+                continue;
+            }
+        }
+        for (id, &score) in (first + (c * LANES) as u32..).zip(s) {
+            if above(score, floor) {
+                floor = top.replace_worst(Hit { id, score });
+            }
+        }
+    }
+}
+
+/// The floor test: `score` is strictly above the worst retained score
+/// whose order key is `floor`.
+#[inline(always)]
+fn above(score: f32, floor: i32) -> bool {
+    order_key(score) > floor
 }
 
 /// An inverted-file (IVF) coarse quantizer over a store: ~√n centroids
@@ -285,7 +467,8 @@ impl IvfIndex {
             });
         }
         let q_sum: f32 = q.iter().sum();
-        let mut top = TopK::new(k);
+        // A client's `k` must not size the heap past the rows it can hold.
+        let mut top = TopK::new(k.min(store.num_vertices()));
         for probe in ranked.finish() {
             let c = probe.id as usize;
             for &v in &self.members[self.offsets[c]..self.offsets[c + 1]] {
@@ -326,10 +509,11 @@ fn assign_rows(store: &EmbeddingStore, centroids: &[f32], threads: usize, assign
 }
 
 /// Run a query batch across the worker team. `queries` is `nq` rows of
-/// `store.dim()` packed densely; `nprobe == 0` means exact search,
-/// otherwise `index` must be `Some`. Each job stages its query row into
-/// a private buffer and computes a pure function of it, and `map_jobs`
-/// restores job order — results are bit-identical to calling
+/// `store.dim()` packed densely; `nprobe == 0` (or no `index`) means
+/// exact search: one pass over the rows for the whole batch, sharded by
+/// row. IVF queries are one job each: the job stages its query row into a
+/// private buffer and computes a pure function of it, and `map_jobs`
+/// restores job order. Either way results are bit-identical to calling
 /// [`search_exact`]/[`IvfIndex::search`] per query, at any `threads`.
 pub fn search_batch(
     store: &EmbeddingStore,
@@ -342,16 +526,15 @@ pub fn search_batch(
     // Store validation pins dim >= 1, so the division is well-defined.
     let dim = store.dim();
     assert_eq!(queries.len() % dim, 0, "ragged query batch");
-    let nq = queries.len() / dim;
-    gosh_runtime::map_jobs(threads.max(1), nq, |i| {
+    let ivf = match (nprobe, index) {
+        (0, _) | (_, None) => return scan_exact(store, queries, k, threads),
+        (_, Some(ivf)) => ivf,
+    };
+    gosh_runtime::map_jobs(threads.max(1), queries.len() / dim, |i| {
         // Stage: private copy of the query row, the way the trainer
         // stages source rows before the update loop.
         let q: Vec<f32> = queries[i * dim..(i + 1) * dim].to_vec();
-        match (nprobe, index) {
-            (0, _) => search_exact(store, &q, k),
-            (np, Some(ivf)) => ivf.search(store, &q, k, np),
-            (_, None) => search_exact(store, &q, k),
-        }
+        ivf.search(store, &q, k, nprobe)
     })
 }
 
@@ -934,6 +1117,30 @@ mod tests {
         // The connection survives the error.
         assert_eq!(client.query(&q, 8, 1, 0).unwrap()[0][0].id, 7);
 
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_client_k_past_the_row_count_is_clamped_to_it() {
+        let m = Embedding::random(90, 8, 4);
+        let store = store_from(&m, Precision::F32, "huge-k");
+        let n = store.num_vertices();
+        let q: Vec<f32> = m.row(5).to_vec();
+        // The index the server builds, built the same way in-process.
+        let probed = IvfIndex::build(&store, 1).search(&store, &q, n, 1);
+        let exact = search_exact(&store, &q, n);
+        let server = Server::bind(store, "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.run());
+
+        let mut client = ServeClient::connect(addr).unwrap();
+        let huge = u32::MAX as usize;
+        // One probed list: every row in it, as a `k = n` search returns.
+        assert_eq!(client.query(&q, 8, huge, 1).unwrap(), vec![probed]);
+        assert_eq!(client.query(&q, 8, huge, 0).unwrap(), vec![exact.clone()]);
+        // The server is still answering.
+        assert_eq!(client.query(&q, 8, 3, 0).unwrap()[0], exact[..3]);
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
     }

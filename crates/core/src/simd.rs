@@ -9,8 +9,8 @@
 //!   targets without hand-written intrinsics;
 //! * an **intrinsic path** (`core::arch::x86_64`, AVX2) selected at
 //!   runtime via [`is_x86_feature_detected!`] and cached in an atomic, for
-//!   the loops whose load/store structure (atomic pair cells) defeats
-//!   autovectorization.
+//!   the loops whose structure defeats autovectorization (atomic pair
+//!   cells; the exact scan's blocks of eight rows).
 //!
 //! Both paths are **bit-identical** by construction: the intrinsic code
 //! uses `_mm256_mul_ps` + `_mm256_add_ps` (never a fused
@@ -34,6 +34,10 @@
 //!
 //! [`nearest_centroid`] (the IVF build in [`crate::serve`]) uses the
 //! lanes the other way round: one lane per *centroid*, no horizontal sum.
+//! So does [`chain_lanes`] (the exact scan in [`crate::serve`]): one lane
+//! per *query*, each the chain [`crate::store::EmbeddingStore::dot`] runs
+//! for that query; [`dot8_rows`] closes eight rows' [`dot8`] accumulators
+//! at once into one lane per *row*.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -287,6 +291,295 @@ pub(crate) fn nearest_centroid_reference(row: &[f32], centroids: &[f32]) -> u32 
         }
     }
     best
+}
+
+// ---------------------------------------------------------------------------
+// Batch scoring (the exact scan)
+// ---------------------------------------------------------------------------
+
+/// A query batch laid out for [`chain_lanes`] or [`dot8_rows`].
+///
+/// Both kernels score a tile of `n` rows against every query and write
+/// the score of row `r` against query `q` to `out[q * n8 + r]`, `n8`
+/// being `n` rounded up to whole lane groups: one query's scores for
+/// eight consecutive rows fill one vector. `out` holds
+/// [`QueryLanes::width`] such query rows; the entries for rows past `n`
+/// and queries past the batch are unspecified.
+pub struct QueryLanes {
+    dim: usize,
+    /// Query count rounded up to whole lane groups.
+    width: usize,
+    /// The queries, laid out per constructor; padding holds `0.0`.
+    lanes: Vec<f32>,
+}
+
+impl QueryLanes {
+    /// Layout for [`chain_lanes`]: one lane per query, dimension-major —
+    /// `lanes[j * width + q]` is dimension `j` of query `q`.
+    pub fn chains(queries: &[f32], dim: usize) -> Self {
+        let nq = queries.len() / dim;
+        let width = nq.next_multiple_of(LANES);
+        let mut lanes = vec![0.0f32; dim * width];
+        for (q, row) in queries.chunks_exact(dim).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                lanes[j * width + q] = x;
+            }
+        }
+        Self { dim, width, lanes }
+    }
+
+    /// Layout for [`dot8_rows`]: the query rows, each zero-padded to whole
+    /// lane groups.
+    pub fn dot8(queries: &[f32], dim: usize) -> Self {
+        let nq = queries.len() / dim;
+        let padded = dim.next_multiple_of(LANES);
+        let mut lanes = vec![0.0f32; nq * padded];
+        for (dst, q) in lanes
+            .chunks_exact_mut(padded)
+            .zip(queries.chunks_exact(dim))
+        {
+            dst[..dim].copy_from_slice(q);
+        }
+        let width = nq.next_multiple_of(LANES);
+        Self { dim, width, lanes }
+    }
+
+    /// Query rows in a kernel's output.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+}
+
+/// Score a tile of staged rows (`rows`: back to back, `dim` each) against
+/// every query of a [`QueryLanes::chains`] batch into `out` (layout on
+/// [`QueryLanes`]). Each score is the serial chain `acc = 0.0; for j
+/// ascending { acc += row[j] * q[j] }` of
+/// [`crate::store::EmbeddingStore::dot`]'s f16 and i8 arms, with no fused
+/// multiply-add, so every score that is not NaN has that chain's bits
+/// (Rust leaves a NaN result's sign and payload unspecified). One lane per
+/// query: an 8-lane `mul` + `add` advances eight queries' chains at once.
+#[inline]
+pub fn chain_lanes(rows: &[f32], ql: &QueryLanes, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        return unsafe { chain_lanes_avx2(rows, ql, out) };
+    }
+    chain_lanes_scalar(rows, ql, out)
+}
+
+/// Scalar core of [`chain_lanes`]: each row against one lane group at a
+/// time — the semantic reference of the AVX2 path and the path on other
+/// targets.
+#[inline]
+pub fn chain_lanes_scalar(rows: &[f32], ql: &QueryLanes, out: &mut [f32]) {
+    let n8 = (rows.len() / ql.dim).next_multiple_of(LANES);
+    for (r, row) in rows.chunks_exact(ql.dim).enumerate() {
+        for g in (0..ql.width).step_by(LANES) {
+            let mut acc = [0.0f32; LANES];
+            for (&x, qj) in row.iter().zip(ql.lanes.chunks_exact(ql.width)) {
+                for l in 0..LANES {
+                    acc[l] += x * qj[g + l];
+                }
+            }
+            for (l, &a) in acc.iter().enumerate() {
+                out[(g + l) * n8 + r] = a;
+            }
+        }
+    }
+}
+
+/// AVX2 path of [`chain_lanes`]: eight rows × one lane group at a time,
+/// eight independent 256-bit chains in flight (each the scalar core's
+/// lane chain), transposed in registers so each store is one query's
+/// scores for the eight rows.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn chain_lanes_avx2(rows: &[f32], ql: &QueryLanes, out: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let dim = ql.dim;
+    let n8 = (rows.len() / dim).next_multiple_of(LANES);
+    for (b, rows8) in row_blocks(rows, dim).enumerate() {
+        // Restated so the loop below indexes the rows without bounds checks.
+        assert!(rows8.iter().all(|row| row.len() == dim));
+        for g in (0..ql.width).step_by(LANES) {
+            let mut acc = [_mm256_setzero_ps(); LANES];
+            for (j, qj) in (0..dim).zip(ql.lanes.chunks_exact(ql.width)) {
+                let y = load8(&qj[g..]);
+                for (a, row) in acc.iter_mut().zip(&rows8) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(_mm256_set1_ps(row[j]), y));
+                }
+            }
+            for (l, t) in transpose8(acc).into_iter().enumerate() {
+                store8(&mut out[(g + l) * n8 + b * LANES..], t);
+            }
+        }
+    }
+}
+
+/// Score a tile of f32 rows (`rows`: back to back, `dim` each) against
+/// every query of a [`QueryLanes::dot8`] batch into `out` (layout on
+/// [`QueryLanes`]). Every score that is not NaN has the bits of
+/// [`dot8`]`(row, q)`: each (row, query) pair keeps [`dot8`]'s accumulator
+/// — dimension `j` into lane `j % 8`, `j` ascending from 0.0, no fused
+/// multiply-add — and eight rows close together through the [`hsum8`]
+/// tree, so the close leaves one lane per row.
+#[inline]
+pub fn dot8_rows(rows: &[f32], ql: &QueryLanes, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        return unsafe { dot8_rows_avx2(rows, ql, out) };
+    }
+    dot8_rows_scalar(rows, ql, out)
+}
+
+/// Scalar core of [`dot8_rows`]: [`dot8_scalar`] per (row, query).
+#[inline]
+pub fn dot8_rows_scalar(rows: &[f32], ql: &QueryLanes, out: &mut [f32]) {
+    let dim = ql.dim;
+    let n8 = (rows.len() / dim).next_multiple_of(LANES);
+    let padded = dim.next_multiple_of(LANES);
+    for (r, row) in rows.chunks_exact(dim).enumerate() {
+        for (q, y) in ql.lanes.chunks_exact(padded).enumerate() {
+            out[q * n8 + r] = dot8_scalar(row, &y[..dim]);
+        }
+    }
+}
+
+/// AVX2 path of [`dot8_rows`]: per eight rows and one query, eight
+/// [`dot8_avx2`] accumulators, then the [`hsum8`] tree run on all eight at
+/// once. The last `dim % 8` dimensions of each row are staged zero-padded:
+/// `0 · 0` adds `+0.0` to a lane, which leaves every lane sum unchanged
+/// (it starts at `+0.0` and so is never `-0.0`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot8_rows_avx2(rows: &[f32], ql: &QueryLanes, out: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let dim = ql.dim;
+    let n8 = (rows.len() / dim).next_multiple_of(LANES);
+    let done = dim / LANES * LANES;
+    let padded = done + if done < dim { LANES } else { 0 };
+    for (b, rows8) in row_blocks(rows, dim).enumerate() {
+        // Restated so the loops below index the rows without bounds checks.
+        assert!(rows8.iter().all(|row| row.len() == dim));
+        let mut tails = [[0.0f32; LANES]; LANES];
+        for (t, row) in tails.iter_mut().zip(&rows8) {
+            t[..dim - done].copy_from_slice(&row[done..]);
+        }
+        for (q, y) in ql.lanes.chunks_exact(padded).enumerate() {
+            let mut acc = [_mm256_setzero_ps(); LANES];
+            for c in (0..done).step_by(LANES) {
+                let ys = load8(&y[c..]);
+                for (a, row) in acc.iter_mut().zip(&rows8) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(load8(&row[c..]), ys));
+                }
+            }
+            if done < dim {
+                let ys = load8(&y[done..]);
+                for (a, t) in acc.iter_mut().zip(&tails) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(load8(t), ys));
+                }
+            }
+            store8(&mut out[q * n8 + b * LANES..], hsum8_rows(acc));
+        }
+    }
+}
+
+/// The rows of a tile eight at a time; a short last block repeats its last
+/// row, whose extra scores land in the unspecified part of `out`.
+#[cfg(target_arch = "x86_64")]
+fn row_blocks(rows: &[f32], dim: usize) -> impl Iterator<Item = [&[f32]; LANES]> {
+    let n = rows.len() / dim;
+    (0..n).step_by(LANES).map(move |first| {
+        std::array::from_fn(|i| {
+            let r = (first + i).min(n - 1);
+            &rows[r * dim..(r + 1) * dim]
+        })
+    })
+}
+
+/// Eight lanes from the front of `s`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn load8(s: &[f32]) -> core::arch::x86_64::__m256 {
+    let s = &s[..LANES];
+    // SAFETY: `s` is exactly 8 floats — the width of one unaligned load.
+    unsafe { core::arch::x86_64::_mm256_loadu_ps(s.as_ptr()) }
+}
+
+/// Eight lanes to the front of `s`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn store8(s: &mut [f32], v: core::arch::x86_64::__m256) {
+    let s = &mut s[..LANES];
+    // SAFETY: `s` is exactly 8 floats — the width of one unaligned store.
+    unsafe { core::arch::x86_64::_mm256_storeu_ps(s.as_mut_ptr(), v) }
+}
+
+/// `m[i][l]` → `t[l][i]` for an 8 × 8 block of lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn transpose8(m: [core::arch::x86_64::__m256; LANES]) -> [core::arch::x86_64::__m256; LANES] {
+    use core::arch::x86_64::*;
+    // Pairs of rows interleaved, then quads, then the 128-bit halves.
+    let lo = |a, b| _mm256_unpacklo_ps(a, b);
+    let hi = |a, b| _mm256_unpackhi_ps(a, b);
+    let (t0, t1, t2, t3) = (
+        lo(m[0], m[1]),
+        hi(m[0], m[1]),
+        lo(m[2], m[3]),
+        hi(m[2], m[3]),
+    );
+    let (t4, t5, t6, t7) = (
+        lo(m[4], m[5]),
+        hi(m[4], m[5]),
+        lo(m[6], m[7]),
+        hi(m[6], m[7]),
+    );
+    let u = [
+        _mm256_shuffle_ps::<0x44>(t0, t2),
+        _mm256_shuffle_ps::<0xEE>(t0, t2),
+        _mm256_shuffle_ps::<0x44>(t1, t3),
+        _mm256_shuffle_ps::<0xEE>(t1, t3),
+        _mm256_shuffle_ps::<0x44>(t4, t6),
+        _mm256_shuffle_ps::<0xEE>(t4, t6),
+        _mm256_shuffle_ps::<0x44>(t5, t7),
+        _mm256_shuffle_ps::<0xEE>(t5, t7),
+    ];
+    std::array::from_fn(|l| match l {
+        0..4 => _mm256_permute2f128_ps::<0x20>(u[l], u[l + 4]),
+        _ => _mm256_permute2f128_ps::<0x31>(u[l - 4], u[l]),
+    })
+}
+
+/// [`hsum8`] of each of eight vectors, into lane `i` for vector `i`:
+/// adjacent lanes pair up, then the pairs, then the two 128-bit halves —
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, the association of
+/// [`hsum8`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn hsum8_rows(v: [core::arch::x86_64::__m256; LANES]) -> core::arch::x86_64::__m256 {
+    use core::arch::x86_64::*;
+    // [a0+a1, a2+a3, b0+b1, b2+b3 | a4+a5, a6+a7, b4+b5, b6+b7]
+    let pairs = |a, b| {
+        _mm256_add_ps(
+            _mm256_shuffle_ps::<0x88>(a, b),
+            _mm256_shuffle_ps::<0xDD>(a, b),
+        )
+    };
+    let p = [
+        pairs(v[0], v[1]),
+        pairs(v[2], v[3]),
+        pairs(v[4], v[5]),
+        pairs(v[6], v[7]),
+    ];
+    // [a0123, b0123, c0123, d0123 | a4567, b4567, c4567, d4567]
+    let (s0, s1) = (pairs(p[0], p[1]), pairs(p[2], p[3]));
+    _mm256_add_ps(
+        _mm256_permute2f128_ps::<0x20>(s0, s1),
+        _mm256_permute2f128_ps::<0x31>(s0, s1),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -676,6 +969,58 @@ mod tests {
                 }
                 assert_eq!(nearest_centroid(&rows[6], &ct), 0, "tie → smaller id");
                 assert_eq!(nearest_centroid(&rows[7], &ct), 0, "NaN row → list 0");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_kernels_match_the_one_pair_at_a_time_scores() {
+        let mut rng = Xorshift128Plus::new(14);
+        for dim in [1usize, 7, 8, 13, 17] {
+            for n in [1usize, 7, 8, 9, 17] {
+                for nq in [1usize, 8, 9] {
+                    let rows = random_vec(&mut rng, n * dim);
+                    let mut queries = random_vec(&mut rng, nq * dim);
+                    // Signed zeros, NaN and infinities must keep their bits.
+                    for (i, special) in [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        let at = (i * 5 + 3) % queries.len();
+                        queries[at] = special;
+                    }
+                    let n8 = n.next_multiple_of(LANES);
+                    let chains = QueryLanes::chains(&queries, dim);
+                    let dots = QueryLanes::dot8(&queries, dim);
+                    let mut out = [
+                        vec![0.0f32; chains.width() * n8],
+                        vec![0.0f32; dots.width() * n8],
+                    ];
+                    let mut core = out.clone();
+                    chain_lanes(&rows, &chains, &mut out[0]);
+                    chain_lanes_scalar(&rows, &chains, &mut core[0]);
+                    dot8_rows(&rows, &dots, &mut out[1]);
+                    dot8_rows_scalar(&rows, &dots, &mut core[1]);
+                    // Bits, except that Rust leaves a NaN result's sign and
+                    // payload unspecified.
+                    let same =
+                        |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+                    for (r, row) in rows.chunks_exact(dim).enumerate() {
+                        for (q, y) in queries.chunks_exact(dim).enumerate() {
+                            let mut chain = 0.0f32;
+                            for (&x, &y) in row.iter().zip(y) {
+                                chain += x * y;
+                            }
+                            let at = q * n8 + r;
+                            let case = format!("dim={dim} n={n} nq={nq} row {r} query {q}");
+                            assert!(same(out[0][at], chain), "chain {case}");
+                            assert!(same(core[0][at], chain), "chain core {case}");
+                            let dot = dot8(row, y);
+                            assert!(same(out[1][at], dot), "dot8 {case}");
+                            assert!(same(core[1][at], dot), "dot8 core {case}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -90,6 +90,26 @@ fn precision_from_code(code: u8) -> Option<Precision> {
     }
 }
 
+/// `x`, or `f32::NAN` if `x` is any NaN: the one NaN a query score can
+/// be (see [`EmbeddingStore::dot`]).
+#[inline(always)]
+pub(crate) fn canonical_nan(x: f32) -> f32 {
+    if x.is_nan() {
+        f32::NAN
+    } else {
+        x
+    }
+}
+
+/// Split one raw i8 row into its decode parameters and its codes.
+fn i8_row(raw: &[u8]) -> (RowScale, &[u8]) {
+    let rs = RowScale {
+        scale: f32::from_le_bytes(raw[..4].try_into().unwrap()), // audit:allow(unwrap): fixed 4-byte slice
+        zero: f32::from_le_bytes(raw[4..8].try_into().unwrap()), // audit:allow(unwrap): fixed 4-byte slice
+    };
+    (rs, &raw[8..])
+}
+
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg.into())
 }
@@ -392,42 +412,64 @@ impl EmbeddingStore {
         self.num_vertices * self.row_bytes
     }
 
-    fn row_raw(&self, v: u32) -> &[u8] {
-        let o = EMBIN_HEADER_BYTES + v as usize * self.row_bytes;
-        &self.backing.bytes()[o..o + self.row_bytes]
+    /// The bytes of `count` rows from row `first` on.
+    #[inline]
+    fn rows_raw(&self, first: u32, count: usize) -> &[u8] {
+        let o = EMBIN_HEADER_BYTES + first as usize * self.row_bytes;
+        &self.backing.bytes()[o..o + count * self.row_bytes]
     }
 
     /// Zero-copy f32 row view. Panics if the store is not f32 — callers
     /// branch on [`EmbeddingStore::precision`] first.
     pub fn row_f32(&self, v: u32) -> &[f32] {
+        self.rows_f32(v, 1)
+    }
+
+    /// Zero-copy view of `count` f32 rows from row `first` on, back to back.
+    #[inline]
+    pub(crate) fn rows_f32(&self, first: u32, count: usize) -> &[f32] {
         assert_eq!(self.precision, Precision::F32, "row_f32 on a non-f32 store");
         // SAFETY: payload base is 8-aligned (mmap page / u64 heap) and
         // f32 rows start at multiples of 4 bytes from it, so the
         // reinterpretation is aligned; any f32 bit pattern is valid.
-        let (pre, mid, post) = unsafe { self.row_raw(v).align_to::<f32>() };
+        let (pre, mid, post) = unsafe { self.rows_raw(first, count).align_to::<f32>() };
         debug_assert!(pre.is_empty() && post.is_empty());
         mid
     }
 
     /// Zero-copy f16 row view (raw binary16 bits).
     pub fn row_f16(&self, v: u32) -> &[u16] {
+        self.rows_f16(v, 1)
+    }
+
+    /// Zero-copy view of `count` f16 rows from row `first` on, back to back.
+    #[inline]
+    pub(crate) fn rows_f16(&self, first: u32, count: usize) -> &[u16] {
         assert_eq!(self.precision, Precision::F16, "row_f16 on a non-f16 store");
-        // SAFETY: as in `row_f32` — u16 rows start 2-aligned from an
+        // SAFETY: as in `rows_f32` — u16 rows start 2-aligned from an
         // 8-aligned base; any u16 bit pattern is valid.
-        let (pre, mid, post) = unsafe { self.row_raw(v).align_to::<u16>() };
+        let (pre, mid, post) = unsafe { self.rows_raw(first, count).align_to::<u16>() };
         debug_assert!(pre.is_empty() && post.is_empty());
         mid
     }
 
     /// Zero-copy i8 row view: decode parameters plus the byte codes.
+    #[inline]
     pub fn row_i8(&self, v: u32) -> (RowScale, &[u8]) {
         assert_eq!(self.precision, Precision::I8, "row_i8 on a non-i8 store");
-        let raw = self.row_raw(v);
-        let rs = RowScale {
-            scale: f32::from_le_bytes(raw[..4].try_into().unwrap()), // audit:allow(unwrap): fixed 4-byte slice
-            zero: f32::from_le_bytes(raw[4..8].try_into().unwrap()), // audit:allow(unwrap): fixed 4-byte slice
-        };
-        (rs, &raw[8..])
+        i8_row(self.rows_raw(v, 1))
+    }
+
+    /// Zero-copy views of `count` i8 rows from row `first` on, in order.
+    pub(crate) fn rows_i8(
+        &self,
+        first: u32,
+        count: usize,
+    ) -> impl Iterator<Item = (RowScale, &[u8])> {
+        assert_eq!(self.precision, Precision::I8, "row_i8 on a non-i8 store");
+        self.rows_raw(first, count)
+            .chunks_exact(self.row_bytes)
+            .map(i8_row)
     }
 
     /// Decode row `v` into `out` (any precision).
@@ -451,12 +493,20 @@ impl EmbeddingStore {
     /// bytes. `q_sum` must be `q.iter().sum()` — precomputed once per
     /// query so the i8 path can use the affine identity
     /// `dot(q, zero + scale·c) = zero·Σq + scale·Σ q_j·c_j`
-    /// and never materialize an f32 row. Accumulation order is a pure
-    /// function of `(store, v, q)`, so scores are bit-identical no
-    /// matter which thread or batch evaluates them.
+    /// and never materialize an f32 row.
+    ///
+    /// This is the per-row scorer of the IVF lists and the oracle of the
+    /// exact scan, which scores a whole query batch in one pass over the
+    /// rows and must give every (row, query) pair these bits: f32 is
+    /// [`crate::simd::dot8`]; f16 and i8 are the serial chain `acc +=
+    /// row_j · q_j`, `j` ascending, i8 then closing with
+    /// `zero·Σq + scale·acc`. Any NaN score is returned as `f32::NAN`:
+    /// Rust leaves the sign and payload of a NaN result unspecified, and
+    /// the sign decides where `total_cmp` ranks it.
+    #[inline]
     pub fn dot(&self, v: u32, q: &[f32], q_sum: f32) -> f32 {
         debug_assert_eq!(q.len(), self.dim);
-        match self.precision {
+        canonical_nan(match self.precision {
             Precision::F32 => crate::simd::dot8(self.row_f32(v), q),
             Precision::F16 => {
                 let mut acc = 0.0f32;
@@ -473,7 +523,7 @@ impl EmbeddingStore {
                 }
                 rs.zero * q_sum + rs.scale * acc
             }
-        }
+        })
     }
 
     /// Decode the whole store into an [`Embedding`] (the canonical

@@ -15,8 +15,9 @@ use gosh_core::quant::{
 };
 use gosh_core::schedule::{decayed_lr, epoch_distribution};
 use gosh_core::simd::{
-    dot8, dot8_scalar, dot_pairs, dot_pairs_scalar, nearest_centroid, nearest_centroid_scalar,
-    transpose_centroids, update_pairs, update_pairs_scalar,
+    chain_lanes, chain_lanes_scalar, dot8, dot8_rows, dot8_rows_scalar, dot8_scalar, dot_pairs,
+    dot_pairs_scalar, nearest_centroid, nearest_centroid_scalar, transpose_centroids, update_pairs,
+    update_pairs_scalar, QueryLanes,
 };
 use gosh_core::update::update_embedding;
 use gosh_graph::builder::csr_from_edges;
@@ -340,6 +341,56 @@ proptest! {
         }
         prop_assert_eq!(nearest_centroid(&rows[4], &ct) as usize, dup % nlist);
         prop_assert_eq!(nearest_centroid(&rows[5], &ct), 0);
+    }
+
+    #[test]
+    fn batch_kernels_dispatch_matches_core_and_the_one_pair_scores(
+        (dim, rows, queries) in (1usize..=70, 1usize..=20, 1usize..=40).prop_flat_map(|(dim, n, nq)| (
+            Just(dim),
+            prop::collection::vec(-100.0f32..100.0, n * dim..=n * dim),
+            prop::collection::vec((0u8..16, -100.0f32..100.0), nq * dim..=nq * dim),
+        )),
+    ) {
+        // The batch kernels (AVX2 where detected), their scalar cores, and
+        // one (row, query) pair at a time — `dot8`, and the serial chain of
+        // the f16/i8 `EmbeddingStore::dot` arms — agree on every score:
+        // ragged dims, ragged row and query lane groups, and query entries
+        // of -0.0, NaN and ±∞. A NaN matches any NaN: Rust leaves a NaN
+        // result's sign and payload unspecified.
+        let queries: Vec<f32> = queries
+            .into_iter()
+            .map(|(pick, x)| match pick {
+                0 => -0.0,
+                1 => f32::NAN,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                _ => x,
+            })
+            .collect();
+        let n8 = (rows.len() / dim).next_multiple_of(8);
+        let chains = QueryLanes::chains(&queries, dim);
+        let dots = QueryLanes::dot8(&queries, dim);
+        let mut out = [vec![0.0f32; chains.width() * n8], vec![0.0f32; dots.width() * n8]];
+        let mut core = out.clone();
+        chain_lanes(&rows, &chains, &mut out[0]);
+        chain_lanes_scalar(&rows, &chains, &mut core[0]);
+        dot8_rows(&rows, &dots, &mut out[1]);
+        dot8_rows_scalar(&rows, &dots, &mut core[1]);
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan();
+        for (r, row) in rows.chunks_exact(dim).enumerate() {
+            for (q, y) in queries.chunks_exact(dim).enumerate() {
+                let mut chain = 0.0f32;
+                for (&x, &y) in row.iter().zip(y) {
+                    chain += x * y;
+                }
+                let dot = dot8(row, y);
+                let at = q * n8 + r;
+                prop_assert!(same(out[0][at], chain), "chain: row {} query {} dim {}", r, q, dim);
+                prop_assert!(same(core[0][at], chain), "chain core: row {} query {}", r, q);
+                prop_assert!(same(out[1][at], dot), "dot8: row {} query {} dim {}", r, q, dim);
+                prop_assert!(same(core[1][at], dot), "dot8 core: row {} query {}", r, q);
+            }
+        }
     }
 
     #[test]

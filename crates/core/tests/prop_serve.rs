@@ -7,7 +7,7 @@
 
 use gosh_core::model::Embedding;
 use gosh_core::quant::Precision;
-use gosh_core::serve::{search_batch, search_exact, IvfIndex};
+use gosh_core::serve::{cmp_best, search_batch, search_exact, Hit, IvfIndex};
 use gosh_core::store::{write_store, EmbeddingStore};
 use gosh_runtime::TempDir;
 use proptest::prelude::*;
@@ -19,11 +19,45 @@ fn precision_from(idx: usize) -> Precision {
 /// The returned store outlives its file: the directory guard unlinks it
 /// on return, and an unlinked file stays readable through an open mapping.
 fn store_for(n: usize, dim: usize, precision: Precision, seed: u64) -> EmbeddingStore {
+    store_of(&Embedding::random(n, dim, seed), precision)
+}
+
+fn store_of(m: &Embedding, precision: Precision) -> EmbeddingStore {
     let dir = TempDir::new("prop-serve").unwrap();
     let path = dir.join("case.embin");
-    let m = Embedding::random(n, dim, seed);
-    write_store(&path, &m, precision).unwrap();
+    write_store(&path, m, precision).unwrap();
     EmbeddingStore::open(&path).unwrap()
+}
+
+/// The scan's oracle: every row scored on its own by
+/// `EmbeddingStore::dot`, sorted under `cmp_best`, cut to `k`.
+fn per_row_reference(store: &EmbeddingStore, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
+    queries
+        .chunks_exact(store.dim())
+        .map(|q| {
+            let q_sum: f32 = q.iter().sum();
+            let mut hits: Vec<Hit> = (0..store.num_vertices() as u32)
+                .map(|id| Hit {
+                    id,
+                    score: store.dot(id, q, q_sum),
+                })
+                .collect();
+            hits.sort_by(cmp_best);
+            hits.truncate(k);
+            hits
+        })
+        .collect()
+}
+
+/// A query entry: mostly a plain value, sometimes `-0.0`, NaN or `±∞`.
+fn query_entry() -> impl Strategy<Value = f32> {
+    (0u8..16, -1.0f32..1.0).prop_map(|(pick, x)| match pick {
+        0 => -0.0,
+        1 => f32::NAN,
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        _ => x,
+    })
 }
 
 proptest! {
@@ -36,7 +70,7 @@ proptest! {
     fn batched_queries_are_bit_identical_across_thread_counts(
         n in 2usize..150,
         dim in 1usize..24,
-        nq in 1usize..10,
+        nq in 1usize..40,
         k in 1usize..12,
         seed in 0u64..u64::MAX,
         pidx in 0usize..3,
@@ -62,6 +96,42 @@ proptest! {
             let ivf = search_batch(&store, Some(&index), &queries, k, nprobe, threads);
             prop_assert_eq!(&ivf, &ivf_ref, "ivf diverged at {} threads", threads);
         }
+    }
+
+    /// One pass over the rows for the whole batch gives every query the
+    /// ids and score bits of scoring each row on its own with
+    /// `EmbeddingStore::dot`: dims around every lane boundary, batches
+    /// across every lane-group boundary, `k` at both ends, two equal rows
+    /// so scores tie, and queries with `-0.0`, NaN and `±∞` entries (an
+    /// all-`-0.0` query ties every row; NaN and infinities make NaN scores).
+    #[test]
+    fn batch_scan_is_bit_identical_to_the_per_row_reference(
+        (n, dim, queries) in (1usize..150, 1usize..=70, 1usize..=40).prop_flat_map(|(n, dim, nq)| (
+            Just(n),
+            Just(dim),
+            prop::collection::vec(query_entry(), nq * dim..=nq * dim),
+        )),
+        twins in (0usize..150, 0usize..150),
+        kpick in 0usize..5,
+        mid in 2usize..12,
+        seed in 0u64..u64::MAX,
+        pidx in 0usize..3,
+    ) {
+        let mut m = Embedding::random(n, dim, seed);
+        let twin = m.row((twins.0 % n) as u32).to_vec();
+        m.row_mut((twins.1 % n) as u32).copy_from_slice(&twin);
+        let store = store_of(&m, precision_from(pidx));
+        let mut queries = queries;
+        queries[..dim].fill(-0.0);
+        let k = [0, 1, mid, n, n + 3][kpick];
+        let want = per_row_reference(&store, &queries, k);
+        for threads in [1usize, 3] {
+            let got = search_batch(&store, None, &queries, k, 0, threads);
+            prop_assert_eq!(&got, &want, "{} threads, k {}", threads, k);
+        }
+        // The one-query entry runs the same scan.
+        let last = &queries[queries.len() - dim..];
+        prop_assert_eq!(&search_exact(&store, last, k), want.last().unwrap());
     }
 
     /// Probing every list makes IVF a partition-ordered exact search:
