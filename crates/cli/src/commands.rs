@@ -11,7 +11,7 @@ use gosh_core::model::Embedding;
 use gosh_core::pipeline::embed as gosh_embed;
 use gosh_core::quant::Precision;
 use gosh_core::serve::{ServeClient, ServeConfig, Server};
-use gosh_core::store::{embin_path_for, write_store, EmbeddingStore};
+use gosh_core::store::{embin_path_for, write_store, write_text, EmbeddingStore};
 use gosh_eval::{evaluate_link_prediction, EvalConfig};
 use gosh_gpu::{Device, DeviceConfig};
 use gosh_graph::components::connected_components;
@@ -352,26 +352,13 @@ fn run_gosh(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, Precision), String> 
     Ok((m, secs, cfg.precision))
 }
 
-/// Write an embedding in the text format `embed`/`train` emit.
-fn write_embedding(out: &str, m: &Embedding) -> Result<(), String> {
-    let file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
-    writeln!(w, "{} {}", m.num_vertices(), m.dim()).map_err(|e| e.to_string())?;
-    for v in 0..m.num_vertices() as u32 {
-        let row: Vec<String> = m.row(v).iter().map(|x| format!("{x:.6}")).collect();
-        writeln!(w, "{v} {}", row.join(" ")).map_err(|e| e.to_string())?;
-    }
-    w.flush().map_err(|e| e.to_string())?;
-    println!("wrote {} ({} x {})", out, m.num_vertices(), m.dim());
-    Ok(())
-}
-
 /// Write both artifacts of an embedding run: the text format (kept for
 /// interoperability; its `{x:.6}` rendering truncates mantissas) and the
 /// checksummed `.embin` binary store next to it, which round-trips
 /// bit-exactly and is what `gosh serve` maps.
 fn write_outputs(out: &str, m: &Embedding, precision: Precision) -> Result<(), String> {
-    write_embedding(out, m)?;
+    write_text(out, m).map_err(|e| e.to_string())?;
+    println!("wrote {} ({} x {})", out, m.num_vertices(), m.dim());
     let bin = embin_path_for(out);
     write_store(&bin, m, precision).map_err(|e| format!("writing {bin}: {e}"))?;
     println!("wrote {bin} ({precision} store, lossless round-trip)");

@@ -3,6 +3,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use gosh_core::store::EmbeddingStore;
 use gosh_runtime::TempDir;
 
 fn gosh_bin() -> PathBuf {
@@ -58,14 +59,56 @@ fn generate_stats_coarsen_eval_flow() {
         "20",
     ]);
     assert!(ok, "{text}");
-    let first_line = std::fs::read_to_string(&emb).unwrap();
-    assert!(first_line.starts_with("3000 8"));
+    // The text file is the `.embin` rows to the format's 6 decimals:
+    // header `n d`, then `v x_0 … x_{d-1}` per row.
+    let store = EmbeddingStore::open(dir.join("g.embin")).unwrap();
+    let text_file = std::fs::read_to_string(&emb).unwrap();
+    let mut lines = text_file.lines();
+    assert_eq!(lines.next(), Some("3000 8"));
+    let mut row = vec![0.0f32; 8];
+    for v in 0..3000u32 {
+        let line = lines
+            .next()
+            .unwrap_or_else(|| panic!("no line for row {v}"));
+        let mut fields = line.split(' ');
+        assert_eq!(fields.next(), Some(v.to_string().as_str()), "{line}");
+        store.decode_row(v, &mut row);
+        let parsed: Vec<f64> = fields.map(|x| x.parse().unwrap()).collect();
+        assert_eq!(parsed.len(), 8, "{line}");
+        for (&x, &want) in parsed.iter().zip(&row) {
+            assert!((x - want as f64).abs() <= 1e-6, "row {v}: {x} vs {want}");
+        }
+    }
+    assert_eq!(lines.next(), None);
 
     let (ok, text) = run(&[
         "eval", graph_s, "--dim", "8", "--epochs", "40", "--preset", "fast",
     ]);
     assert!(ok, "{text}");
     assert!(text.contains("AUCROC"));
+}
+
+/// A failed write names the file and exits non-zero without a panic.
+/// The text file is written first, so its failure stops the run before
+/// any `.embin` is attempted.
+#[cfg(target_os = "linux")]
+#[test]
+fn write_errors_name_the_output_file() {
+    let dir = TempDir::new("cli-full").unwrap();
+    let graph = dir.join("g.csr");
+    let graph_s = graph.to_str().unwrap();
+    let (ok, text) = run(&["generate", "300:4", graph_s]);
+    assert!(ok, "{text}");
+
+    let out = Command::new(gosh_bin())
+        .args(["embed", graph_s, "/dev/full", "--dim", "4", "--epochs", "2"])
+        .output()
+        .expect("failed to run gosh binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("writing /dev/full: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains(".embin"), "{stderr}");
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! The `.embin` exact embedding store: the artifact `write_embedding`'s
-//! text format cannot be.
+//! Both embedding files: the text `.emb` ([`write_text`]) and the
+//! `.embin` exact embedding store, the artifact the text format cannot be.
 //!
 //! Text output truncates every coordinate to six decimals — fine for
 //! eyeballing, fatal for round-tripping (subnormals vanish, values that
@@ -537,11 +537,211 @@ impl EmbeddingStore {
     }
 }
 
+/// Write `m` to `path` as the text embedding: a header line `n d`, then
+/// one line `v x_0 … x_{d-1}` per row, each coordinate byte-for-byte
+/// what `format!("{x:.6}")` prints (see [`push_coord`]). Every error,
+/// from creating the file to the final flush, names `path`.
+///
+/// Hand-rolled because the `format!` writer (a `String` per coordinate,
+/// then a `Vec<String>` and a `join` per row) was most of the time `gosh
+/// update` spends outside its named stages: 0.15 s for 32 768 × 32
+/// coordinates on a 2-core x86-64 VM, against 0.03 s for this one.
+/// Rows stream through one reused line buffer, so the whole file is
+/// never held in memory.
+pub fn write_text(path: impl AsRef<Path>, m: &Embedding) -> io::Result<()> {
+    let path = path.as_ref();
+    let named = |doing: &str, e: io::Error| {
+        io::Error::new(e.kind(), format!("{doing} {}: {e}", path.display()))
+    };
+    let file = File::create(path).map_err(|e| named("creating", e))?;
+    write_text_rows(BufWriter::new(file), m).map_err(|e| named("writing", e))
+}
+
+fn write_text_rows(mut w: impl Write, m: &Embedding) -> io::Result<()> {
+    writeln!(w, "{} {}", m.num_vertices(), m.dim())?;
+    let mut line = Vec::new();
+    for v in 0..m.num_vertices() as u32 {
+        line.clear();
+        write!(line, "{v} ")?;
+        for (j, &x) in m.row(v).iter().enumerate() {
+            if j > 0 {
+                line.push(b' ');
+            }
+            push_coord(&mut line, x);
+        }
+        line.push(b'\n');
+        w.write_all(&line)?;
+    }
+    w.flush()
+}
+
+/// `DIGIT_PAIRS[k]` is `k` in two ASCII digits, `"00"` to `"99"`.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut t = [[0u8; 2]; 100];
+    let mut k = 0;
+    while k < 100 {
+        t[k] = [b'0' + (k / 10) as u8, b'0' + (k % 10) as u8];
+        k += 1;
+    }
+    t
+};
+
+/// Write `n` in decimal to end just before `buf[end]`; return where it
+/// starts.
+fn put_uint(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    while n >= 100 {
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[(n % 100) as usize]);
+        n /= 100;
+    }
+    if n >= 10 {
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[n as usize]);
+    } else {
+        end -= 1;
+        buf[end] = b'0' + n as u8;
+    }
+    end
+}
+
+/// Append `x` exactly as `format!("{x:.6}")` prints it: the exact binary
+/// value rounded to 6 fraction digits, ties to even, the sign kept (so
+/// `-0.0` and negatives that round to zero print `-0.000000`).
+///
+/// With `x = m·2^e` (`m < 2^24`), `m·10^6 < 2^44` is the value in
+/// millionths before scaling by `2^e`, so the rounding is integer
+/// arithmetic: a left shift for `e ≥ 0`, a right shift rounding the
+/// remainder half to even for `e < 0`. Non-finite values and
+/// `|x| ≥ 2^43`, whose millionths would overflow a `u64`, go through
+/// `format!` itself.
+pub fn push_coord(out: &mut Vec<u8>, x: f32) {
+    let bits = x.to_bits();
+    let biased = (bits >> 23) & 0xff;
+    // 127 + 43: the biased exponent of 2^43; 255 (inf, NaN) is above it.
+    if biased >= 127 + 43 {
+        write!(out, "{x:.6}").expect("writing to a Vec cannot fail");
+        return;
+    }
+    let (m, e) = match biased {
+        0 => (bits & 0x7f_ffff, -149),
+        _ => ((bits & 0x7f_ffff) | 1 << 23, biased as i32 - 150),
+    };
+    let millionths = m as u64 * 1_000_000;
+    let q = if e >= 0 {
+        millionths << e
+    } else {
+        let s = e.unsigned_abs();
+        if s >= 64 {
+            0
+        } else {
+            let q = millionths >> s;
+            let rem = millionths & ((1 << s) - 1);
+            let half = 1 << (s - 1);
+            q + u64::from(rem > half || (rem == half && q & 1 == 1))
+        }
+    };
+    // Right to left into `-` + at most 13 integer digits (q < 2^43·10^6)
+    // + `.` + 6 fraction digits, then one append.
+    let mut buf = [0u8; 21];
+    let f = (q % 1_000_000) as usize;
+    buf[15..17].copy_from_slice(&DIGIT_PAIRS[f / 10_000]);
+    buf[17..19].copy_from_slice(&DIGIT_PAIRS[f / 100 % 100]);
+    buf[19..21].copy_from_slice(&DIGIT_PAIRS[f % 100]);
+    buf[14] = b'.';
+    let mut start = put_uint(&mut buf, 14, q / 1_000_000);
+    if bits >> 31 == 1 {
+        start -= 1;
+        buf[start] = b'-';
+    }
+    out.extend_from_slice(&buf[start..]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quant::quantize_roundtrip;
     use gosh_runtime::TempDir;
+    use proptest::prelude::*;
+
+    /// The writer [`write_text`] replaced: a `format!` per coordinate and
+    /// a `join` per row. Kept as the reference its bytes must equal.
+    fn write_text_reference(path: &Path, m: &Embedding) -> io::Result<()> {
+        let mut w = BufWriter::new(File::create(path)?);
+        writeln!(w, "{} {}", m.num_vertices(), m.dim())?;
+        for v in 0..m.num_vertices() as u32 {
+            let row: Vec<String> = m.row(v).iter().map(|x| format!("{x:.6}")).collect();
+            writeln!(w, "{v} {}", row.join(" "))?;
+        }
+        w.flush()
+    }
+
+    /// Coordinates that stress [`push_coord`]: arbitrary bit patterns;
+    /// the f32s nearest `±(k + ½)·10⁻⁶` and their ±1-ulp neighbours;
+    /// exact ties (odd multiples of 2⁻⁷); and fixed hard cases — signed
+    /// zeros, subnormals, negatives that round to zero, non-finite
+    /// values, and both sides of the 2⁴³ fallback bound.
+    fn hard_coord() -> impl Strategy<Value = f32> {
+        let two43 = 2f32.powi(43);
+        let fixed = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x7f_ffff),
+            f32::MIN_POSITIVE,
+            -4e-7,
+            -5e-7,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            two43,
+            -two43,
+            f32::from_bits(two43.to_bits() - 1),
+            -f32::from_bits(two43.to_bits() - 1),
+        ];
+        (0u8..4, 0u32..=u32::MAX, 0u32..3).prop_map(move |(kind, r, ulp)| {
+            let x = match kind {
+                0 => return f32::from_bits(r),
+                1 => ((r % 20_000_000) as f64 * 1e-6 + 0.5e-6) as f32,
+                2 => (2 * (r % 100_000) + 1) as f32 / 128.0,
+                _ => return fixed[r as usize % fixed.len()],
+            };
+            let x = f32::from_bits((x.to_bits() + ulp).wrapping_sub(1));
+            if r >> 31 == 1 {
+                -x
+            } else {
+                x
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The whole file, header and row lines included, is the old
+        /// writer's byte for byte.
+        #[test]
+        fn write_text_equals_the_format_writer(
+            (n, dim, data) in (0usize..12, 1usize..10).prop_flat_map(|(n, dim)| {
+                (Just(n), Just(dim), proptest::collection::vec(hard_coord(), n * dim))
+            }),
+        ) {
+            let m = Embedding::from_vec(data, n, dim);
+            let dir = TempDir::new("store-text").unwrap();
+            let (got, want) = (dir.join("new.emb"), dir.join("old.emb"));
+            write_text(&got, &m).unwrap();
+            write_text_reference(&want, &m).unwrap();
+            prop_assert_eq!(std::fs::read(&got).unwrap(), std::fs::read(&want).unwrap());
+        }
+    }
+
+    #[test]
+    fn write_text_errors_name_the_path() {
+        let dir = TempDir::new("store-text").unwrap();
+        let path = dir.join("missing-dir").join("out.emb");
+        let err = write_text(&path, &Embedding::zeros(2, 2)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NotFound);
+        assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
+    }
 
     /// Adversarial rows for the precision-loss regression: subnormals,
     /// values separated only past the 6th decimal, huge magnitudes text
@@ -601,7 +801,7 @@ mod tests {
     #[test]
     fn text_roundtrip_loses_what_the_binary_store_keeps() {
         let m = adversarial();
-        // The text path, exactly as `write_embedding` formats it.
+        // The text path, exactly as `write_text` formats it.
         let text_roundtrip: Vec<f32> = m
             .as_slice()
             .iter()

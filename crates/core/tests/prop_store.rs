@@ -4,12 +4,133 @@
 //! open successfully while inconsistent. Every header byte is covered by
 //! a validation rule and the payload by the checksum, so any single-bit
 //! flip of a valid store must be rejected, not just "usually caught".
+//!
+//! The text `.emb` writer's coordinate formatter is pinned here too: its
+//! bytes equal `format!("{x:.6}")` for every kind of f32 it can meet.
+
+use std::io::Write;
 
 use gosh_core::model::Embedding;
 use gosh_core::quant::{quantize_roundtrip, Precision};
-use gosh_core::store::{write_store, EmbeddingStore, EMBIN_HEADER_BYTES, EMBIN_MAGIC};
+use gosh_core::store::{push_coord, write_store, EmbeddingStore, EMBIN_HEADER_BYTES, EMBIN_MAGIC};
 use gosh_runtime::TempDir;
 use proptest::prelude::*;
+
+/// `push_coord(x)` equals `format!("{x:.6}")`, byte for byte.
+fn check_coord(x: f32) {
+    let mut got = Vec::new();
+    push_coord(&mut got, x);
+    assert_eq!(
+        String::from_utf8(got).unwrap(),
+        format!("{x:.6}"),
+        "bits {:#010x}",
+        x.to_bits()
+    );
+}
+
+/// `x`, `-x` and the ±1-ulp neighbours of both.
+fn check_with_neighbours(x: f32) {
+    for y in [x, -x] {
+        for ulp in [-1, 0, 1] {
+            check_coord(f32::from_bits(y.to_bits().wrapping_add_signed(ulp)));
+        }
+    }
+}
+
+/// The f32 nearest the 6-decimal halfway point `(k + ½)·10⁻⁶`.
+fn halfway(k: u64) -> f32 {
+    ((k as f64 + 0.5) * 1e-6) as f32
+}
+
+#[test]
+fn coord_matches_format_at_every_small_halfway_point() {
+    for k in 0..200_000 {
+        check_with_neighbours(halfway(k));
+    }
+}
+
+/// Odd multiples of 2⁻⁷ are the f32s exactly halfway between two
+/// 6-decimal values (`t/128` has 7 decimals ending in 5), so they pin
+/// ties-to-even rather than the approach to a tie.
+#[test]
+fn coord_matches_format_on_exact_ties() {
+    for t in (1..1 << 18).step_by(2) {
+        check_with_neighbours(t as f32 / 128.0);
+    }
+}
+
+#[test]
+fn coord_matches_format_on_zeros_and_non_finite_values() {
+    for x in [
+        0.0,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN,
+    ] {
+        check_coord(x);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn coord_matches_format_on_any_bit_pattern(bits in 0u32..=u32::MAX) {
+        check_coord(f32::from_bits(bits));
+    }
+
+    #[test]
+    fn coord_matches_format_around_any_halfway_point(k in 0u64..100_000_000) {
+        check_with_neighbours(halfway(k));
+    }
+
+    #[test]
+    fn coord_matches_format_on_subnormals(frac in 0u32..1 << 23) {
+        check_with_neighbours(f32::from_bits(frac));
+    }
+
+    /// `-x` for `0 < x ≤ 5·10⁻⁷` rounds to zero and keeps its sign.
+    #[test]
+    fn coord_matches_format_on_negatives_that_round_to_zero(x in 0.0f32..=5e-7) {
+        check_with_neighbours(x);
+    }
+
+    /// Below 2⁴³ the integer path, from 2⁴³ on the `format!` fallback.
+    #[test]
+    fn coord_matches_format_on_both_sides_of_the_fallback_bound(delta in 0u32..8192) {
+        check_with_neighbours(f32::from_bits(2f32.powi(43).to_bits() + delta - 4096));
+    }
+}
+
+/// All 2³² bit patterns, sharded over the host's threads: 25 minutes in
+/// release on 2 threads. Run with
+/// `cargo test --release -p gosh-core --test prop_store -- --ignored`.
+#[test]
+#[ignore]
+fn coord_matches_format_on_every_bit_pattern() {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let shard = (1u64 << 32).div_ceil(threads);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            s.spawn(move || {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for bits in t * shard..((t + 1) * shard).min(1 << 32) {
+                    let x = f32::from_bits(bits as u32);
+                    got.clear();
+                    want.clear();
+                    push_coord(&mut got, x);
+                    write!(want, "{x:.6}").unwrap();
+                    assert_eq!(got, want, "bits {bits:#010x}");
+                }
+            });
+        }
+    });
+}
 
 fn precision_from(idx: usize) -> Precision {
     [Precision::F32, Precision::F16, Precision::I8][idx % 3]
