@@ -10,7 +10,7 @@ use gosh_core::distrib::{embed_distributed, DistribConfig, TransportKind};
 use gosh_core::model::Embedding;
 use gosh_core::pipeline::embed as gosh_embed;
 use gosh_core::quant::Precision;
-use gosh_core::serve::{ServeClient, ServeConfig, Server};
+use gosh_core::serve::{IvfIndex, ServeClient, ServeConfig, Server};
 use gosh_core::store::{embin_path_for, write_store, write_text, EmbeddingStore};
 use gosh_eval::{evaluate_link_prediction, EvalConfig};
 use gosh_gpu::{Device, DeviceConfig};
@@ -109,7 +109,7 @@ fn save_graph(path: &str, g: &Csr) -> Result<(), String> {
     } else {
         io::write_edge_list(path, g)
     };
-    result.map_err(|e| format!("writing {path}: {e}"))
+    result.map_err(|e| e.to_string())
 }
 
 fn parse_preset(p: &Parsed) -> Result<Preset, String> {
@@ -279,7 +279,7 @@ pub fn convert(args: &[String]) -> Result<(), String> {
         (LoadedInput::Text(l), false) => l.write_edge_list(out),
         (LoadedInput::Binary(g), false) => io::write_edge_list(out, g),
     };
-    result.map_err(|e| format!("writing {out}: {e}"))?;
+    result.map_err(|e| e.to_string())?;
     let g = input.graph();
     println!(
         "wrote {} ({} vertices, {} edges{})",
@@ -360,7 +360,7 @@ fn write_outputs(out: &str, m: &Embedding, precision: Precision) -> Result<(), S
     write_text(out, m).map_err(|e| e.to_string())?;
     println!("wrote {} ({} x {})", out, m.num_vertices(), m.dim());
     let bin = embin_path_for(out);
-    write_store(&bin, m, precision).map_err(|e| format!("writing {bin}: {e}"))?;
+    write_store(&bin, m, precision).map_err(|e| e.to_string())?;
     println!("wrote {bin} ({precision} store, lossless round-trip)");
     Ok(())
 }
@@ -577,8 +577,11 @@ pub fn update(args: &[String]) -> Result<(), String> {
 
 /// `gosh serve <store.embin> [--addr H:P] [--threads N] [--ivf BOOL]`:
 /// map an `.embin` store and answer top-k queries over TCP until a
-/// client sends shutdown. `--ivf false` skips the coarse-quantizer build
-/// and serves exact-only (clients must then use `--nprobe 0`).
+/// client sends shutdown. The banner is printed as soon as the address
+/// is bound; the IVF index builds in the background (IVF queries wait
+/// for it) and a second line reports it ready. `--ivf false` skips the
+/// coarse-quantizer build and serves exact-only (clients must then use
+/// `--nprobe 0`).
 pub fn serve(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["addr", "threads", "ivf"])?;
     let path = p.positional(0, ".embin store")?;
@@ -592,12 +595,22 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let addr = p.flag_str("addr").unwrap_or("127.0.0.1:7070");
     let server = Server::bind(store, addr, cfg).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
-    match server.index() {
-        Some(ivf) => println!(
-            "serving {path} ({n} x {dim}, {precision}) on {local}, {} IVF lists (built in {:.3} s)",
-            ivf.nlist(),
-            server.index_build_seconds()
-        ),
+    match server.index_build() {
+        Some(build) => {
+            println!(
+                "serving {path} ({n} x {dim}, {precision}) on {local}, {} IVF lists (building)",
+                IvfIndex::default_nlist(n).min(n)
+            );
+            // Reports the build; exits with the process if it is still waiting.
+            std::thread::spawn(move || {
+                if let Some((ivf, secs)) = build.wait() {
+                    println!(
+                        "IVF index ready: {} lists built in {secs:.3} s",
+                        ivf.nlist()
+                    );
+                }
+            });
+        }
         None => println!("serving {path} ({n} x {dim}, {precision}) on {local}, exact only"),
     }
     std::io::stdout().flush().ok();

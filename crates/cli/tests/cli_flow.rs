@@ -292,8 +292,8 @@ fn embed_serve_query_flow_over_tcp_loopback() {
     let header = std::fs::read(&embin).unwrap();
     assert_eq!(&header[..8], b"GOSHEMB1", "bad .embin magic");
 
-    // Serve it on an OS-assigned loopback port; the bound address is the
-    // first line of stdout.
+    // Serve it on an OS-assigned loopback port; the bound address is on
+    // the first line of stdout.
     let mut server = Command::new(gosh_bin())
         .args([
             "serve",
@@ -306,41 +306,22 @@ fn embed_serve_query_flow_over_tcp_loopback() {
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawning gosh serve");
-    let stdout = server.stdout.take().unwrap();
+    let mut stdout = std::io::BufReader::new(server.stdout.take().unwrap());
     let mut first_line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut first_line)
-        .unwrap();
+    stdout.read_line(&mut first_line).unwrap();
     // Shape of the banner, as its readers take it apart: the address is
     // what follows the *last* " on " up to the first comma, and the rest
-    // reports the list count and the index build time.
-    // `serving g.embin (800 x 8, i8) on 127.0.0.1:4242, 29 IVF lists (built in 0.002 s)`
+    // reports the list count of the index being built.
+    // `serving g.embin (800 x 8, i8) on 127.0.0.1:4242, 29 IVF lists (building)`
     let (_, tail) = first_line
         .rsplit_once(" on ")
         .unwrap_or_else(|| panic!("no address in serve banner: {first_line}"));
     let (addr, rest) = tail.split_once(',').expect("list count after the address");
     assert!(addr.parse::<std::net::SocketAddr>().is_ok(), "{first_line}");
-    let built = rest
-        .trim()
-        .strip_prefix("29 IVF lists (built in ")
-        .and_then(|s| s.strip_suffix(" s)"))
-        .unwrap_or_else(|| panic!("no build time in serve banner: {first_line}"));
-    assert!(built.parse::<f64>().is_ok(), "{first_line}");
+    assert_eq!(rest.trim(), "29 IVF lists (building)", "{first_line}");
 
-    // Exact and IVF top-k over the socket, then shut the server down.
-    let (ok, text) = run(&[
-        "query",
-        embin.to_str().unwrap(),
-        "--addr",
-        addr,
-        "--ids",
-        "0,5,17",
-        "--k",
-        "4",
-    ]);
-    assert!(ok, "{text}");
-    assert!(text.contains("0 ->") && text.contains("17 ->"), "{text}");
-    assert!(text.contains("(exact)"), "{text}");
+    // An IVF query straight after the banner waits for the index; exact
+    // top-k answers too, and the server reports the build on a second line.
     let (ok, text) = run(&[
         "query",
         embin.to_str().unwrap(),
@@ -350,11 +331,33 @@ fn embed_serve_query_flow_over_tcp_loopback() {
         "3",
         "--nprobe",
         "4",
+    ]);
+    assert!(ok, "{text}");
+    assert!(text.contains("ivf nprobe 4"), "{text}");
+    let mut ready = String::new();
+    stdout.read_line(&mut ready).unwrap();
+    // `IVF index ready: 29 lists built in 0.002 s`
+    let built = ready
+        .trim_end()
+        .strip_prefix("IVF index ready: 29 lists built in ")
+        .and_then(|s| s.strip_suffix(" s"))
+        .unwrap_or_else(|| panic!("no ready line after the banner: {ready}"));
+    assert!(built.parse::<f64>().is_ok(), "{ready}");
+    let (ok, text) = run(&[
+        "query",
+        embin.to_str().unwrap(),
+        "--addr",
+        addr,
+        "--ids",
+        "0,5,17",
+        "--k",
+        "4",
         "--shutdown",
         "true",
     ]);
     assert!(ok, "{text}");
-    assert!(text.contains("ivf nprobe 4"), "{text}");
+    assert!(text.contains("0 ->") && text.contains("17 ->"), "{text}");
+    assert!(text.contains("(exact)"), "{text}");
     assert!(text.contains("server shut down"), "{text}");
     let status = server.wait().expect("server exit");
     assert!(status.success(), "serve exited with {status}");

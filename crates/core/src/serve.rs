@@ -26,9 +26,18 @@
 //! * **Wire** — a tagged request/response protocol over the transport
 //!   mesh's frame format, carried on one
 //!   [`gosh_runtime::transport::FramedConn`] per client. [`Server`]
-//!   answers queries until a shutdown frame; a client dying mid-request
-//!   is a logged [`gosh_runtime::transport::TransportError`], never a
-//!   server crash.
+//!   answers from the moment [`Server::bind`] returns: the IVF index is
+//!   built on a thread of its own ([`IndexBuild`]), exact requests never
+//!   wait for it, and IVF requests wait for it and get the bits a
+//!   synchronous build would give. Each connection has a thread of its
+//!   own, up to [`MAX_CONNECTIONS`] (one more is told the server is
+//!   busy). A peer that sends nothing for the read timeout (120 s), or
+//!   drains nothing for the write timeout (30 s), is dropped; that, or a
+//!   client dying mid-request, is a logged
+//!   [`gosh_runtime::transport::TransportError`], never a hang or a
+//!   crash. A shutdown frame is acknowledged, every other connection's
+//!   socket is shut down, their threads are joined, and
+//!   [`Server::run`] returns.
 //!
 //! The index build is k-means assignment — every row against every
 //! centroid, five passes — and runs on
@@ -50,10 +59,15 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::io;
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use gosh_runtime::transport::{FramedConn, TransportError};
+use gosh_runtime::Runtime;
 
 use crate::quant::{f16_bits_to_f32, Precision};
 use crate::simd::{QueryLanes, LANES};
@@ -361,8 +375,15 @@ impl IvfIndex {
         (n as f64).sqrt().ceil() as usize
     }
 
-    /// Build over every row of `store` using `threads` workers.
+    /// Build over every row of `store` using `threads` workers of the
+    /// global runtime.
     pub fn build(store: &EmbeddingStore, threads: usize) -> Self {
+        Self::build_on(gosh_runtime::global(), store, threads)
+    }
+
+    /// [`IvfIndex::build`] on the workers of `rt`: the same bits on any
+    /// runtime.
+    fn build_on(rt: &Runtime, store: &EmbeddingStore, threads: usize) -> Self {
         let n = store.num_vertices();
         let dim = store.dim();
         let nlist = Self::default_nlist(n).min(n);
@@ -389,7 +410,7 @@ impl IvfIndex {
         let mut row = vec![0.0f32; dim];
         const LLOYD_ITERS: usize = 4;
         for _ in 0..LLOYD_ITERS {
-            assign_rows(store, &centroids, threads, &mut assign);
+            assign_rows(rt, store, &centroids, threads, &mut assign);
             // Accumulate sequentially in row id order: cheap next to the
             // parallel assignment, and it keeps float addition order —
             // hence the centroids — independent of the thread count.
@@ -417,7 +438,7 @@ impl IvfIndex {
                 }
             }
         }
-        assign_rows(store, &centroids, threads, &mut assign);
+        assign_rows(rt, store, &centroids, threads, &mut assign);
 
         // Counting-sort CSR: ascending row id inside each list because
         // the scatter walks ids in order.
@@ -486,12 +507,18 @@ impl IvfIndex {
 /// smaller centroid id). Pure per row, sharded contiguously — the
 /// result is independent of `threads`. The centroids are transposed
 /// once per pass into the lane-per-centroid blocks the kernel scans.
-fn assign_rows(store: &EmbeddingStore, centroids: &[f32], threads: usize, assign: &mut [u32]) {
+fn assign_rows(
+    rt: &Runtime,
+    store: &EmbeddingStore,
+    centroids: &[f32],
+    threads: usize,
+    assign: &mut [u32],
+) {
     let n = store.num_vertices();
     let dim = store.dim();
     let ct = crate::simd::transpose_centroids(centroids, dim);
     let shards = gosh_runtime::shard_ranges(n, threads.max(1));
-    let parts = gosh_runtime::map_jobs(threads.max(1), shards.len(), |t| {
+    let parts = rt.map_jobs(threads.max(1), shards.len(), |t| {
         let span = shards[t].clone();
         let mut out = Vec::with_capacity(span.len());
         let mut row = vec![0.0f32; dim];
@@ -665,6 +692,26 @@ pub fn decode_hits(payload: &[u8]) -> Result<Vec<Vec<Hit>>, String> {
     Ok(out)
 }
 
+/// Most connections a [`Server`] serves at once. The next one is sent a
+/// [`TAG_ERROR`] "server busy" frame and closed.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a server-side read waits for the peer's next byte, between
+/// frames or inside one: a silent or stalled peer is dropped after this.
+const READ_TIMEOUT: Duration = if cfg!(test) {
+    Duration::from_secs(3)
+} else {
+    Duration::from_secs(120)
+};
+
+/// How long a server-side write waits for the peer to drain its socket:
+/// a peer that stops reading replies is dropped after this.
+const WRITE_TIMEOUT: Duration = if cfg!(test) {
+    Duration::from_secs(1)
+} else {
+    Duration::from_secs(30)
+};
+
 /// Server-side knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -674,6 +721,9 @@ pub struct ServeConfig {
     pub build_ivf: bool,
     /// Print per-connection lifecycle to stderr.
     pub verbose: bool,
+    /// Holds the IVF build back until the test meets it at the barrier.
+    #[cfg(test)]
+    pub build_gate: Option<&'static std::sync::Barrier>,
 }
 
 impl Default for ServeConfig {
@@ -682,85 +732,274 @@ impl Default for ServeConfig {
             threads: 1,
             build_ivf: true,
             verbose: false,
+            #[cfg(test)]
+            build_gate: None,
         }
     }
 }
 
+/// The IVF index a [`Server`] builds on a thread of its own, published
+/// once. Clones share the one build.
+#[derive(Clone)]
+pub struct IndexBuild(Arc<OnceLock<Option<(IvfIndex, f64)>>>);
+
+impl IndexBuild {
+    /// Build over `store` on a new thread, on a private runtime of
+    /// `cfg.threads` workers (inline at 1), so a build pass never holds
+    /// the global runtime's launch lock while an exact batch waits for it.
+    fn start(store: Arc<EmbeddingStore>, cfg: &ServeConfig) -> io::Result<Self> {
+        let built = Arc::new(OnceLock::new());
+        let publish = built.clone();
+        let threads = cfg.threads;
+        #[cfg(test)]
+        let gate = cfg.build_gate;
+        std::thread::Builder::new()
+            .name("gosh-serve-ivf".into())
+            .spawn(move || {
+                #[cfg(test)]
+                if let Some(gate) = gate {
+                    gate.wait();
+                }
+                let t0 = Instant::now();
+                let rt = Runtime::new(threads);
+                // A panicked build is published too: IVF requests then get
+                // an error instead of waiting forever.
+                let index = catch_unwind(AssertUnwindSafe(|| {
+                    IvfIndex::build_on(&rt, &store, threads)
+                }));
+                let _ = publish.set(index.ok().map(|ivf| (ivf, t0.elapsed().as_secs_f64())));
+            })?;
+        Ok(Self(built))
+    }
+
+    /// Block until the build is done: the index and the seconds it took,
+    /// or `None` if the build panicked.
+    pub fn wait(&self) -> Option<(&IvfIndex, f64)> {
+        self.0.wait().as_ref().map(|(ivf, secs)| (ivf, *secs))
+    }
+}
+
 /// A serving endpoint: one listener, one store, an optional IVF index.
-/// Connections are handled in accept order; parallelism lives inside
-/// each batch (the worker team), not across sockets — matching the
-/// paper's serving scenario of few hot publishers, many small readers.
+///
+/// It answers from the moment [`Server::bind`] returns. The IVF index is
+/// built off the answer path ([`IndexBuild`]); exact requests never touch
+/// it, and IVF requests wait for it. Each connection gets a thread of its
+/// own, up to [`MAX_CONNECTIONS`], so a slow or idle client delays no one
+/// else; parallelism inside a batch is the worker team's.
 pub struct Server {
     listener: TcpListener,
-    store: EmbeddingStore,
-    index: Option<IvfIndex>,
-    index_build_seconds: f64,
+    shared: Arc<Shared>,
+}
+
+/// What the connection threads share.
+struct Shared {
+    store: Arc<EmbeddingStore>,
+    index: Option<IndexBuild>,
     cfg: ServeConfig,
+    /// The listener's address: a stopping connection dials it to wake the
+    /// accept loop.
+    addr: SocketAddr,
+    conns: Mutex<Conns>,
+}
+
+/// A handle on each live connection's socket, one per slot, and whether
+/// the server is stopping.
+struct Conns {
+    slots: Vec<Option<TcpStream>>,
+    stopping: bool,
 }
 
 impl Server {
-    /// Bind `addr` (use port 0 for an ephemeral port) and build indexes.
+    /// Bind `addr` (use port 0 for an ephemeral port) and start the IVF
+    /// build. Returns as soon as the listener is bound.
     pub fn bind<A: ToSocketAddrs>(
         store: EmbeddingStore,
         addr: A,
         cfg: ServeConfig,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let t0 = std::time::Instant::now();
-        let index = cfg.build_ivf.then(|| IvfIndex::build(&store, cfg.threads));
+        let addr = listener.local_addr()?;
+        let store = Arc::new(store);
+        let index = cfg
+            .build_ivf
+            .then(|| IndexBuild::start(store.clone(), &cfg))
+            .transpose()?;
+        let conns = Conns {
+            slots: (0..MAX_CONNECTIONS).map(|_| None).collect(),
+            stopping: false,
+        };
         Ok(Self {
             listener,
-            store,
-            index,
-            index_build_seconds: t0.elapsed().as_secs_f64(),
-            cfg,
+            shared: Arc::new(Shared {
+                store,
+                index,
+                cfg,
+                addr,
+                conns: Mutex::new(conns),
+            }),
         })
     }
 
     /// The bound address (where clients should connect).
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
     pub fn store(&self) -> &EmbeddingStore {
-        &self.store
+        &self.shared.store
     }
 
-    pub fn index(&self) -> Option<&IvfIndex> {
-        self.index.as_ref()
+    /// The IVF build, unless the server was bound with `build_ivf: false`.
+    pub fn index_build(&self) -> Option<IndexBuild> {
+        self.shared.index.clone()
     }
 
-    /// Wall-clock seconds [`Server::bind`] spent building the index.
-    pub fn index_build_seconds(&self) -> f64 {
-        self.index_build_seconds
-    }
-
-    /// Serve until a client sends [`TAG_SHUTDOWN`]. A client dying
-    /// mid-conversation drops that connection (reported on stderr when
-    /// verbose) and the server keeps accepting — a dead peer is an
-    /// error, not a crash.
+    /// Serve until a client sends [`TAG_SHUTDOWN`]. Each accepted
+    /// connection is handed to a thread of its own. A client that dies,
+    /// stalls or stops reading drops its own connection (a
+    /// [`TransportError`] on stderr when verbose), and the server keeps
+    /// accepting — a dead peer is an error, not a crash.
+    ///
+    /// On shutdown the requesting connection is acknowledged, every other
+    /// connection's socket is shut down (a thread blocked reading it wakes
+    /// to EOF; a request in flight finishes and its reply fails), and
+    /// `run` joins every connection thread before it returns.
     pub fn run(self) -> io::Result<()> {
-        loop {
-            let (stream, _) = self.listener.accept()?;
-            let mut conn = match FramedConn::from_stream(stream) {
-                Ok(c) => c,
-                Err(e) => {
-                    if self.cfg.verbose {
-                        eprintln!("serve: rejected connection: {e}");
-                    }
-                    continue;
-                }
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        let accepted = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) => break Err(e),
             };
-            match self.handle_conn(&mut conn) {
-                Ok(true) => return Ok(()),
-                Ok(false) => {}
-                Err(e) => {
-                    if self.cfg.verbose {
-                        eprintln!("serve: client {} dropped: {e}", conn.peer());
-                    }
-                }
+            if lock(&self.shared.conns).stopping {
+                break Ok(());
+            }
+            threads.retain(|t| !t.is_finished());
+            threads.extend(self.shared.open(stream));
+        };
+        self.shared.shut_all();
+        for t in threads {
+            let _ = t.join();
+        }
+        accepted
+    }
+}
+
+fn lock(conns: &Mutex<Conns>) -> MutexGuard<'_, Conns> {
+    // Every critical section is a slot store or a socket shutdown: a
+    // poisoned lock still guards consistent slots.
+    conns.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Frees its connection slot when the connection thread ends, however it
+/// ends.
+struct SlotGuard<'a> {
+    shared: &'a Shared,
+    slot: usize,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        lock(&self.shared.conns).slots[self.slot] = None;
+    }
+}
+
+impl Shared {
+    fn log(&self, what: std::fmt::Arguments) {
+        if self.cfg.verbose {
+            eprintln!("serve: {what}");
+        }
+    }
+
+    /// Give an accepted stream a slot and a thread, or tell it the server
+    /// is busy. `None` when no thread was started.
+    fn open(self: &Arc<Self>, stream: TcpStream) -> Option<JoinHandle<()>> {
+        let conn = stream
+            .set_read_timeout(Some(READ_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
+            .and_then(|()| Ok((stream.try_clone()?, FramedConn::from_stream(stream)?)));
+        let (socket, mut conn) = match conn {
+            Ok(c) => c,
+            Err(e) => {
+                self.log(format_args!("rejected connection: {e}"));
+                return None;
+            }
+        };
+        let slot = {
+            let mut conns = lock(&self.conns);
+            if conns.stopping {
+                return None;
+            }
+            let free = conns.slots.iter().position(Option::is_none);
+            if let Some(i) = free {
+                conns.slots[i] = Some(socket);
+            }
+            free
+        };
+        let Some(slot) = slot else {
+            let busy = format!("server busy: {MAX_CONNECTIONS} connections open; try again later");
+            self.log(format_args!("client {} turned away: {busy}", conn.peer()));
+            if let Err(e) = conn.send(TAG_ERROR, busy.as_bytes()) {
+                self.log(format_args!("client {} dropped: {e}", conn.peer()));
+            }
+            return None;
+        };
+        let this = self.clone();
+        let spawned = std::thread::Builder::new()
+            .name(format!("gosh-serve-{slot}"))
+            .spawn(move || this.serve_conn(slot, conn));
+        match spawned {
+            Ok(thread) => Some(thread),
+            Err(e) => {
+                lock(&self.conns).slots[slot] = None;
+                self.log(format_args!("no thread for a connection: {e}"));
+                None
             }
         }
+    }
+
+    /// A connection thread: answer frames until the peer leaves, fails or
+    /// asks for shutdown.
+    fn serve_conn(&self, slot: usize, mut conn: FramedConn) {
+        let guard = SlotGuard { shared: self, slot };
+        let outcome = self.handle_conn(&mut conn);
+        drop(guard);
+        match outcome {
+            Ok(true) => {
+                self.shut_all();
+                // Wake the accept loop, which then joins every thread.
+                let mut wake = self.addr;
+                if wake.ip().is_unspecified() {
+                    wake.set_ip(match wake {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                if let Err(e) = TcpStream::connect(wake) {
+                    self.log(format_args!(
+                        "could not wake the accept loop at {wake}: {e}"
+                    ));
+                }
+            }
+            Ok(false) => {}
+            Err(e) => self.log(format_args!("client {} dropped: {e}", conn.peer())),
+        }
+    }
+
+    /// The poison pill: mark the server stopping and shut down every live
+    /// connection's socket.
+    fn shut_all(&self) {
+        let mut conns = lock(&self.conns);
+        conns.stopping = true;
+        for socket in conns.slots.iter().flatten() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Live connections.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        lock(&self.conns).slots.iter().flatten().count()
     }
 
     /// Handle one connection to completion. Returns `Ok(true)` when the
@@ -787,7 +1026,8 @@ impl Server {
         Ok(false)
     }
 
-    /// Validate and execute one query payload.
+    /// Validate and execute one query payload. Only an IVF request
+    /// (`nprobe > 0`) looks at the index, and it waits for the build.
     fn answer(&self, payload: &[u8]) -> Result<Vec<u8>, String> {
         let req = QueryRequest::decode(payload)?;
         if req.dim as usize != self.store.dim() {
@@ -797,12 +1037,17 @@ impl Server {
                 self.store.dim()
             ));
         }
-        if req.nprobe > 0 && self.index.is_none() {
-            return Err("server has no IVF index; use nprobe 0 (exact)".into());
-        }
+        let index = match (req.nprobe, &self.index) {
+            (0, _) => None,
+            (_, None) => return Err("server has no IVF index; use nprobe 0 (exact)".into()),
+            (_, Some(build)) => match build.wait() {
+                Some((ivf, _)) => Some(ivf),
+                None => return Err("the IVF index build failed; use nprobe 0 (exact)".into()),
+            },
+        };
         let results = search_batch(
             &self.store,
-            self.index.as_ref(),
+            index,
             &req.queries,
             req.k as usize,
             req.nprobe as usize,
@@ -813,7 +1058,8 @@ impl Server {
 }
 
 /// Client side of the protocol: one framed connection, synchronous
-/// request/response.
+/// request/response. It sets no read timeout: an IVF request may wait for
+/// the server's index build.
 pub struct ServeClient {
     conn: FramedConn,
 }
@@ -887,6 +1133,8 @@ mod tests {
     use crate::quant::Precision;
     use crate::store::write_store;
     use gosh_runtime::TempDir;
+    use std::io::{Read, Write};
+    use std::sync::{Barrier, Weak};
 
     /// The returned store outlives its file: the directory guard unlinks
     /// it on return, and an unlinked file stays readable through an open
@@ -1041,10 +1289,15 @@ mod tests {
             let store = store_from(&m, precision, "ivf-reference");
             let want = reference_build(&store);
             for threads in [1, 3] {
-                let got = IvfIndex::build(&store, threads);
-                assert_eq!(got.centroids, want.centroids, "{precision} x{threads}");
-                assert_eq!(got.offsets, want.offsets, "{precision} x{threads}");
-                assert_eq!(got.members, want.members, "{precision} x{threads}");
+                // The global runtime, and a private one as the server uses.
+                for got in [
+                    IvfIndex::build(&store, threads),
+                    IvfIndex::build_on(&Runtime::new(threads), &store, threads),
+                ] {
+                    assert_eq!(got.centroids, want.centroids, "{precision} x{threads}");
+                    assert_eq!(got.offsets, want.offsets, "{precision} x{threads}");
+                    assert_eq!(got.members, want.members, "{precision} x{threads}");
+                }
             }
         }
     }
@@ -1161,6 +1414,214 @@ mod tests {
         assert_eq!(client.query(&q, 8, 3, 0).unwrap()[0].len(), 3);
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    /// A server on an ephemeral loopback port, running on a thread of its
+    /// own: its address, its shared state, and that thread.
+    fn spawn_server(
+        store: EmbeddingStore,
+        cfg: ServeConfig,
+    ) -> (SocketAddr, Weak<Shared>, JoinHandle<io::Result<()>>) {
+        let server = Server::bind(store, "127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_addr().unwrap();
+        let shared = Arc::downgrade(&server.shared);
+        (addr, shared, std::thread::spawn(move || server.run()))
+    }
+
+    /// Poll `cond` every 10 ms until it holds or `within` has passed.
+    fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
+        let t0 = Instant::now();
+        while !cond() {
+            if t0.elapsed() > within {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        true
+    }
+
+    /// Exact requests are answered while the IVF build is held back. An
+    /// IVF request sent before them, on a connection of its own, waits for
+    /// the build and then gets the bits of an in-process build + search.
+    #[test]
+    fn ivf_requests_wait_for_a_held_build_and_exact_ones_do_not() {
+        let m = Embedding::random(500, 12, 8);
+        let (k, nprobe) = (7, 3);
+        for precision in [Precision::F32, Precision::F16, Precision::I8] {
+            for threads in [1, 3] {
+                let store = store_from(&m, precision, "held-build");
+                let queries = pick_queries(&store, 6);
+                let ivf = IvfIndex::build(&store, threads);
+                let want_ivf = search_batch(&store, Some(&ivf), &queries, k, nprobe, threads);
+                let want_exact = search_batch(&store, None, &queries, k, 0, threads);
+                let gate: &'static Barrier = Box::leak(Box::new(Barrier::new(2)));
+                let cfg = ServeConfig {
+                    threads,
+                    build_gate: Some(gate),
+                    ..Default::default()
+                };
+                let (addr, _, server) = spawn_server(store, cfg);
+
+                let stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_millis(200)))
+                    .unwrap();
+                let mut waiting = FramedConn::from_stream(stream.try_clone().unwrap()).unwrap();
+                let request = QueryRequest {
+                    k: k as u32,
+                    nprobe: nprobe as u32,
+                    dim: 12,
+                    queries: queries.clone(),
+                };
+                waiting.send(TAG_QUERY, &request.encode()).unwrap();
+
+                let mut client = ServeClient::connect(addr).unwrap();
+                assert_eq!(client.query(&queries, 12, k, 0).unwrap(), want_exact);
+                let held = waiting.recv().unwrap_err();
+                assert!(held.detail.contains("timed out"), "{held}");
+
+                stream.set_read_timeout(None).unwrap();
+                gate.wait();
+                let (tag, body) = waiting.recv().unwrap();
+                assert_eq!(tag, TAG_HITS, "{}", String::from_utf8_lossy(&body));
+                assert_eq!(
+                    decode_hits(&body).unwrap(),
+                    want_ivf,
+                    "{precision} x{threads}"
+                );
+                client.shutdown().unwrap();
+                server.join().unwrap().unwrap();
+            }
+        }
+    }
+
+    /// The regression for the accept loop that served one connection to
+    /// completion before accepting the next: with a client connected and
+    /// silent, another is served, and the silent one is still connected.
+    #[test]
+    fn an_idle_client_does_not_hold_up_another() {
+        let m = Embedding::random(200, 8, 3);
+        let store = store_from(&m, Precision::F32, "idle");
+        let q = m.row(9).to_vec();
+        let want = search_exact(&store, &q, 3);
+        let (addr, _, server) = spawn_server(store, ServeConfig::default());
+
+        let mut idle = ServeClient::connect(addr).unwrap();
+        assert_eq!(idle.query(&q, 8, 3, 0).unwrap()[0], want);
+        let mut other = ServeClient::connect(addr).unwrap();
+        assert_eq!(other.query(&q, 8, 3, 0).unwrap()[0], want);
+        assert_eq!(other.query(&q, 8, 3, 2).unwrap()[0].len(), 3);
+        assert_eq!(idle.query(&q, 8, 3, 0).unwrap()[0], want);
+        other.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    /// `SHUTDOWN` with an idle client connected: `run` shuts the idle
+    /// socket instead of waiting out its read timeout, and no connection
+    /// thread outlives it.
+    #[test]
+    fn shutdown_with_an_idle_client_connected_returns_promptly() {
+        let m = Embedding::random(100, 8, 2);
+        let (addr, shared, server) = spawn_server(
+            store_from(&m, Precision::F32, "stop"),
+            ServeConfig::default(),
+        );
+        let q = m.row(0).to_vec();
+        let mut idle = ServeClient::connect(addr).unwrap();
+        idle.query(&q, 8, 2, 0).unwrap();
+
+        let t0 = Instant::now();
+        ServeClient::connect(addr).unwrap().shutdown().unwrap();
+        server.join().unwrap().unwrap();
+        assert!(t0.elapsed() < READ_TIMEOUT, "run took {:?}", t0.elapsed());
+        assert!(
+            shared.upgrade().is_none(),
+            "a connection thread outlived run"
+        );
+        assert!(idle.query(&q, 8, 2, 0).is_err());
+    }
+
+    /// Connection `MAX_CONNECTIONS + 1` gets a typed "server busy" error
+    /// while the others keep answering, and a slot given back is reused.
+    #[test]
+    fn one_connection_past_the_bound_is_turned_away() {
+        let m = Embedding::random(100, 4, 6);
+        let store = store_from(&m, Precision::F32, "busy");
+        let q = m.row(1).to_vec();
+        let want = search_exact(&store, &q, 2);
+        let (addr, shared, server) = spawn_server(store, ServeConfig::default());
+        let live = || shared.upgrade().map_or(0, |s| s.live());
+
+        let mut clients: Vec<ServeClient> = (0..MAX_CONNECTIONS)
+            .map(|_| ServeClient::connect(addr).unwrap())
+            .collect();
+        for c in &mut clients {
+            assert_eq!(c.query(&q, 4, 2, 0).unwrap()[0], want);
+        }
+        let err = ServeClient::connect(addr)
+            .unwrap()
+            .query(&q, 4, 2, 0)
+            .unwrap_err();
+        assert_eq!(err.tag, Some(TAG_ERROR), "{err}");
+        assert!(err.detail.contains("server busy"), "{err}");
+        for c in &mut clients {
+            assert_eq!(c.query(&q, 4, 2, 0).unwrap()[0], want);
+        }
+
+        drop(clients.pop());
+        assert!(eventually(Duration::from_secs(5), || live() == MAX_CONNECTIONS - 1));
+        let mut next = ServeClient::connect(addr).unwrap();
+        assert_eq!(next.query(&q, 4, 2, 0).unwrap()[0], want);
+        next.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    /// A peer that stalls inside a frame header and one that stops reading
+    /// its replies are each dropped after a timeout, giving back their
+    /// slots, while another client is served throughout.
+    #[test]
+    fn stalled_peers_are_dropped_and_their_slots_returned() {
+        let m = Embedding::random(2000, 4, 12);
+        let store = store_from(&m, Precision::F32, "stalled");
+        let q = m.row(0).to_vec();
+        let want = search_exact(&store, &q, 3);
+        let cfg = ServeConfig {
+            verbose: true,
+            ..Default::default()
+        };
+        let (addr, shared, server) = spawn_server(store, cfg);
+        let live = || shared.upgrade().map_or(0, |s| s.live());
+
+        // Six bytes of a twelve-byte header, then silence.
+        let mut half = TcpStream::connect(addr).unwrap();
+        half.write_all(&[TAG_QUERY as u8, 0, 0, 0, 64, 0]).unwrap();
+        // Thirty-two requests for 1 MB replies, none of them read: more
+        // than the loopback socket buffers hold.
+        let mut deaf = FramedConn::connect(addr).unwrap();
+        let request = QueryRequest {
+            k: 2000,
+            nprobe: 0,
+            dim: 4,
+            queries: m.as_slice()[..64 * 4].to_vec(),
+        };
+        for _ in 0..32 {
+            deaf.send(TAG_QUERY, &request.encode()).unwrap();
+        }
+
+        let mut client = ServeClient::connect(addr).unwrap();
+        let served = eventually(READ_TIMEOUT * 4, || {
+            assert_eq!(client.query(&q, 4, 3, 0).unwrap()[0], want);
+            live() == 1
+        });
+        assert!(served, "{} connections still live", live());
+        half.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(half.read(&mut [0u8; 1]).unwrap(), 0, "not closed");
+        // Cut off mid-stream by the write timeout, not served to the end.
+        let replies = std::iter::from_fn(|| deaf.recv().ok()).count();
+        assert!(replies < 32, "all {replies} replies were written");
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
     }
 
     #[test]

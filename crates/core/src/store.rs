@@ -38,7 +38,7 @@
 //! input is an [`io::ErrorKind::InvalidData`] error, never a panic.
 
 use std::fs::File;
-use std::io::{self, BufWriter, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::path::Path;
 
 use crate::model::Embedding;
@@ -144,7 +144,9 @@ fn encode_payload(m: &Embedding, precision: Precision) -> Vec<u8> {
     payload
 }
 
-/// Write `m` to `path` as a versioned, checksummed `.embin` store.
+/// Write `m` to `path` as a versioned, checksummed `.embin` store. The
+/// file is replaced whole ([`gosh_runtime::replace_file`]), so a server
+/// that has the old store mapped keeps reading the old rows.
 pub fn write_store(path: impl AsRef<Path>, m: &Embedding, precision: Precision) -> io::Result<()> {
     let payload = encode_payload(m, precision);
     let mut header = [0u8; EMBIN_HEADER_BYTES];
@@ -156,10 +158,10 @@ pub fn write_store(path: impl AsRef<Path>, m: &Embedding, precision: Precision) 
     header[24..32].copy_from_slice(&(m.dim() as u64).to_le_bytes());
     header[32..40].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
 
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&header)?;
-    w.write_all(&payload)?;
-    w.flush()
+    gosh_runtime::replace_file(path, |w| {
+        w.write_all(&header)?;
+        w.write_all(&payload)
+    })
 }
 
 /// The bytes backing an open store: a read-only private mmap when the
@@ -539,8 +541,9 @@ impl EmbeddingStore {
 
 /// Write `m` to `path` as the text embedding: a header line `n d`, then
 /// one line `v x_0 … x_{d-1}` per row, each coordinate byte-for-byte
-/// what `format!("{x:.6}")` prints (see [`push_coord`]). Every error,
-/// from creating the file to the final flush, names `path`.
+/// what `format!("{x:.6}")` prints (see [`push_coord`]). The file is
+/// replaced whole ([`gosh_runtime::replace_file`]), and every error, from
+/// creating the file to the final rename, names `path`.
 ///
 /// Hand-rolled because the `format!` writer (a `String` per coordinate,
 /// then a `Vec<String>` and a `join` per row) was most of the time `gosh
@@ -549,15 +552,10 @@ impl EmbeddingStore {
 /// Rows stream through one reused line buffer, so the whole file is
 /// never held in memory.
 pub fn write_text(path: impl AsRef<Path>, m: &Embedding) -> io::Result<()> {
-    let path = path.as_ref();
-    let named = |doing: &str, e: io::Error| {
-        io::Error::new(e.kind(), format!("{doing} {}: {e}", path.display()))
-    };
-    let file = File::create(path).map_err(|e| named("creating", e))?;
-    write_text_rows(BufWriter::new(file), m).map_err(|e| named("writing", e))
+    gosh_runtime::replace_file(path, |w| write_text_rows(w, m))
 }
 
-fn write_text_rows(mut w: impl Write, m: &Embedding) -> io::Result<()> {
+fn write_text_rows(w: &mut impl Write, m: &Embedding) -> io::Result<()> {
     writeln!(w, "{} {}", m.num_vertices(), m.dim())?;
     let mut line = Vec::new();
     for v in 0..m.num_vertices() as u32 {
@@ -666,7 +664,7 @@ mod tests {
     /// The writer [`write_text`] replaced: a `format!` per coordinate and
     /// a `join` per row. Kept as the reference its bytes must equal.
     fn write_text_reference(path: &Path, m: &Embedding) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
+        let mut w = std::io::BufWriter::new(File::create(path)?);
         writeln!(w, "{} {}", m.num_vertices(), m.dim())?;
         for v in 0..m.num_vertices() as u32 {
             let row: Vec<String> = m.row(v).iter().map(|x| format!("{x:.6}")).collect();
@@ -894,6 +892,32 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = EmbeddingStore::open(&path).unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+
+    /// Rewriting the path a live store maps (what `gosh update` does to a
+    /// store `gosh serve` is answering from) replaces the file instead of
+    /// truncating the mapped one: the old store keeps its rows bit for bit.
+    #[test]
+    fn rewriting_a_mapped_store_leaves_the_mapping_its_rows() {
+        let dir = TempDir::new("store-rewrite").unwrap();
+        let path = dir.join("live.embin");
+        let (old, new) = (Embedding::random(300, 8, 1), Embedding::random(40, 4, 2));
+        write_store(&path, &old, Precision::F32).unwrap();
+        let mapped = EmbeddingStore::open(&path).unwrap();
+        write_store(&path, &new, Precision::I8).unwrap();
+
+        let bits = |m: &Embedding| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&mapped.to_embedding()), bits(&old));
+        let fresh = EmbeddingStore::open(&path).unwrap();
+        assert_eq!(fresh.precision(), Precision::I8);
+        let mut want = new.as_slice().to_vec();
+        quantize_roundtrip(&mut want, 4, Precision::I8);
+        assert_eq!(
+            bits(&fresh.to_embedding()),
+            bits(&Embedding::from_vec(want, 40, 4))
+        );
+        let names: Vec<_> = std::fs::read_dir(dir.join("")).unwrap().collect();
+        assert_eq!(names.len(), 1, "a temp file was left behind");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 
 use gosh_core::model::Embedding;
 use gosh_core::quant::Precision;
-use gosh_core::serve::{cmp_best, search_batch, search_exact, Hit, IvfIndex};
+use gosh_core::serve::{
+    cmp_best, search_batch, search_exact, Hit, IvfIndex, ServeClient, ServeConfig, Server,
+};
 use gosh_core::store::{write_store, EmbeddingStore};
 use gosh_runtime::TempDir;
 use proptest::prelude::*;
@@ -150,5 +152,41 @@ proptest! {
         let exact = search_exact(&store, &q, k);
         let full = index.search(&store, &q, k, index.nlist());
         prop_assert_eq!(exact, full);
+    }
+
+    /// Over the wire, from the moment `bind` returns: an IVF client and an
+    /// exact client, on two connections at once, get the hits of an
+    /// in-process build and search bit for bit, whether or not the IVF
+    /// request arrived before the index was built.
+    #[test]
+    fn wire_answers_from_bind_equal_in_process_search(
+        n in 2usize..400,
+        dim in 1usize..20,
+        nq in 1usize..6,
+        k in 1usize..12,
+        threads in 1usize..=3,
+        seed in 0u64..u64::MAX,
+        pidx in 0usize..3,
+    ) {
+        let store = store_for(n, dim, precision_from(pidx), seed);
+        let queries = Embedding::random(nq, dim, seed ^ 0x7A11).as_slice().to_vec();
+        let index = IvfIndex::build(&store, threads);
+        let nprobe = (index.nlist() / 3).max(1);
+        let want_ivf = search_batch(&store, Some(&index), &queries, k, nprobe, threads);
+        let want_exact = search_batch(&store, None, &queries, k, 0, threads);
+
+        let cfg = ServeConfig { threads, ..Default::default() };
+        let server = Server::bind(store, "127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_addr().unwrap();
+        let running = std::thread::spawn(move || server.run());
+        let (ivf, exact) = std::thread::scope(|s| {
+            let ivf = s.spawn(|| ServeClient::connect(addr).unwrap().query(&queries, dim, k, nprobe));
+            let exact = s.spawn(|| ServeClient::connect(addr).unwrap().query(&queries, dim, k, 0));
+            (ivf.join().unwrap().unwrap(), exact.join().unwrap().unwrap())
+        });
+        ServeClient::connect(addr).unwrap().shutdown().unwrap();
+        running.join().unwrap().unwrap();
+        prop_assert_eq!(ivf, want_ivf);
+        prop_assert_eq!(exact, want_exact);
     }
 }

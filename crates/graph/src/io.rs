@@ -15,7 +15,7 @@
 //! one place.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufWriter, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 
 use crate::builder::GraphBuilder;
@@ -187,13 +187,13 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P) -> io::Result<LoadedGraph> {
 /// writing dense ids silently relabels the vertices of a SNAP/KONECT
 /// graph on round trip.
 pub fn write_edge_list<P: AsRef<Path>>(path: P, graph: &Csr) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    writeln!(w, "# gosh-rs edge list: {} vertices", graph.num_vertices())?;
-    for (u, v) in graph.undirected_edges() {
-        writeln!(w, "{u} {v}")?;
-    }
-    w.flush()
+    gosh_runtime::replace_file(path, |w| {
+        writeln!(w, "# gosh-rs edge list: {} vertices", graph.num_vertices())?;
+        for (u, v) in graph.undirected_edges() {
+            writeln!(w, "{u} {v}")?;
+        }
+        Ok(())
+    })
 }
 
 /// Write a graph as an edge list under its *original* file ids:
@@ -210,17 +210,17 @@ pub fn write_edge_list_with_ids<P: AsRef<Path>>(
         graph.num_vertices(),
         "one original id per vertex"
     );
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    writeln!(w, "# gosh-rs edge list: {} vertices", graph.num_vertices())?;
-    for (u, v) in graph.undirected_edges() {
-        writeln!(
-            w,
-            "{} {}",
-            original_ids[u as usize], original_ids[v as usize]
-        )?;
-    }
-    w.flush()
+    gosh_runtime::replace_file(path, |w| {
+        writeln!(w, "# gosh-rs edge list: {} vertices", graph.num_vertices())?;
+        for (u, v) in graph.undirected_edges() {
+            writeln!(
+                w,
+                "{} {}",
+                original_ids[u as usize], original_ids[v as usize]
+            )?;
+        }
+        Ok(())
+    })
 }
 
 impl LoadedGraph {
@@ -242,18 +242,18 @@ const BINARY_CHUNK: usize = 64 * 1024;
 /// matters when the experiment harness re-reads multi-million-edge
 /// graphs.
 pub fn write_binary<P: AsRef<Path>>(path: P, graph: &Csr) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    for &x in graph.xadj() {
-        w.write_all(&(x as u64).to_le_bytes())?;
-    }
-    for &u in graph.adj() {
-        w.write_all(&u.to_le_bytes())?;
-    }
-    w.flush()
+    gosh_runtime::replace_file(path, |w| {
+        w.write_all(BINARY_MAGIC)?;
+        w.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
+        w.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
+        for &x in graph.xadj() {
+            w.write_all(&(x as u64).to_le_bytes())?;
+        }
+        for &u in graph.adj() {
+            w.write_all(&u.to_le_bytes())?;
+        }
+        Ok(())
+    })
 }
 
 /// Load a graph written by [`write_binary`].

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 use crate::csr::{Csr, VertexId};
@@ -485,18 +485,19 @@ pub fn load_delta<P: AsRef<Path>>(path: P) -> io::Result<(Vec<RawDelta>, DeltaSt
 
 /// Write epochs in the delta format (each epoch `commit`-terminated).
 pub fn write_delta<P: AsRef<Path>>(path: P, epochs: &[RawDelta]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "# gosh-rs edge delta: {} epochs", epochs.len())?;
-    for epoch in epochs {
-        for &(u, v) in &epoch.ins {
-            writeln!(w, "+ {u} {v}")?;
+    gosh_runtime::replace_file(path, |w| {
+        writeln!(w, "# gosh-rs edge delta: {} epochs", epochs.len())?;
+        for epoch in epochs {
+            for &(u, v) in &epoch.ins {
+                writeln!(w, "+ {u} {v}")?;
+            }
+            for &(u, v) in &epoch.del {
+                writeln!(w, "- {u} {v}")?;
+            }
+            writeln!(w, "commit")?;
         }
-        for &(u, v) in &epoch.del {
-            writeln!(w, "- {u} {v}")?;
-        }
-        writeln!(w, "commit")?;
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// A [`RawDelta`] resolved into a graph's dense id space.

@@ -26,7 +26,8 @@
 //! interconnect (priced by [`transport::Interconnect`], the PCIe cost
 //! model generalized), reachable through the [`transport::Transport`]
 //! trait — an in-process channel mesh for tests and a TCP-loopback mesh
-//! that exercises real sockets.
+//! that exercises real sockets. Every file the workspace writes goes
+//! through [`replace_file`], so a reader never sees it half-written.
 //!
 //! Task model:
 //! - [`Runtime::run`] — a *team task*: the closure runs once on every
@@ -43,10 +44,12 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 mod pool;
+mod replace;
 mod tempdir;
 pub mod transport;
 
 pub use pool::{Runtime, WorkerCtx};
+pub use replace::replace_file;
 pub use tempdir::TempDir;
 
 use std::ops::Range;

@@ -399,7 +399,7 @@ impl FramedConn {
     /// Send one tagged frame.
     pub fn send(&mut self, tag: u32, payload: &[u8]) -> Result<(), TransportError> {
         write_frame(&mut self.writer, tag, payload)
-            .map_err(|e| TransportError::new("send", self.peer.clone(), Some(tag), e.to_string()))
+            .map_err(|e| TransportError::new("send", self.peer.clone(), Some(tag), detail(&e)))
     }
 
     /// Receive the next frame. A cleanly closed connection surfaces as
@@ -407,7 +407,7 @@ impl FramedConn {
     /// as routine can match on [`FramedConn::recv_opt`] instead.
     pub fn recv(&mut self) -> Result<(u32, Vec<u8>), TransportError> {
         read_frame(&mut self.reader, MAX_FRAME_BYTES)
-            .map_err(|e| TransportError::new("recv", self.peer.clone(), None, e.to_string()))
+            .map_err(|e| TransportError::new("recv", self.peer.clone(), None, detail(&e)))
     }
 
     /// Receive the next frame, mapping a clean EOF (the peer closed the
@@ -421,9 +421,18 @@ impl FramedConn {
                 "recv",
                 self.peer.clone(),
                 None,
-                e.to_string(),
+                detail(&e),
             )),
         }
+    }
+}
+
+/// An I/O error as a [`TransportError`] detail. A socket timeout (which
+/// Unix reports as `WouldBlock`) says that it timed out.
+fn detail(e: &io::Error) -> String {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => format!("timed out ({e})"),
+        _ => e.to_string(),
     }
 }
 

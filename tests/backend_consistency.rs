@@ -12,20 +12,33 @@ use gosh::graph::csr::Csr;
 use gosh::graph::gen::{community_graph, erdos_renyi, CommunityConfig};
 use gosh::graph::split::{train_test_split, SplitConfig};
 
-fn auc_for(g: &Csr, choice: BackendChoice, seed: u64) -> f64 {
+/// The AUC-parity tolerance between engines: Hogwild race noise.
+const PARITY_EPSILON: f64 = 0.08;
+
+/// Training seeds the parity bounds are averaged over. Hogwild threads
+/// make every run a fresh draw, so each bound is on the mean |ΔAUC| over
+/// these seeds, as in `precision_parity.rs`, not on one draw. Per draw
+/// over 20 seeds on a 2-core host, |ΔAUC| CPU vs device was
+/// 0.008 ± 0.005 (max 0.019) on the Erdős–Rényi graph and
+/// 0.003 ± 0.002 (max 0.006) on the community graph; partitioned vs
+/// in-memory was 0.017 ± 0.006 (max 0.027).
+const SEEDS: std::ops::Range<u64> = 1..4;
+
+fn auc_for(g: &Csr, choice: BackendChoice, split_seed: u64, seed: u64) -> f64 {
     let s = train_test_split(
         g,
         &SplitConfig {
             train_fraction: 0.8,
-            seed,
+            seed: split_seed,
         },
     );
     let device = Device::new(DeviceConfig::titan_x());
-    let cfg = GoshConfig::preset(Preset::Normal, false)
+    let mut cfg = GoshConfig::preset(Preset::Normal, false)
         .with_dim(16)
         .with_epochs(150)
         .with_threads(4)
         .with_backend(choice);
+    cfg.seed = seed;
     let (m, report) = embed(&s.train, &cfg, &device);
     let expected = match choice {
         BackendChoice::Cpu => BackendKind::CpuHogwild,
@@ -39,6 +52,36 @@ fn auc_for(g: &Csr, choice: BackendChoice, seed: u64) -> f64 {
     evaluate_link_prediction(&m, &s.train, &s.test_edges, &EvalConfig::default())
 }
 
+fn mean(xs: impl Iterator<Item = f64>) -> f64 {
+    xs.sum::<f64>() / SEEDS.count() as f64
+}
+
+/// Per-seed `(a, b)` AUC pairs of two engines: the mean |ΔAUC| must stay
+/// inside [`PARITY_EPSILON`]. Returns the two mean AUCs.
+fn assert_parity(what: &str, pairs: &[(f64, f64)]) -> (f64, f64) {
+    let gap = mean(pairs.iter().map(|(a, b)| (a - b).abs()));
+    assert!(
+        gap < PARITY_EPSILON,
+        "{what}: mean |AUC gap| {gap:.4} over seeds {SEEDS:?}: {pairs:?}"
+    );
+    (
+        mean(pairs.iter().map(|p| p.0)),
+        mean(pairs.iter().map(|p| p.1)),
+    )
+}
+
+/// CPU and device AUC for each seed of [`SEEDS`].
+fn cpu_gpu_pairs(g: &Csr, split_seed: u64) -> Vec<(f64, f64)> {
+    SEEDS
+        .map(|seed| {
+            (
+                auc_for(g, BackendChoice::Cpu, split_seed, seed),
+                auc_for(g, BackendChoice::Gpu, split_seed, seed),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn cpu_and_gpu_agree_on_seeded_erdos_renyi() {
     // A seeded 500-vertex Erdős–Rényi graph (average degree 12). Random
@@ -47,12 +90,7 @@ fn cpu_and_gpu_agree_on_seeded_erdos_renyi() {
     // is that the two engines land in the same place: same SGD, same
     // answer, tolerance only covering Hogwild race noise.
     let g = remove_isolated(&erdos_renyi(500, 3000, 42)).graph;
-    let auc_cpu = auc_for(&g, BackendChoice::Cpu, 42);
-    let auc_gpu = auc_for(&g, BackendChoice::Gpu, 42);
-    assert!(
-        (auc_cpu - auc_gpu).abs() < 0.08,
-        "cpu {auc_cpu} vs gpu {auc_gpu}"
-    );
+    assert_parity("cpu vs gpu", &cpu_gpu_pairs(&g, 42));
 }
 
 #[test]
@@ -60,14 +98,9 @@ fn cpu_and_gpu_both_learn_structured_graphs() {
     // On a graph with real structure the same tolerance must hold at a
     // *high* quality level — both engines learn, neither lags.
     let g = community_graph(&CommunityConfig::new(512, 8), 42);
-    let auc_cpu = auc_for(&g, BackendChoice::Cpu, 3);
-    let auc_gpu = auc_for(&g, BackendChoice::Gpu, 3);
+    let (auc_cpu, auc_gpu) = assert_parity("cpu vs gpu", &cpu_gpu_pairs(&g, 3));
     assert!(auc_cpu > 0.75, "cpu backend failed to learn: {auc_cpu}");
     assert!(auc_gpu > 0.75, "gpu backend failed to learn: {auc_gpu}");
-    assert!(
-        (auc_cpu - auc_gpu).abs() < 0.08,
-        "cpu {auc_cpu} vs gpu {auc_gpu}"
-    );
 }
 
 #[test]
@@ -75,9 +108,10 @@ fn partitioned_path_matches_in_memory_quality() {
     // A small graph forced through Algorithm 5 by a device whose memory
     // cannot hold the matrix (32 KB of embeddings vs a 12 KB device) must
     // reach link-prediction AUC within tolerance of the one-shot
-    // in-memory path: the partitioned pipeline changes *where* updates
-    // happen, not what is learned. Both engines start from the same
-    // seeded matrix and spend the same epoch budget (the rotation count
+    // in-memory path, as a mean over training seeds: the partitioned
+    // pipeline changes *where* updates happen, not what is learned. Both
+    // engines start from the same seeded matrix and spend the same epoch
+    // budget (the rotation count
     // e' = round(e·|E| / (B·K·|V|)) matches the positive-sample budget
     // by construction).
     use gosh::core::backend::{
@@ -95,39 +129,39 @@ fn partitioned_path_matches_in_memory_quality() {
         },
     );
     let n = s.train.num_vertices();
-    let params = TrainParams::adjacency(16, 3, 0.05, 150)
-        .with_threads(2)
-        .with_seed(9);
-
     let auc_of = |m: &Embedding| {
         evaluate_link_prediction(m, &s.train, &s.test_edges, &EvalConfig::default())
     };
 
-    let in_memory = GpuInMemory::new(
-        Device::new(DeviceConfig::titan_x()),
-        params,
-        KernelVariant::Auto,
-    );
-    assert!(in_memory.fits(&s.train));
-    let mut m_mem = Embedding::random(n, 16, 31);
-    in_memory.train_level(&s.train, &mut m_mem, LevelSchedule::single(150, 9));
+    let pairs: Vec<(f64, f64)> = SEEDS
+        .map(|seed| {
+            let params = TrainParams::adjacency(16, 3, 0.05, 150)
+                .with_threads(2)
+                .with_seed(seed);
+            let in_memory = GpuInMemory::new(
+                Device::new(DeviceConfig::titan_x()),
+                params,
+                KernelVariant::Auto,
+            );
+            assert!(in_memory.fits(&s.train));
+            let mut m_mem = Embedding::random(n, 16, 31);
+            in_memory.train_level(&s.train, &mut m_mem, LevelSchedule::single(150, seed));
 
-    let tiny = Device::new(DeviceConfig::tiny(12 * 1024));
-    let partitioned = GpuPartitioned::new(tiny.clone(), params, PartitionedOpts::default());
-    let mut m_part = Embedding::random(n, 16, 31);
-    let stats = partitioned.train_level(&s.train, &mut m_part, LevelSchedule::single(150, 9));
-    let report = stats.large.expect("partitioned backend must report");
-    assert!(report.num_parts >= 2, "device big enough to skip Alg. 5?");
-    assert_eq!(tiny.allocated_bytes(), 0, "partitioned path leaked");
+            let tiny = Device::new(DeviceConfig::tiny(12 * 1024));
+            let partitioned = GpuPartitioned::new(tiny.clone(), params, PartitionedOpts::default());
+            let mut m_part = Embedding::random(n, 16, 31);
+            let stats =
+                partitioned.train_level(&s.train, &mut m_part, LevelSchedule::single(150, seed));
+            let report = stats.large.expect("partitioned backend must report");
+            assert!(report.num_parts >= 2, "device big enough to skip Alg. 5?");
+            assert_eq!(tiny.allocated_bytes(), 0, "partitioned path leaked");
+            (auc_of(&m_mem), auc_of(&m_part))
+        })
+        .collect();
 
-    let auc_mem = auc_of(&m_mem);
-    let auc_part = auc_of(&m_part);
+    let (auc_mem, auc_part) = assert_parity("in-memory vs partitioned", &pairs);
     assert!(auc_mem > 0.75, "in-memory failed to learn: {auc_mem}");
     assert!(auc_part > 0.75, "partitioned failed to learn: {auc_part}");
-    assert!(
-        (auc_mem - auc_part).abs() < 0.08,
-        "in-memory {auc_mem} vs partitioned {auc_part}"
-    );
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! link-prediction evaluation.
 
 use gosh::core::config::{GoshConfig, Preset};
+use gosh::core::model::Embedding;
 use gosh::core::pipeline::embed;
 use gosh::eval::{evaluate_link_prediction, EvalConfig};
 use gosh::gpu::{Device, DeviceConfig};
@@ -29,29 +30,41 @@ fn gosh_beats_chance_by_a_wide_margin() {
     assert_eq!(device.allocated_bytes(), 0, "device memory leaked");
 }
 
+/// Training seeds the one-shot vs partitioned gap is averaged over: eight
+/// Hogwild threads make every run a fresh draw. Per draw over 20 seeds on
+/// a 2-core host, |ΔAUC| was 0.037 ± 0.011 (max 0.064; the partitioned
+/// run is the lower one); the bound is on the mean of these seeds.
+const SEEDS: std::ops::Range<u64> = 1..4;
+
 #[test]
 fn small_and_large_paths_reach_similar_quality() {
     let s = test_split(2048, 8, 2);
-    let cfg = GoshConfig::preset(Preset::Normal, false)
-        .with_dim(16)
-        .with_epochs(150)
-        .with_threads(8);
+    let auc = |m: &Embedding| {
+        evaluate_link_prediction(m, &s.train, &s.test_edges, &EvalConfig::default())
+    };
+    let mut gaps = Vec::new();
+    for seed in SEEDS {
+        let mut cfg = GoshConfig::preset(Preset::Normal, false)
+            .with_dim(16)
+            .with_epochs(150)
+            .with_threads(8);
+        cfg.seed = seed;
 
-    let big_device = Device::new(DeviceConfig::titan_x());
-    let (m_big, rep_big) = embed(&s.train, &cfg, &big_device);
-    assert!(rep_big.levels.iter().all(|l| !l.used_large_path));
+        let big_device = Device::new(DeviceConfig::titan_x());
+        let (m_big, rep_big) = embed(&s.train, &cfg, &big_device);
+        assert!(rep_big.levels.iter().all(|l| !l.used_large_path));
 
-    // Matrix is 2048·16·4 = 128 KB; a 40 KB device forces partitioning.
-    let tiny_device = Device::new(DeviceConfig::tiny(40 * 1024));
-    let (m_small, rep_small) = embed(&s.train, &cfg, &tiny_device);
-    assert!(rep_small.levels.iter().any(|l| l.used_large_path));
+        // Matrix is 2048·16·4 = 128 KB; a 40 KB device forces partitioning.
+        let tiny_device = Device::new(DeviceConfig::tiny(40 * 1024));
+        let (m_small, rep_small) = embed(&s.train, &cfg, &tiny_device);
+        assert!(rep_small.levels.iter().any(|l| l.used_large_path));
 
-    let auc_big = evaluate_link_prediction(&m_big, &s.train, &s.test_edges, &EvalConfig::default());
-    let auc_small =
-        evaluate_link_prediction(&m_small, &s.train, &s.test_edges, &EvalConfig::default());
+        gaps.push((auc(&m_big) - auc(&m_small)).abs());
+    }
+    let mean_gap = gaps.iter().sum::<f64>() / gaps.len() as f64;
     assert!(
-        (auc_big - auc_small).abs() < 0.12,
-        "one-shot {auc_big} vs partitioned {auc_small}"
+        mean_gap < 0.12,
+        "one-shot vs partitioned mean |AUC gap| {mean_gap:.4} over seeds {SEEDS:?}: {gaps:?}"
     );
 }
 
