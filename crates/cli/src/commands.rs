@@ -599,7 +599,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         Some(build) => {
             println!(
                 "serving {path} ({n} x {dim}, {precision}) on {local}, {} IVF lists (building)",
-                IvfIndex::default_nlist(n).min(n)
+                IvfIndex::default_nlist(n)
             );
             // Reports the build; exits with the process if it is still waiting.
             std::thread::spawn(move || {

@@ -67,7 +67,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gosh_runtime::transport::{FramedConn, TransportError};
-use gosh_runtime::Runtime;
 
 use crate::quant::{f16_bits_to_f32, Precision};
 use crate::simd::{QueryLanes, LANES};
@@ -370,23 +369,17 @@ pub struct IvfIndex {
 }
 
 impl IvfIndex {
-    /// Number of inverted lists for `n` rows.
+    /// Number of inverted lists [`IvfIndex::build`] makes for `n` rows:
+    /// ⌈√n⌉, which is never more than `n`.
     pub fn default_nlist(n: usize) -> usize {
         (n as f64).sqrt().ceil() as usize
     }
 
-    /// Build over every row of `store` using `threads` workers of the
-    /// global runtime.
+    /// Build over every row of `store` using `threads` workers.
     pub fn build(store: &EmbeddingStore, threads: usize) -> Self {
-        Self::build_on(gosh_runtime::global(), store, threads)
-    }
-
-    /// [`IvfIndex::build`] on the workers of `rt`: the same bits on any
-    /// runtime.
-    fn build_on(rt: &Runtime, store: &EmbeddingStore, threads: usize) -> Self {
         let n = store.num_vertices();
         let dim = store.dim();
-        let nlist = Self::default_nlist(n).min(n);
+        let nlist = Self::default_nlist(n);
         if n == 0 || nlist == 0 {
             return Self {
                 dim,
@@ -410,7 +403,7 @@ impl IvfIndex {
         let mut row = vec![0.0f32; dim];
         const LLOYD_ITERS: usize = 4;
         for _ in 0..LLOYD_ITERS {
-            assign_rows(rt, store, &centroids, threads, &mut assign);
+            assign_rows(store, &centroids, threads, &mut assign);
             // Accumulate sequentially in row id order: cheap next to the
             // parallel assignment, and it keeps float addition order —
             // hence the centroids — independent of the thread count.
@@ -438,7 +431,7 @@ impl IvfIndex {
                 }
             }
         }
-        assign_rows(rt, store, &centroids, threads, &mut assign);
+        assign_rows(store, &centroids, threads, &mut assign);
 
         // Counting-sort CSR: ascending row id inside each list because
         // the scatter walks ids in order.
@@ -507,18 +500,12 @@ impl IvfIndex {
 /// smaller centroid id). Pure per row, sharded contiguously — the
 /// result is independent of `threads`. The centroids are transposed
 /// once per pass into the lane-per-centroid blocks the kernel scans.
-fn assign_rows(
-    rt: &Runtime,
-    store: &EmbeddingStore,
-    centroids: &[f32],
-    threads: usize,
-    assign: &mut [u32],
-) {
+fn assign_rows(store: &EmbeddingStore, centroids: &[f32], threads: usize, assign: &mut [u32]) {
     let n = store.num_vertices();
     let dim = store.dim();
     let ct = crate::simd::transpose_centroids(centroids, dim);
     let shards = gosh_runtime::shard_ranges(n, threads.max(1));
-    let parts = rt.map_jobs(threads.max(1), shards.len(), |t| {
+    let parts = gosh_runtime::map_jobs(threads.max(1), shards.len(), |t| {
         let span = shards[t].clone();
         let mut out = Vec::with_capacity(span.len());
         let mut row = vec![0.0f32; dim];
@@ -721,9 +708,10 @@ pub struct ServeConfig {
     pub build_ivf: bool,
     /// Print per-connection lifecycle to stderr.
     pub verbose: bool,
-    /// Holds the IVF build back until the test meets it at the barrier.
+    /// Runs on the build thread before the IVF build: a test holds the
+    /// build back with it, or makes it fail.
     #[cfg(test)]
-    pub build_gate: Option<&'static std::sync::Barrier>,
+    pub build_gate: Option<fn()>,
 }
 
 impl Default for ServeConfig {
@@ -744,9 +732,8 @@ impl Default for ServeConfig {
 pub struct IndexBuild(Arc<OnceLock<Option<(IvfIndex, f64)>>>);
 
 impl IndexBuild {
-    /// Build over `store` on a new thread, on a private runtime of
-    /// `cfg.threads` workers (inline at 1), so a build pass never holds
-    /// the global runtime's launch lock while an exact batch waits for it.
+    /// Run [`IvfIndex::build`] over `store` with `cfg.threads` workers on
+    /// a new thread.
     fn start(store: Arc<EmbeddingStore>, cfg: &ServeConfig) -> io::Result<Self> {
         let built = Arc::new(OnceLock::new());
         let publish = built.clone();
@@ -756,18 +743,20 @@ impl IndexBuild {
         std::thread::Builder::new()
             .name("gosh-serve-ivf".into())
             .spawn(move || {
-                #[cfg(test)]
-                if let Some(gate) = gate {
-                    gate.wait();
-                }
-                let t0 = Instant::now();
-                let rt = Runtime::new(threads);
-                // A panicked build is published too: IVF requests then get
-                // an error instead of waiting forever.
+                // The whole body runs under `catch_unwind`, so the thread
+                // publishes on every path out: a panicked build as `None`,
+                // which IVF requests answer with an error instead of
+                // waiting forever.
                 let index = catch_unwind(AssertUnwindSafe(|| {
-                    IvfIndex::build_on(&rt, &store, threads)
+                    #[cfg(test)]
+                    if let Some(gate) = gate {
+                        gate();
+                    }
+                    let t0 = Instant::now();
+                    let ivf = IvfIndex::build(&store, threads);
+                    (ivf, t0.elapsed().as_secs_f64())
                 }));
-                let _ = publish.set(index.ok().map(|ivf| (ivf, t0.elapsed().as_secs_f64())));
+                let _ = publish.set(index.ok());
             })?;
         Ok(Self(built))
     }
@@ -1206,6 +1195,15 @@ mod tests {
         let want: Vec<u32> = (0..257).collect();
         assert_eq!(seen, want);
         assert_eq!(*ivf.offsets.last().unwrap(), 257);
+        // The count `gosh serve` announces before the build is the one
+        // it builds, down to one row.
+        for n in [1, 2, 3, 257] {
+            let store = store_from(&Embedding::random(n, 4, 3), Precision::F32, "nlist");
+            assert_eq!(
+                IvfIndex::build(&store, 2).nlist(),
+                IvfIndex::default_nlist(n)
+            );
+        }
     }
 
     #[test]
@@ -1289,15 +1287,10 @@ mod tests {
             let store = store_from(&m, precision, "ivf-reference");
             let want = reference_build(&store);
             for threads in [1, 3] {
-                // The global runtime, and a private one as the server uses.
-                for got in [
-                    IvfIndex::build(&store, threads),
-                    IvfIndex::build_on(&Runtime::new(threads), &store, threads),
-                ] {
-                    assert_eq!(got.centroids, want.centroids, "{precision} x{threads}");
-                    assert_eq!(got.offsets, want.offsets, "{precision} x{threads}");
-                    assert_eq!(got.members, want.members, "{precision} x{threads}");
-                }
+                let got = IvfIndex::build(&store, threads);
+                assert_eq!(got.centroids, want.centroids, "{precision} x{threads}");
+                assert_eq!(got.offsets, want.offsets, "{precision} x{threads}");
+                assert_eq!(got.members, want.members, "{precision} x{threads}");
             }
         }
     }
@@ -1445,6 +1438,8 @@ mod tests {
     /// the build and then gets the bits of an in-process build + search.
     #[test]
     fn ivf_requests_wait_for_a_held_build_and_exact_ones_do_not() {
+        // The build thread and the test meet here; one server at a time.
+        static GATE: Barrier = Barrier::new(2);
         let m = Embedding::random(500, 12, 8);
         let (k, nprobe) = (7, 3);
         for precision in [Precision::F32, Precision::F16, Precision::I8] {
@@ -1454,10 +1449,11 @@ mod tests {
                 let ivf = IvfIndex::build(&store, threads);
                 let want_ivf = search_batch(&store, Some(&ivf), &queries, k, nprobe, threads);
                 let want_exact = search_batch(&store, None, &queries, k, 0, threads);
-                let gate: &'static Barrier = Box::leak(Box::new(Barrier::new(2)));
                 let cfg = ServeConfig {
                     threads,
-                    build_gate: Some(gate),
+                    build_gate: Some(|| {
+                        GATE.wait();
+                    }),
                     ..Default::default()
                 };
                 let (addr, _, server) = spawn_server(store, cfg);
@@ -1481,7 +1477,7 @@ mod tests {
                 assert!(held.detail.contains("timed out"), "{held}");
 
                 stream.set_read_timeout(None).unwrap();
-                gate.wait();
+                GATE.wait();
                 let (tag, body) = waiting.recv().unwrap();
                 assert_eq!(tag, TAG_HITS, "{}", String::from_utf8_lossy(&body));
                 assert_eq!(
@@ -1493,6 +1489,28 @@ mod tests {
                 server.join().unwrap().unwrap();
             }
         }
+    }
+
+    /// A build that panics is published as failed: IVF requests get an
+    /// error frame instead of waiting forever, and exact ones still work.
+    #[test]
+    fn a_failed_build_answers_ivf_requests_with_an_error() {
+        let m = Embedding::random(100, 8, 4);
+        let cfg = ServeConfig {
+            build_gate: Some(|| panic!("IVF build fails on purpose")),
+            ..Default::default()
+        };
+        let store = store_from(&m, Precision::F32, "failed-build");
+        let q = m.row(3).to_vec();
+        let want = search_exact(&store, &q, 3);
+        let (addr, _, server) = spawn_server(store, cfg);
+        let mut client = ServeClient::connect(addr).unwrap();
+        let err = client.query(&q, 8, 3, 2).unwrap_err();
+        assert_eq!(err.tag, Some(TAG_ERROR), "{err}");
+        assert!(err.detail.contains("build failed"), "{err}");
+        assert_eq!(client.query(&q, 8, 3, 0).unwrap()[0], want);
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
     }
 
     /// The regression for the accept loop that served one connection to

@@ -57,17 +57,17 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// Per-seed `(a, b)` AUC pairs of two engines: the mean |ΔAUC| must stay
-/// inside [`PARITY_EPSILON`]. Returns the two mean AUCs.
+/// inside [`PARITY_EPSILON`]. Returns each engine's lowest AUC over the
+/// seeds, for a learn floor that every draw must clear (the lowest draw
+/// of the community-graph tests over 20 runs on a 2-core host: 0.871).
 fn assert_parity(what: &str, pairs: &[(f64, f64)]) -> (f64, f64) {
     let gap = mean(pairs.iter().map(|(a, b)| (a - b).abs()));
     assert!(
         gap < PARITY_EPSILON,
         "{what}: mean |AUC gap| {gap:.4} over seeds {SEEDS:?}: {pairs:?}"
     );
-    (
-        mean(pairs.iter().map(|p| p.0)),
-        mean(pairs.iter().map(|p| p.1)),
-    )
+    let lowest = |auc: fn(&(f64, f64)) -> f64| pairs.iter().map(auc).fold(f64::INFINITY, f64::min);
+    (lowest(|p| p.0), lowest(|p| p.1))
 }
 
 /// CPU and device AUC for each seed of [`SEEDS`].
@@ -98,9 +98,9 @@ fn cpu_and_gpu_both_learn_structured_graphs() {
     // On a graph with real structure the same tolerance must hold at a
     // *high* quality level — both engines learn, neither lags.
     let g = community_graph(&CommunityConfig::new(512, 8), 42);
-    let (auc_cpu, auc_gpu) = assert_parity("cpu vs gpu", &cpu_gpu_pairs(&g, 3));
-    assert!(auc_cpu > 0.75, "cpu backend failed to learn: {auc_cpu}");
-    assert!(auc_gpu > 0.75, "gpu backend failed to learn: {auc_gpu}");
+    let (min_cpu, min_gpu) = assert_parity("cpu vs gpu", &cpu_gpu_pairs(&g, 3));
+    assert!(min_cpu > 0.75, "cpu backend failed to learn: {min_cpu}");
+    assert!(min_gpu > 0.75, "gpu backend failed to learn: {min_gpu}");
 }
 
 #[test]
@@ -159,9 +159,9 @@ fn partitioned_path_matches_in_memory_quality() {
         })
         .collect();
 
-    let (auc_mem, auc_part) = assert_parity("in-memory vs partitioned", &pairs);
-    assert!(auc_mem > 0.75, "in-memory failed to learn: {auc_mem}");
-    assert!(auc_part > 0.75, "partitioned failed to learn: {auc_part}");
+    let (min_mem, min_part) = assert_parity("in-memory vs partitioned", &pairs);
+    assert!(min_mem > 0.75, "in-memory failed to learn: {min_mem}");
+    assert!(min_part > 0.75, "partitioned failed to learn: {min_part}");
 }
 
 #[test]
