@@ -6,9 +6,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gosh_coarsen::build::build_coarse_sequential;
-use gosh_coarsen::fused::{build_fused, CoarsenWorkspace};
+use gosh_coarsen::fused::{build_fused, map_fused, CoarsenWorkspace};
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
-use gosh_coarsen::parallel::map_parallel;
 use gosh_coarsen::sequential::map_sequential;
 use gosh_core::model::{Embedding, SharedMatrix};
 use gosh_core::train_cpu::{fused_update, train_cpu};
@@ -84,7 +83,8 @@ fn bench_coarsening(c: &mut Criterion) {
         b.iter(|| map_sequential(black_box(&g)));
     });
     group.bench_function("parallel_8t", |b| {
-        b.iter(|| map_parallel(black_box(&g), 8));
+        let mut ws = CoarsenWorkspace::new();
+        b.iter(|| map_fused(black_box(&g), 8, &mut ws));
     });
     group.finish();
 

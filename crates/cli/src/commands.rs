@@ -4,7 +4,7 @@ use std::io::Write;
 use std::time::Instant;
 
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
-use gosh_core::backend::BackendChoice;
+use gosh_core::backend::{BackendChoice, BackendKind};
 use gosh_core::config::{GoshConfig, PrecisionSchedule, Preset};
 use gosh_core::distrib::{embed_distributed, DistribConfig, TransportKind};
 use gosh_core::model::Embedding;
@@ -330,9 +330,9 @@ pub fn coarsen(args: &[String]) -> Result<(), String> {
 }
 
 /// Shared by `embed` and `eval`: run GOSH on `g`. Returns the embedding,
-/// the wall seconds, and the configured storage precision (so `embed`
-/// can write the `.embin` store at the precision the run trained with).
-fn run_gosh(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, Precision), String> {
+/// the wall seconds, and the configuration (so `embed` can write the
+/// `.embin` store at the precision the run trained with).
+fn run_gosh(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, GoshConfig), String> {
     let (cfg, device) = build_config(p)?;
     let t0 = Instant::now();
     let (m, report) = gosh_embed(g, &cfg, &device);
@@ -346,10 +346,34 @@ fn run_gosh(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, Precision), String> 
         report
             .levels
             .iter()
-            .filter(|l| l.backend == gosh_core::BackendKind::CpuHogwild)
+            .filter(|l| l.backend == BackendKind::CpuHogwild)
             .count()
     );
-    Ok((m, secs, cfg.precision))
+    Ok((m, secs, cfg))
+}
+
+/// Shared by `train` and `eval --nodes N`: run GOSH on `g` across a mesh
+/// of simulated nodes. Returns what [`run_gosh`] returns.
+fn run_distributed(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, GoshConfig), String> {
+    let (cfg, _device) = build_config(p)?;
+    let dcfg = parse_distrib(p)?;
+    let (m, report) = embed_distributed(g, &cfg, &dcfg).map_err(|e| e.to_string())?;
+    println!(
+        "trained on {} node(s): D = {} levels ({} sharded), {} exchanges, \
+         {:.1} MB on the wire, {:.3}s exchange stall ({:.2}s total)",
+        dcfg.nodes,
+        report.depth,
+        report
+            .levels
+            .iter()
+            .filter(|l| l.backend == BackendKind::Sharded)
+            .count(),
+        report.exchanges,
+        report.bytes_exchanged as f64 / (1024.0 * 1024.0),
+        report.exchange_stall_seconds,
+        report.total_seconds,
+    );
+    Ok((m, report.total_seconds, cfg))
 }
 
 /// Write both artifacts of an embedding run: the text format (kept for
@@ -370,34 +394,18 @@ pub fn embed(args: &[String]) -> Result<(), String> {
     let p = parse(args, PIPELINE_FLAGS)?;
     let g = load_graph(p.positional(0, "graph")?, &p)?;
     let out = p.positional(1, "output file")?;
-    let (m, _, precision) = run_gosh(&g, &p)?;
-    write_outputs(out, &m, precision)
+    let (m, _, cfg) = run_gosh(&g, &p)?;
+    write_outputs(out, &m, cfg.precision)
 }
 
 /// `gosh train <graph> <out.emb> --nodes N [...]`: embed across a mesh
-/// of simulated nodes (replicated coarse levels, delta-exchanged sharded
-/// fine levels) and write node 0's matrix.
+/// of simulated nodes (coarse levels trained once, delta-exchanged
+/// sharded fine levels) and write node 0's matrix.
 pub fn train(args: &[String]) -> Result<(), String> {
     let p = parse(args, &pipeline_and_distrib_flags())?;
     let g = load_graph(p.positional(0, "graph")?, &p)?;
     let out = p.positional(1, "output file")?;
-    let (cfg, _device) = build_config(&p)?;
-    let dcfg = parse_distrib(&p)?;
-    let (m, report) = embed_distributed(&g, &cfg, &dcfg).map_err(|e| e.to_string())?;
-    println!(
-        "trained on {} node(s): D = {} levels ({} sharded, {} replicated), \
-         {} exchanges, {:.1} MB on the wire, {:.3}s exchange stall, \
-         {:.0} updates/sec ({:.2}s total)",
-        report.nodes,
-        report.depth,
-        report.sharded_levels,
-        report.replicated_levels,
-        report.exchanges,
-        report.bytes_exchanged as f64 / (1024.0 * 1024.0),
-        report.exchange_stall_seconds,
-        report.updates_per_sec(),
-        report.total_seconds,
-    );
+    let (m, _, cfg) = run_distributed(&g, &p)?;
     write_outputs(out, &m, cfg.precision)
 }
 
@@ -413,28 +421,17 @@ pub fn eval(args: &[String]) -> Result<(), String> {
         split.train.num_undirected_edges(),
         split.test_edges.len()
     );
-    let dcfg = parse_distrib(&p)?;
-    let (m, secs, threads) = if dcfg.nodes > 1 {
-        let (cfg, _device) = build_config(&p)?;
-        let t0 = Instant::now();
-        let (m, report) =
-            embed_distributed(&split.train, &cfg, &dcfg).map_err(|e| e.to_string())?;
-        println!(
-            "embedded on {} nodes: D = {} levels, {} exchanges, {:.3}s exchange stall",
-            report.nodes, report.depth, report.exchanges, report.exchange_stall_seconds,
-        );
-        (m, t0.elapsed().as_secs_f64(), cfg.threads)
+    let (m, secs, cfg) = if parse_distrib(&p)?.nodes > 1 {
+        run_distributed(&split.train, &p)?
     } else {
-        let (m, secs, _) = run_gosh(&split.train, &p)?;
-        let threads = p.flag::<usize>("threads")?.unwrap_or_else(default_threads);
-        (m, secs, threads)
+        run_gosh(&split.train, &p)?
     };
     let auc = evaluate_link_prediction(
         &m,
         &split.train,
         &split.test_edges,
         &EvalConfig {
-            threads,
+            threads: cfg.threads,
             ..Default::default()
         },
     );
@@ -512,14 +509,7 @@ pub fn update(args: &[String]) -> Result<(), String> {
     // The old hierarchy the repair works from: recover it once from the
     // pre-delta graph (coarsening is cheap next to training).
     let t0 = Instant::now();
-    let h_old = coarsen_hierarchy(
-        g_old.clone(),
-        &CoarsenConfig {
-            threshold: wcfg.cfg.coarsen_threshold,
-            threads,
-            ..Default::default()
-        },
-    );
+    let h_old = coarsen_hierarchy(g_old.clone(), &wcfg.cfg.coarsen_config());
 
     // Apply the delta epochs in order — within one epoch deletion wins,
     // across epochs later lines see the earlier result — accumulating

@@ -7,14 +7,14 @@
 //! gosh coarsen <graph> [--threads N] [--threshold T]
 //! gosh embed <graph> <out.emb> [--dim D] [--preset P] [--epochs E]
 //!                              [--device-mb M] [--threads N]
-//!                              [--backend cpu|gpu|auto]
+//!                              [--backend cpu|gpu]
 //!                              [--precision f32|f16|i8]
 //!                              [--precision-schedule C:F[:V]]
 //! gosh train <graph> <out.emb> [--nodes N] [--transport channel|tcp]
 //!                              [--net-gbps G] [--exchange-every E]
 //!                              [--shard-min V] [+ embed's pipeline flags]
 //! gosh eval <graph> [--dim D] [--preset P] [--epochs E] [--device-mb M]
-//!                   [--backend cpu|gpu|auto] [--precision f32|f16|i8]
+//!                   [--backend cpu|gpu] [--precision f32|f16|i8]
 //!                   [--precision-schedule C:F[:V]] [+ train's node flags]
 //! gosh update <graph> <delta> <store.embin> <out.emb>
 //!                   [--threads N] [--preset P] [--epochs E] [--seed S]
@@ -80,14 +80,14 @@ USAGE:
   gosh coarsen <graph> [--threads N] [--threshold T]
   gosh embed <graph> <out.emb> [--dim D] [--preset P] [--epochs E]
                                [--device-mb M] [--threads N]
-                               [--backend cpu|gpu|auto]
+                               [--backend cpu|gpu]
                                [--precision f32|f16|i8]
                                [--precision-schedule C:F[:V]]
   gosh train <graph> <out.emb> [--nodes N] [--transport channel|tcp]
                                [--net-gbps G] [--exchange-every E]
                                [--shard-min V] [+ embed's pipeline flags]
   gosh eval <graph> [--dim D] [--preset P] [--epochs E] [--device-mb M]
-                    [--backend cpu|gpu|auto] [--precision f32|f16|i8]
+                    [--backend cpu|gpu] [--precision f32|f16|i8]
                     [--precision-schedule C:F[:V]] [+ train's node flags]
   gosh update <graph> <delta> <store.embin> <out.emb>
                     [--threads N] [--preset P] [--epochs E] [--seed S]
@@ -111,8 +111,8 @@ USAGE:
   --device-mb simulates a device with that much memory (default: 12288,
   the paper's Titan X); small values force the partitioned Algorithm 5.
   --backend selects the training engine chain: cpu forces the Hogwild
-  CPU trainer, gpu uses the device only, auto (default) prefers the
-  device and falls back per level.
+  CPU trainer, gpu (default) uses the device — in-memory when the level
+  fits, the partitioned Algorithm 5 path otherwise.
   --precision stores embedding rows as f32 (default, the bit-exact
   reference), f16, or i8 with a per-row scale; quantized rows are
   priced at their true byte width, so 2-4x larger graphs fit on the
@@ -122,8 +122,8 @@ USAGE:
   C, levels at or above V at precision F — e.g. f32:i8 spends full
   precision only where epochs concentrate.
   train runs the multi-node replica pipeline on --nodes N simulated
-  nodes: coarse levels (< --shard-min vertices) are replicated on
-  identical seeds at zero network cost, fine levels are sharded with a
+  nodes: coarse levels (< --shard-min vertices) are trained once and
+  handed to every node at zero network cost, fine levels are sharded with a
   delta exchange every --exchange-every epochs over --transport
   (in-process channels or TCP loopback), each copy charged through the
   modeled --net-gbps interconnect. --nodes 1 is bit-identical to the

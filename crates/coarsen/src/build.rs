@@ -4,14 +4,11 @@
 //! clusters `c != c'` iff some fine edge crosses them (multi-edges
 //! collapsed, self-loops dropped — the "MultiEdgeCollapse" in the name).
 //!
-//! The parallel version is the count/fill half of the fused pipeline in
-//! [`crate::fused`]: a prefix-summed provisional `xadj`, a per-thread
-//! adjacency scatter over vertex ranges, and stamp-dedup + sort per
-//! coarse vertex. It produces a CSR byte-identical to the sequential
-//! builder for any thread count (the sequential builder below is kept as
-//! the oracle that equality is tested against).
+//! The parallel version is the count/fill half of the fused pipeline,
+//! [`crate::fused::build_fused`]. It produces a CSR byte-identical to the
+//! sequential builder below for any thread count; this one is kept as
+//! the oracle that equality is tested against.
 
-use crate::fused::{build_fused, CoarsenWorkspace};
 use crate::mapping::Mapping;
 use gosh_graph::csr::{Csr, VertexId};
 
@@ -42,16 +39,10 @@ pub fn build_coarse_sequential(g: &Csr, mapping: &Mapping) -> Csr {
     Csr::from_raw(xadj, adj)
 }
 
-/// Parallel coarse-graph construction — the fused count/fill builder with
-/// a one-shot workspace. Hierarchy-building callers should use
-/// [`crate::fused::build_fused`] directly to reuse scratch across levels.
-pub fn build_coarse_parallel(g: &Csr, mapping: &Mapping, threads: usize) -> Csr {
-    build_fused(g, mapping, threads, &mut CoarsenWorkspace::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::{build_fused, map_fused, CoarsenWorkspace};
     use crate::sequential::map_sequential;
     use gosh_graph::builder::csr_from_edges;
     use gosh_graph::gen::{erdos_renyi, rmat, RmatConfig};
@@ -98,7 +89,7 @@ mod tests {
         let m = map_sequential(&g);
         let seq = build_coarse_sequential(&g, &m);
         for threads in [1, 2, 4, 8] {
-            let par = build_coarse_parallel(&g, &m, threads);
+            let par = build_fused(&g, &m, threads, &mut CoarsenWorkspace::new());
             assert_eq!(seq, par, "threads = {threads}");
         }
     }
@@ -106,8 +97,9 @@ mod tests {
     #[test]
     fn parallel_build_invariants() {
         let g = erdos_renyi(1000, 8000, 17);
-        let m = crate::parallel::map_parallel(&g, 4);
-        let c = build_coarse_parallel(&g, &m, 4);
+        let mut ws = CoarsenWorkspace::new();
+        let m = map_fused(&g, 4, &mut ws);
+        let c = build_fused(&g, &m, 4, &mut ws);
         check_coarse_invariants(&g, &m, &c);
     }
 
@@ -125,7 +117,7 @@ mod tests {
     fn empty_mapping_gives_empty_graph() {
         let g = Csr::empty(0);
         let m = map_sequential(&g);
-        let c = build_coarse_parallel(&g, &m, 2);
+        let c = build_fused(&g, &m, 2, &mut CoarsenWorkspace::new());
         assert_eq!(c.num_vertices(), 0);
     }
 }

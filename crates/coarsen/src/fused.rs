@@ -1,8 +1,8 @@
 //! The fused lock-free coarsening pipeline.
 //!
 //! One coarsening step used to be two passes with an intermediate
-//! representation: `map_parallel` produced a [`Mapping`], then
-//! `build_coarse_parallel` materialized per-cluster member lists
+//! representation: a parallel matcher produced a [`Mapping`], then a
+//! parallel builder materialized per-cluster member lists
 //! (`Mapping::members`, a full counting sort of |V|), gathered neighbour
 //! lists through that indirection into thread-private edge regions, and
 //! stitched the regions together under a mutex. Every level also
@@ -512,5 +512,105 @@ mod tests {
         assert_eq!(m.num_clusters(), 7);
         assert_eq!(c.num_vertices(), 7);
         assert_eq!(c.num_edges(), 0);
+    }
+
+    #[test]
+    fn single_thread_matches_star() {
+        let g = csr_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let m = map_fused(&g, 1, &mut CoarsenWorkspace::new());
+        assert_eq!(m.num_clusters(), 1);
+    }
+
+    #[test]
+    fn all_vertices_mapped_multithreaded() {
+        let g = rmat(&RmatConfig::graph500(12, 8.0), 3);
+        for threads in [2, 4, 8] {
+            let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
+            assert_eq!(m.num_fine(), g.num_vertices());
+            assert!(m
+                .as_slice()
+                .iter()
+                .all(|&c| (c as usize) < m.num_clusters()));
+        }
+    }
+
+    #[test]
+    fn cluster_members_are_connected_to_hub() {
+        // Every cluster of size > 1 must be a star around its hub: members
+        // were claimed through an edge of the hub.
+        let g = rmat(&RmatConfig::graph500(10, 6.0), 5);
+        let m = map_fused(&g, 4, &mut CoarsenWorkspace::new());
+        let (offsets, members) = m.members();
+        for c in 0..m.num_clusters() {
+            let mem = &members[offsets[c]..offsets[c + 1]];
+            if mem.len() <= 1 {
+                continue;
+            }
+            // Find a member adjacent to all other members (the hub).
+            let hub_exists = mem.iter().any(|&h| {
+                mem.iter()
+                    .filter(|&&x| x != h)
+                    .all(|&x| g.neighbors(h).contains(&x))
+            });
+            assert!(hub_exists, "cluster {c} is not hub-centered: {mem:?}");
+        }
+    }
+
+    #[test]
+    fn shrink_comparable_to_sequential() {
+        // §4.4: "a negligible difference regarding the quality of graphs
+        // generated by the two algorithms". The 8-thread CAS matching is
+        // a race, so bound the mean over graphs, not one draw. Measured
+        // on 2 cores, 40 draws on each of eight graphs: one draw's
+        // |par/seq - 1| is 0-0.13 on an idle host, but 0-0.45 with two
+        // busy threads beside it (a preempted claimer leaves its star
+        // unmatched; about one draw in seven lands at 0.28-0.45), while
+        // each graph's mean stays at or below 0.11 either way.
+        let seeds = 7..17u64;
+        let mut total = 0.0;
+        for seed in seeds.clone() {
+            let g = rmat(&RmatConfig::graph500(12, 8.0), seed);
+            let seq = map_sequential(&g).num_clusters() as f64;
+            let par = map_fused(&g, 8, &mut CoarsenWorkspace::new()).num_clusters() as f64;
+            total += (par / seq - 1.0).abs();
+        }
+        let mean = total / seeds.count() as f64;
+        assert!(
+            mean < 0.35,
+            "mean |parallel / sequential clusters - 1| = {mean}"
+        );
+    }
+
+    #[test]
+    fn hub_hub_merges_still_forbidden() {
+        let mut edges = vec![];
+        for leaf in 2..16u32 {
+            edges.push((0, leaf));
+        }
+        for leaf in 16..30u32 {
+            edges.push((1, leaf));
+        }
+        edges.push((0, 1));
+        let g = csr_from_edges(30, &edges);
+        for _ in 0..8 {
+            let m = map_fused(&g, 4, &mut CoarsenWorkspace::new());
+            assert_ne!(m.cluster_of(0), m.cluster_of(1));
+        }
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = Csr::empty(0);
+        assert_eq!(
+            map_fused(&g, 4, &mut CoarsenWorkspace::new()).num_clusters(),
+            0
+        );
+    }
+
+    #[test]
+    fn isolated_vertices_are_singletons() {
+        let g = Csr::empty(7);
+        let m = map_fused(&g, 3, &mut CoarsenWorkspace::new());
+        assert_eq!(m.num_clusters(), 7);
     }
 }

@@ -18,9 +18,10 @@
 //! The parallel path is the fused lock-free pipeline of [`fused`]: one
 //! pass produces the mapping *and* the coarse CSR on reusable level-sized
 //! scratch ([`fused::CoarsenWorkspace`]), replacing the old
-//! match-then-rebuild two-pass design. [`parallel::map_parallel`] and
-//! [`build::build_coarse_parallel`] remain as one-shot wrappers around
-//! its two halves.
+//! match-then-rebuild two-pass design. Callers of either half on its own
+//! ([`fused::map_fused`], [`fused::build_fused`]) pass a workspace too;
+//! [`sequential`] and [`build::build_coarse_sequential`] are the exact
+//! Algorithm 4 oracles.
 
 pub mod build;
 pub mod fused;
@@ -28,7 +29,6 @@ pub mod hierarchy;
 pub mod mapping;
 pub mod mile;
 pub mod order;
-pub mod parallel;
 pub mod repair;
 pub mod sequential;
 

@@ -1,10 +1,9 @@
 //! Property-based tests: coarsening invariants over randomized graphs.
 
-use gosh_coarsen::build::{build_coarse_parallel, build_coarse_sequential};
-use gosh_coarsen::fused::{build_fused, coarsen_step_fused, CoarsenWorkspace};
+use gosh_coarsen::build::build_coarse_sequential;
+use gosh_coarsen::fused::{build_fused, coarsen_step_fused, map_fused, CoarsenWorkspace};
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
 use gosh_coarsen::mapping::UNMAPPED;
-use gosh_coarsen::parallel::map_parallel;
 use gosh_coarsen::sequential::map_sequential;
 use gosh_graph::builder::csr_from_edges;
 use gosh_graph::csr::Csr;
@@ -64,7 +63,7 @@ proptest! {
     #[test]
     fn parallel_mapping_is_total_and_compact((n, edges) in edge_list(), threads in 1usize..5) {
         let g = csr_from_edges(n, &edges);
-        let m = map_parallel(&g, threads);
+        let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
         prop_assert_eq!(m.num_fine(), n);
         let k = m.num_clusters();
         let mut used = vec![false; k];
@@ -98,7 +97,7 @@ proptest! {
         let g = csr_from_edges(n, &edges);
         let m = map_sequential(&g);
         let seq = build_coarse_sequential(&g, &m);
-        let par = build_coarse_parallel(&g, &m, threads);
+        let par = build_fused(&g, &m, threads, &mut CoarsenWorkspace::new());
         prop_assert_eq!(seq, par);
     }
 
@@ -132,7 +131,7 @@ proptest! {
         // cluster ids dense (every id in 0..k used, none out of range),
         // no matter how many threads raced over the claim CAS loop.
         let g = csr_from_edges(n, &edges);
-        let m = map_parallel(&g, threads);
+        let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
         prop_assert_eq!(m.num_fine(), n);
         let k = m.num_clusters();
         prop_assert!(k >= 1 || n == 0);
@@ -159,7 +158,7 @@ proptest! {
         // no small founder, would mean a hub claimed a hub directly.
         let g = csr_from_edges(n, &edges);
         let delta = g.density();
-        let m = map_parallel(&g, threads);
+        let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
         let (offsets, members) = m.members();
         for c in 0..m.num_clusters() {
             let mem = &members[offsets[c]..offsets[c + 1]];
@@ -192,7 +191,7 @@ proptest! {
         // produced by the racy parallel matcher, and including
         // workspace reuse between differently-shaped calls.
         let g = csr_from_edges(n, &edges);
-        let m = map_parallel(&g, map_threads);
+        let m = map_fused(&g, map_threads, &mut CoarsenWorkspace::new());
         let oracle = build_coarse_sequential(&g, &m);
         let mut ws = CoarsenWorkspace::new();
         for threads in [1usize, 2, 4, 8] {
@@ -250,9 +249,9 @@ proptest! {
         // build phase must be deterministic given its input even when
         // the input itself came from a nondeterministic race.
         let g = csr_from_edges(n, &edges);
-        let m = map_parallel(&g, map_threads);
+        let m = map_fused(&g, map_threads, &mut CoarsenWorkspace::new());
         let seq = build_coarse_sequential(&g, &m);
-        let par = build_coarse_parallel(&g, &m, build_threads);
+        let par = build_fused(&g, &m, build_threads, &mut CoarsenWorkspace::new());
         prop_assert_eq!(seq, par);
     }
 }

@@ -175,6 +175,17 @@ pub struct LevelSchedule {
 }
 
 impl LevelSchedule {
+    /// `base` with this level's epoch budget, seed and precision
+    /// override: the parameters an engine trains the level with.
+    pub fn params(&self, base: &TrainParams) -> TrainParams {
+        TrainParams {
+            epochs: self.epochs,
+            seed: self.seed,
+            precision: self.precision.unwrap_or(base.precision),
+            ..*base
+        }
+    }
+
     /// A single-level schedule — the whole budget on one graph, as the
     /// baselines and no-coarsening runs use.
     pub fn single(epochs: u32, seed: u64) -> Self {
@@ -196,6 +207,9 @@ pub enum BackendKind {
     GpuInMemory,
     /// Partitioned device training (Algorithm 5).
     GpuPartitioned,
+    /// Data-parallel training across the nodes of a mesh, reconciled by
+    /// delta exchange ([`crate::distrib`]).
+    Sharded,
 }
 
 /// What a backend reports back for one trained level.
@@ -229,17 +243,11 @@ pub trait TrainBackend {
 
 /// Device bytes needed to train graph + matrix resident on the device
 /// (Algorithm 2, line 5): the matrix, xadj, adj, and the arc-source
-/// schedule used by the edge-frequency epoch definition. Prices the
-/// matrix at full f32 width; see [`device_bytes_needed_prec`].
-pub fn device_bytes_needed(dim: usize, num_vertices: usize, num_arcs: usize) -> usize {
-    device_bytes_needed_prec(dim, num_vertices, num_arcs, Precision::F32)
-}
-
-/// [`device_bytes_needed`] with the embedding matrix priced at its true
-/// storage width: quantized rows shrink only the matrix term (the graph
-/// arrays stay full width), which is exactly what lets `--precision i8`
-/// keep a 4x-larger matrix resident.
-pub fn device_bytes_needed_prec(
+/// schedule used by the edge-frequency epoch definition. The matrix is
+/// priced at its true storage width: quantized rows shrink only the
+/// matrix term (the graph arrays stay full width), which is exactly what
+/// lets `--precision i8` keep a 4x-larger matrix resident.
+pub fn device_bytes_needed(
     dim: usize,
     num_vertices: usize,
     num_arcs: usize,
@@ -277,12 +285,7 @@ impl TrainBackend for CpuHogwild {
 
     fn train_level(&self, g: &Csr, emb: &mut Embedding, lvl: LevelSchedule) -> LevelStats {
         let t0 = Instant::now();
-        let params = TrainParams {
-            epochs: lvl.epochs,
-            seed: lvl.seed,
-            precision: lvl.precision.unwrap_or(self.params.precision),
-            ..self.params
-        };
+        let params = lvl.params(&self.params);
         train_cpu(g, emb, &params);
         LevelStats {
             backend: BackendKind::CpuHogwild,
@@ -320,7 +323,7 @@ impl TrainBackend for GpuInMemory {
     }
 
     fn fits(&self, g: &Csr) -> bool {
-        device_bytes_needed_prec(
+        device_bytes_needed(
             self.params.dim,
             g.num_vertices(),
             g.num_edges(),
@@ -330,12 +333,7 @@ impl TrainBackend for GpuInMemory {
 
     fn train_level(&self, g: &Csr, emb: &mut Embedding, lvl: LevelSchedule) -> LevelStats {
         let t0 = Instant::now();
-        let params = TrainParams {
-            epochs: lvl.epochs,
-            seed: lvl.seed,
-            precision: lvl.precision.unwrap_or(self.params.precision),
-            ..self.params
-        };
+        let params = lvl.params(&self.params);
         train_level_on_device(&self.device, g, emb, &params, self.variant)
             .expect("in-memory training failed to allocate on a level that fits");
         LevelStats {
@@ -381,12 +379,7 @@ impl TrainBackend for GpuPartitioned {
 
     fn train_level(&self, g: &Csr, emb: &mut Embedding, lvl: LevelSchedule) -> LevelStats {
         let t0 = Instant::now();
-        let params = TrainParams {
-            epochs: lvl.epochs,
-            seed: lvl.seed,
-            precision: lvl.precision.unwrap_or(self.params.precision),
-            ..self.params
-        };
+        let params = lvl.params(&self.params);
         let report = train_large(&self.device, g, emb, &params, &self.opts)
             .expect("partitioned training failed to allocate");
         LevelStats {
@@ -402,13 +395,10 @@ impl TrainBackend for GpuPartitioned {
 pub enum BackendChoice {
     /// Force CPU Hogwild on every level.
     Cpu,
-    /// Device only: in-memory when the level fits, Algorithm 5 otherwise.
-    Gpu,
-    /// The default policy: prefer the device (in-memory, then
-    /// partitioned), with CPU as a last-resort fallback should a future
-    /// device backend decline a level.
+    /// The default: in-memory on the device when the level fits,
+    /// Algorithm 5 otherwise.
     #[default]
-    Auto,
+    Gpu,
 }
 
 impl std::str::FromStr for BackendChoice {
@@ -417,8 +407,7 @@ impl std::str::FromStr for BackendChoice {
         match s {
             "cpu" => Ok(Self::Cpu),
             "gpu" => Ok(Self::Gpu),
-            "auto" => Ok(Self::Auto),
-            other => Err(format!("unknown backend `{other}` (cpu|gpu|auto)")),
+            other => Err(format!("unknown backend `{other}` (cpu|gpu)")),
         }
     }
 }
@@ -432,15 +421,12 @@ pub fn backends_for(
     variant: KernelVariant,
     opts: PartitionedOpts,
 ) -> Vec<Box<dyn TrainBackend>> {
-    let cpu = || Box::new(CpuHogwild::new(params)) as Box<dyn TrainBackend>;
-    let in_memory =
-        || Box::new(GpuInMemory::new(device.clone(), params, variant)) as Box<dyn TrainBackend>;
-    let partitioned =
-        || Box::new(GpuPartitioned::new(device.clone(), params, opts)) as Box<dyn TrainBackend>;
     match choice {
-        BackendChoice::Cpu => vec![cpu()],
-        BackendChoice::Gpu => vec![in_memory(), partitioned()],
-        BackendChoice::Auto => vec![in_memory(), partitioned(), cpu()],
+        BackendChoice::Cpu => vec![Box::new(CpuHogwild::new(params))],
+        BackendChoice::Gpu => vec![
+            Box::new(GpuInMemory::new(device.clone(), params, variant)),
+            Box::new(GpuPartitioned::new(device.clone(), params, opts)),
+        ],
     }
 }
 
@@ -516,7 +502,7 @@ mod tests {
     #[test]
     fn in_memory_fit_check_matches_byte_formula() {
         let g = community_graph(&CommunityConfig::new(256, 6), 1);
-        let needed = device_bytes_needed(16, g.num_vertices(), g.num_edges());
+        let needed = device_bytes_needed(16, g.num_vertices(), g.num_edges(), Precision::F32);
         let big = GpuInMemory::new(
             Device::new(DeviceConfig::tiny(needed)),
             TrainParams::adjacency(16, 3, 0.05, 1),
@@ -534,7 +520,7 @@ mod tests {
     #[test]
     fn device_bytes_formula_counts_all_arrays() {
         // 10 vertices, 20 arcs, d=8: 10*8*4 + 11*8 + 20*4 + 20*4 = 568.
-        assert_eq!(device_bytes_needed(8, 10, 20), 568);
+        assert_eq!(device_bytes_needed(8, 10, 20, Precision::F32), 568);
     }
 
     #[test]
@@ -558,24 +544,16 @@ mod tests {
             kinds(BackendChoice::Gpu),
             vec![BackendKind::GpuInMemory, BackendKind::GpuPartitioned]
         );
-        assert_eq!(
-            kinds(BackendChoice::Auto),
-            vec![
-                BackendKind::GpuInMemory,
-                BackendKind::GpuPartitioned,
-                BackendKind::CpuHogwild
-            ]
-        );
+        assert_eq!(BackendChoice::default(), BackendChoice::Gpu);
     }
 
     #[test]
     fn backend_choice_parses_from_cli_strings() {
         assert_eq!("cpu".parse::<BackendChoice>().unwrap(), BackendChoice::Cpu);
         assert_eq!("gpu".parse::<BackendChoice>().unwrap(), BackendChoice::Gpu);
-        assert_eq!(
-            "auto".parse::<BackendChoice>().unwrap(),
-            BackendChoice::Auto
-        );
-        assert!("tpu".parse::<BackendChoice>().is_err());
+        for bad in ["auto", "tpu"] {
+            let err = bad.parse::<BackendChoice>().unwrap_err();
+            assert!(err.contains("(cpu|gpu)"), "{err}");
+        }
     }
 }

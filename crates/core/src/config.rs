@@ -1,8 +1,8 @@
 //! GOSH configuration and the Table 3 presets.
 
-use gosh_gpu::DeviceConfig;
+use gosh_coarsen::hierarchy::CoarsenConfig;
 
-use crate::backend::BackendChoice;
+use crate::backend::{BackendChoice, Similarity, TrainParams};
 use crate::quant::Precision;
 
 /// The named configurations of Table 3.
@@ -67,8 +67,6 @@ pub struct GoshConfig {
     pub coarsen_threshold: usize,
     /// CPU threads for coarsening and sampling (the paper's τ).
     pub threads: usize,
-    /// Use the packed small-dimension kernel when `d ≤ 16` (§3.1.1).
-    pub small_dim_kernel: bool,
     /// Embedding sub-matrices kept on the GPU in the large path (P_GPU).
     pub p_gpu: usize,
     /// Sample pools kept on the GPU in the large path (S_GPU).
@@ -109,12 +107,11 @@ impl GoshConfig {
             smoothing: p,
             coarsen_threshold: 100,
             threads: 16,
-            small_dim_kernel: true,
             p_gpu: 3,
             s_gpu: 4,
             batch_b: 5,
             seed: 0x905E,
-            backend: BackendChoice::Auto,
+            backend: BackendChoice::Gpu,
             precision: Precision::F32,
             precision_schedule: None,
         }
@@ -157,24 +154,36 @@ impl GoshConfig {
         self
     }
 
-    /// Bytes needed to train graph+matrix resident on the device
-    /// (Algorithm 2, line 5), with the matrix priced at the configured
-    /// precision's true byte width. Delegates to
-    /// [`crate::backend::device_bytes_needed_prec`], the check behind
-    /// `GpuInMemory::fits`.
-    pub fn device_bytes_needed(&self, num_vertices: usize, num_arcs: usize) -> usize {
-        crate::backend::device_bytes_needed_prec(self.dim, num_vertices, num_arcs, self.precision)
+    /// The hyper-parameters every training engine consumes: the whole
+    /// epoch budget at the configured seed and precision. A level's
+    /// budget and seed come from its [`crate::backend::LevelSchedule`].
+    pub fn train_params(&self) -> TrainParams {
+        TrainParams {
+            dim: self.dim,
+            negative_samples: self.negative_samples,
+            lr: self.lr,
+            epochs: self.epochs,
+            similarity: Similarity::Adjacency,
+            threads: self.threads,
+            seed: self.seed,
+            precision: self.precision,
+        }
     }
-}
 
-/// Convenience: the device the paper used.
-pub fn paper_device() -> DeviceConfig {
-    DeviceConfig::titan_x()
+    /// The coarsening (Algorithm 4) settings of this run.
+    pub fn coarsen_config(&self) -> CoarsenConfig {
+        CoarsenConfig {
+            threshold: self.coarsen_threshold,
+            threads: self.threads,
+            ..Default::default()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::device_bytes_needed;
 
     #[test]
     fn presets_match_table3() {
@@ -203,17 +212,15 @@ mod tests {
 
     #[test]
     fn device_bytes_formula() {
-        let c = GoshConfig::default().with_dim(8);
         // 10 vertices, 20 arcs: 10*8*4 + 11*8 + 20*4 + 20*4 = 320+88+160 = 568.
-        assert_eq!(c.device_bytes_needed(10, 20), 568);
+        assert_eq!(device_bytes_needed(8, 10, 20, Precision::F32), 568);
     }
 
     #[test]
     fn quantized_precision_shrinks_only_the_matrix_term() {
-        let c = GoshConfig::default().with_dim(8);
-        let full = c.device_bytes_needed(10, 20);
-        let f16 = c.with_precision(Precision::F16).device_bytes_needed(10, 20);
-        let i8 = c.with_precision(Precision::I8).device_bytes_needed(10, 20);
+        let full = device_bytes_needed(8, 10, 20, Precision::F32);
+        let f16 = device_bytes_needed(8, 10, 20, Precision::F16);
+        let i8 = device_bytes_needed(8, 10, 20, Precision::I8);
         // Matrix terms: f32 10*8*4=320, f16 10*8*2=160, i8 10*(8+8)=160;
         // the graph arrays (248 bytes) are precision-independent.
         assert_eq!(full - f16, 160);

@@ -2,15 +2,17 @@
 //! (the multi-device extension §1 promises), with the replicas on
 //! nodes of a network rather than devices on one PCIe bus.
 //!
-//! `gosh train --nodes N` runs N node "processes" (threads with fully
-//! private state — own worker [`Runtime`], own matrix replica, no shared
-//! memory) connected only by a [`Transport`] mesh. The schedule follows
-//! the multilevel structure:
+//! `gosh train --nodes N` runs Algorithm 2's one walk
+//! ([`crate::pipeline`]); only how a level is trained changes. The nodes
+//! are threads with private state — own worker [`Runtime`], own copy of
+//! the level's rows, no shared memory — connected only by a [`Transport`]
+//! mesh:
 //!
 //! * **Coarse levels** (fewer than `shard_min` vertices) are
-//!   *replicated*: every node trains the full level with identical seeds
-//!   and zero communication — the levels are tiny, the work is cheaper
-//!   than a broadcast, and determinism keeps every replica bit-identical.
+//!   *replicated*: trained once with the f32 Hogwild engine on node 0's
+//!   runtime and handed to every node, with zero communication — the
+//!   levels are tiny, and the result is what every node would compute
+//!   from the same seeds.
 //! * **Fine levels** are *sharded*: each node trains a contiguous span
 //!   of the per-epoch source schedule (salted RNG streams so no two
 //!   nodes duplicate samples), and every `exchange_every` epochs the
@@ -23,7 +25,8 @@
 //!
 //! Every transfer is priced through [`Interconnect`] — the simulated
 //! device's PCIe cost model pointed at the network link — and the stall
-//! it causes is reported per run as `exchange_stall_seconds`.
+//! it causes is reported per run as `exchange_stall_seconds`. Frames are
+//! untrusted: a wrong tag or length is a [`TransportError`], not a panic.
 //!
 //! The gather order (node 0 adds its own delta, then peers in fixed id
 //! order) and per-pair FIFO transports make the result independent of
@@ -32,17 +35,15 @@
 
 use std::time::Instant;
 
-use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
 use gosh_graph::csr::Csr;
 use gosh_runtime::transport::{channel_mesh, tcp_mesh, Interconnect, Transport, TransportError};
 use gosh_runtime::{shard_ranges, Runtime};
 
-use crate::backend::{Similarity, TrainParams};
+use crate::backend::{BackendKind, LevelStats, TrainParams};
 use crate::config::GoshConfig;
-use crate::expand::expand_embedding_parallel;
 use crate::model::Embedding;
+use crate::pipeline::{walk, GoshReport};
 use crate::quant::Precision;
-use crate::schedule::epoch_distribution;
 use crate::train_cpu::HogwildPlan;
 
 /// Frame tag: a `M_now − M_base` delta, peer → node 0.
@@ -59,15 +60,6 @@ pub enum TransportKind {
     /// TCP over 127.0.0.1: exercises framing and the kernel network
     /// stack; bit-identical results to [`TransportKind::Channel`].
     Tcp,
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Channel => "channel",
-            Self::Tcp => "tcp",
-        })
-    }
 }
 
 impl std::str::FromStr for TransportKind {
@@ -111,115 +103,145 @@ impl Default for DistribConfig {
     }
 }
 
-/// Summary of one [`embed_distributed`] run.
-#[derive(Clone, Debug)]
-pub struct DistribReport {
-    /// Nodes in the mesh.
-    pub nodes: usize,
-    /// Hierarchy depth.
-    pub depth: usize,
-    /// Levels trained replicated (no communication).
-    pub replicated_levels: usize,
-    /// Levels trained sharded with delta exchange.
-    pub sharded_levels: usize,
-    /// Delta-exchange rounds (all sharded levels).
-    pub exchanges: usize,
-    /// Bytes put on the wire across all nodes.
-    pub bytes_exchanged: usize,
-    /// Seconds node 0 spent stalled on modeled interconnect transfers —
-    /// the synchronization cost the single-node run does not pay.
-    pub exchange_stall_seconds: f64,
-    /// Source processings across all levels (the paper's update count).
-    pub updates: u64,
-    /// Wall-clock seconds spent coarsening (shared, done once).
-    pub coarsening_seconds: f64,
-    /// Wall-clock seconds from first level start to finest level end.
-    pub training_seconds: f64,
-    /// End-to-end wall-clock seconds.
-    pub total_seconds: f64,
-}
-
-impl DistribReport {
-    /// Positive-sample updates per training second.
-    pub fn updates_per_sec(&self) -> f64 {
-        if self.training_seconds > 0.0 {
-            self.updates as f64 / self.training_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// What one node thread hands back at the end of the run.
-struct NodeOutcome {
-    matrix: Embedding,
+/// One node's wire counters.
+#[derive(Clone, Copy, Debug, Default)]
+struct Wire {
+    exchanges: usize,
     bytes_sent: usize,
     stall_seconds: f64,
-    exchanges: usize,
+}
+
+/// One simulated node: its mesh endpoint, its private worker runtime
+/// (nodes of a cluster do not share worker pools, and a shared launch
+/// lock would serialize the very training the mesh exists to
+/// parallelize), and its wire counters.
+struct Node {
+    tp: Box<dyn Transport>,
+    rt: Runtime,
+    wire: Wire,
+}
+
+impl Node {
+    fn mesh<T: Transport + 'static>(endpoints: Vec<T>) -> Vec<Node> {
+        endpoints
+            .into_iter()
+            .map(|tp| Node {
+                tp: Box::new(tp),
+                rt: Runtime::empty(),
+                wire: Wire::default(),
+            })
+            .collect()
+    }
 }
 
 /// Embed `g0` across `dcfg.nodes` simulated nodes. Returns node 0's
 /// matrix (all replicas are identical after the final exchange) and the
-/// run report. A node dying mid-run surfaces as [`TransportError`]
-/// naming the dead peer — the caller's process survives to report it.
+/// run report, with sharded levels marked [`BackendKind::Sharded`]. A
+/// node dying mid-run surfaces as [`TransportError`] naming the dead
+/// peer — the caller's process survives to report it.
 pub fn embed_distributed(
     g0: &Csr,
     cfg: &GoshConfig,
     dcfg: &DistribConfig,
-) -> Result<(Embedding, DistribReport), TransportError> {
+) -> Result<(Embedding, GoshReport), TransportError> {
     assert!(dcfg.nodes >= 1, "a run needs at least one node");
-    let t0 = Instant::now();
-
-    // Coarsening happens once: the hierarchy is input data, identical on
-    // every node of a real cluster (it is a function of the graph alone),
-    // so recomputing it per node would only burn time.
-    let hierarchy = match cfg.smoothing {
-        Some(_) => coarsen_hierarchy(
-            g0.clone(),
-            &CoarsenConfig {
-                threshold: cfg.coarsen_threshold,
-                threads: cfg.threads,
-                ..Default::default()
-            },
-        ),
-        None => Hierarchy {
-            graphs: vec![g0.clone()],
-            maps: Vec::new(),
-            stats: Vec::new(),
-        },
+    let mut nodes = match dcfg.transport {
+        TransportKind::Channel => Node::mesh(channel_mesh(dcfg.nodes)),
+        TransportKind::Tcp => Node::mesh(tcp_mesh(dcfg.nodes).map_err(|e| {
+            TransportError::new(
+                "send",
+                "mesh",
+                None,
+                format!("loopback mesh setup failed: {e}"),
+            )
+        })?),
     };
-    let coarsening_seconds = t0.elapsed().as_secs_f64();
+    let (matrix, mut report) = walk(g0, cfg, |g, matrix, lvl| {
+        let t0 = Instant::now();
+        // Always the f32 engine, whatever the precision schedule says:
+        // deltas of quantized rows do not sum losslessly across replicas.
+        let params = TrainParams {
+            precision: Precision::F32,
+            ..lvl.params(&cfg.train_params())
+        };
+        let sharded = dcfg.nodes > 1
+            && g.num_vertices() >= dcfg.shard_min
+            && lvl.epochs > 0
+            && g.num_edges() > 0;
+        let backend = if sharded {
+            train_sharded(g, matrix, &params, &mut nodes, dcfg)?;
+            BackendKind::Sharded
+        } else {
+            // Replicated: trained once, on node 0's runtime, and handed to
+            // every node. Every source for every epoch with salt 0 is
+            // `train_cpu`, which each replica would compute from the same
+            // seeds at one thread.
+            let plan = HogwildPlan::new(g);
+            let (rt, all) = (&nodes[0].rt, 0..plan.sources());
+            plan.train(rt, g, matrix, &params, 0..lvl.epochs, lvl.epochs, all, 0);
+            BackendKind::CpuHogwild
+        };
+        Ok(LevelStats {
+            backend,
+            seconds: t0.elapsed().as_secs_f64(),
+            large: None,
+        })
+    })?;
+    report.exchanges = nodes[0].wire.exchanges;
+    report.bytes_exchanged = nodes.iter().map(|n| n.wire.bytes_sent).sum();
+    report.exchange_stall_seconds = nodes[0].wire.stall_seconds;
+    Ok((matrix, report))
+}
 
-    let depth = hierarchy.depth();
-    let p = cfg.smoothing.unwrap_or(1.0);
-    let dist = epoch_distribution(cfg.epochs, p, depth);
+/// Train one sharded level: a scoped thread per node runs its span of
+/// every epoch on a copy of the level's input rows, reconciling by delta
+/// exchange every `exchange_every` epochs, and leaves node 0's
+/// reconciled matrix in `matrix`.
+///
+/// Each thread owns its node for the level, so a node that fails drops
+/// its endpoint and its peers' pending receives fail instead of hanging.
+fn train_sharded(
+    g: &Csr,
+    matrix: &mut Embedding,
+    params: &TrainParams,
+    nodes: &mut Vec<Node>,
+    dcfg: &DistribConfig,
+) -> Result<(), TransportError> {
+    let plan = HogwildPlan::new(g);
+    let spans = shard_ranges(plan.sources(), nodes.len());
     let link = Interconnect::new(dcfg.net_gbps);
-
-    let mesh: Vec<Box<dyn Transport>> = match dcfg.transport {
-        TransportKind::Channel => channel_mesh(dcfg.nodes)
+    let epochs = params.epochs;
+    let input: &Embedding = matrix;
+    let results: Vec<Result<_, TransportError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = std::mem::take(nodes)
             .into_iter()
-            .map(|e| Box::new(e) as Box<dyn Transport>)
-            .collect(),
-        TransportKind::Tcp => tcp_mesh(dcfg.nodes)
-            .map_err(|e| TransportError {
-                op: "send",
-                peer: "mesh".into(),
-                tag: None,
-                detail: format!("loopback mesh setup failed: {e}"),
-            })?
-            .into_iter()
-            .map(|e| Box::new(e) as Box<dyn Transport>)
-            .collect(),
-    };
-
-    let t_train = Instant::now();
-    let results: Vec<Result<NodeOutcome, TransportError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = mesh
-            .into_iter()
-            .map(|tp| {
-                let hierarchy = &hierarchy;
-                let dist = &dist;
-                scope.spawn(move || run_node(tp, hierarchy, dist, cfg, dcfg, link))
+            .map(|mut node| {
+                let (plan, spans) = (&plan, &spans);
+                let mut base = input.clone();
+                scope.spawn(move || -> Result<_, TransportError> {
+                    let id = node.tp.node();
+                    let mut e0 = 0u32;
+                    while e0 < epochs {
+                        let e1 = (e0 + dcfg.exchange_every.max(1)).min(epochs);
+                        let mut current = base.clone();
+                        let (span, salt) = (spans[id].clone(), (id as u64) << 32);
+                        plan.train(
+                            &node.rt,
+                            g,
+                            &mut current,
+                            params,
+                            e0..e1,
+                            epochs,
+                            span,
+                            salt,
+                        );
+                        base =
+                            exchange_deltas(&mut *node.tp, &link, &base, &current, &mut node.wire)?;
+                        node.wire.exchanges += 1;
+                        e0 = e1;
+                    }
+                    Ok((node, base))
+                })
             })
             .collect();
         handles
@@ -227,134 +249,14 @@ pub fn embed_distributed(
             .map(|h| h.join().expect("node thread panicked"))
             .collect()
     });
-    let mut outcomes: Vec<NodeOutcome> = results.into_iter().collect::<Result<_, _>>()?;
-    let training_seconds = t_train.elapsed().as_secs_f64();
-
-    let mut replicated_levels = 0usize;
-    let mut sharded_levels = 0usize;
-    let mut updates = 0u64;
-    for (g, &e_i) in hierarchy.graphs.iter().zip(&dist) {
-        if e_i == 0 || g.num_edges() == 0 {
-            continue;
+    for result in results {
+        let (node, base) = result?;
+        if node.tp.node() == 0 {
+            *matrix = base;
         }
-        if level_is_sharded(g, dcfg) {
-            sharded_levels += 1;
-        } else {
-            replicated_levels += 1;
-        }
-        updates += e_i as u64 * (g.num_edges() as u64 / 2).max(1);
+        nodes.push(node);
     }
-
-    let bytes_exchanged = outcomes.iter().map(|o| o.bytes_sent).sum();
-    let node0 = outcomes.remove(0);
-    let report = DistribReport {
-        nodes: dcfg.nodes,
-        depth,
-        replicated_levels,
-        sharded_levels,
-        exchanges: node0.exchanges,
-        bytes_exchanged,
-        exchange_stall_seconds: node0.stall_seconds,
-        updates,
-        coarsening_seconds,
-        training_seconds,
-        total_seconds: t0.elapsed().as_secs_f64(),
-    };
-    Ok((node0.matrix, report))
-}
-
-/// A level is sharded when the mesh has peers and the level is big
-/// enough that its work dwarfs an exchange.
-fn level_is_sharded(g: &Csr, dcfg: &DistribConfig) -> bool {
-    dcfg.nodes > 1 && g.num_vertices() >= dcfg.shard_min
-}
-
-/// One node's whole run: walk the hierarchy coarsest→finest, train each
-/// level replicated or sharded, expand between levels.
-fn run_node(
-    mut tp: Box<dyn Transport>,
-    hierarchy: &Hierarchy,
-    dist: &[u32],
-    cfg: &GoshConfig,
-    dcfg: &DistribConfig,
-    link: Interconnect,
-) -> Result<NodeOutcome, TransportError> {
-    let node = tp.node();
-    let nodes = tp.nodes();
-    // A private runtime per node: nodes of a cluster do not share worker
-    // pools, and a shared launch lock would serialize the very training
-    // the mesh exists to parallelize.
-    let rt = Runtime::new(cfg.threads);
-
-    let coarsest = hierarchy.coarsest();
-    let mut matrix = Embedding::random(coarsest.num_vertices(), cfg.dim, cfg.seed);
-    let mut bytes_sent = 0usize;
-    let mut stall_seconds = 0f64;
-    let mut exchanges = 0usize;
-
-    for i in (0..hierarchy.depth()).rev() {
-        let g = &hierarchy.graphs[i];
-        let e_i = dist[i];
-        if e_i > 0 && g.num_edges() > 0 {
-            // Distributed training always runs the f32 engine: deltas of
-            // quantized rows do not sum losslessly across replicas.
-            let params = TrainParams {
-                dim: cfg.dim,
-                negative_samples: cfg.negative_samples,
-                lr: cfg.lr,
-                epochs: e_i,
-                similarity: Similarity::Adjacency,
-                threads: cfg.threads,
-                seed: cfg.seed ^ i as u64,
-                precision: Precision::F32,
-            };
-            let plan = HogwildPlan::new(g);
-            if !level_is_sharded(g, dcfg) {
-                // Replicated: identical seeds + salt 0 → every node
-                // computes the same matrix the single-node trainer would.
-                let all = 0..plan.sources();
-                plan.train(&rt, g, &mut matrix, &params, 0..e_i, e_i, all, 0);
-            } else {
-                let span = shard_ranges(plan.sources(), nodes)[node].clone();
-                let salt = (node as u64) << 32;
-                let mut e0 = 0u32;
-                while e0 < e_i {
-                    let e1 = (e0 + dcfg.exchange_every.max(1)).min(e_i);
-                    let mut current = matrix.clone();
-                    plan.train(
-                        &rt,
-                        g,
-                        &mut current,
-                        &params,
-                        e0..e1,
-                        e_i,
-                        span.clone(),
-                        salt,
-                    );
-                    matrix = exchange_deltas(
-                        &mut *tp,
-                        &link,
-                        &matrix,
-                        &current,
-                        &mut bytes_sent,
-                        &mut stall_seconds,
-                    )?;
-                    exchanges += 1;
-                    e0 = e1;
-                }
-            }
-        }
-        if i > 0 {
-            matrix = expand_embedding_parallel(&matrix, &hierarchy.maps[i - 1], cfg.threads);
-        }
-    }
-
-    Ok(NodeOutcome {
-        matrix,
-        bytes_sent,
-        stall_seconds,
-        exchanges,
-    })
+    Ok(())
 }
 
 /// One delta-exchange round. `base` is the replica state at the start of
@@ -366,8 +268,7 @@ fn exchange_deltas(
     link: &Interconnect,
     base: &Embedding,
     current: &Embedding,
-    bytes_sent: &mut usize,
-    stall_seconds: &mut f64,
+    wire: &mut Wire,
 ) -> Result<Embedding, TransportError> {
     let nodes = tp.nodes();
     let n = base.num_vertices();
@@ -383,9 +284,8 @@ fn exchange_deltas(
         // Gather in fixed id order: float addition order is part of the
         // result, so the order must not depend on arrival timing.
         for peer in 1..nodes {
-            let (tag, payload) = tp.recv(peer)?;
-            debug_assert_eq!(tag, TAG_DELTA);
-            *stall_seconds += link.charge(payload.len()).as_secs_f64();
+            let payload = recv_checked(tp, peer, TAG_DELTA, 4 * delta.len())?;
+            wire.stall_seconds += link.charge(payload.len()).as_secs_f64();
             for (acc, chunk) in delta.iter_mut().zip(payload.chunks_exact(4)) {
                 *acc += f32::from_le_bytes(chunk.try_into().unwrap());
             }
@@ -399,22 +299,44 @@ fn exchange_deltas(
         let payload = f32s_to_bytes(&synced);
         for peer in 1..nodes {
             tp.send(peer, TAG_BASE, &payload)?;
-            *bytes_sent += payload.len();
+            wire.bytes_sent += payload.len();
         }
         Ok(Embedding::from_vec(synced, n, d))
     } else {
         let payload = f32s_to_bytes(&delta);
-        *bytes_sent += payload.len();
+        wire.bytes_sent += payload.len();
         tp.send(0, TAG_DELTA, &payload)?;
-        let (tag, body) = tp.recv(0)?;
-        debug_assert_eq!(tag, TAG_BASE);
-        *stall_seconds += link.charge(body.len()).as_secs_f64();
+        let body = recv_checked(tp, 0, TAG_BASE, payload.len())?;
+        wire.stall_seconds += link.charge(body.len()).as_secs_f64();
         let synced: Vec<f32> = body
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect();
         Ok(Embedding::from_vec(synced, n, d))
     }
+}
+
+/// Receive the next frame from `peer` and check it is a `tag` frame of
+/// exactly `len` bytes: a peer's frame is untrusted input.
+fn recv_checked(
+    tp: &mut dyn Transport,
+    peer: usize,
+    tag: u32,
+    len: usize,
+) -> Result<Vec<u8>, TransportError> {
+    let (got, payload) = tp.recv(peer)?;
+    if got != tag || payload.len() != len {
+        return Err(TransportError::new(
+            "recv",
+            peer.to_string(),
+            Some(got),
+            format!(
+                "expected frame 0x{tag:X} of {len} bytes, got {} bytes",
+                payload.len()
+            ),
+        ));
+    }
+    Ok(payload)
 }
 
 fn f32s_to_bytes(xs: &[f32]) -> Vec<u8> {
@@ -429,6 +351,14 @@ fn f32s_to_bytes(xs: &[f32]) -> Vec<u8> {
 mod tests {
     use super::*;
     use gosh_graph::gen::{community_graph, CommunityConfig};
+
+    fn sharded_levels(report: &GoshReport) -> usize {
+        report
+            .levels
+            .iter()
+            .filter(|l| l.backend == BackendKind::Sharded)
+            .count()
+    }
 
     fn cfg() -> GoshConfig {
         GoshConfig::default()
@@ -454,7 +384,7 @@ mod tests {
         assert_eq!(dm.as_slice(), sm.as_slice());
         assert_eq!(report.exchanges, 0);
         assert_eq!(report.bytes_exchanged, 0);
-        assert_eq!(report.sharded_levels, 0);
+        assert_eq!(sharded_levels(&report), 0);
     }
 
     #[test]
@@ -470,7 +400,7 @@ mod tests {
         let (m, report) = embed_distributed(&g, &cfg, &dcfg).unwrap();
         assert_eq!(m.num_vertices(), g.num_vertices());
         assert!(m.as_slice().iter().all(|x| x.is_finite()));
-        assert!(report.sharded_levels >= 1, "no level sharded: {report:?}");
+        assert!(sharded_levels(&report) >= 1, "no level sharded: {report:?}");
         assert!(report.exchanges >= 1);
         assert!(report.bytes_exchanged > 0);
     }
@@ -501,7 +431,37 @@ mod tests {
         };
         let (m, report) = embed_distributed(&g, &cfg(), &dcfg).unwrap();
         assert_eq!(report.bytes_exchanged, 0);
-        assert_eq!(report.sharded_levels, 0);
+        assert_eq!(sharded_levels(&report), 0);
         assert!(m.as_slice().iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn malformed_exchange_frames_are_errors_not_panics() {
+        let link = Interconnect::new(1e6);
+        let base = Embedding::random(6, 4, 1);
+        let full = vec![0u8; 4 * 6 * 4];
+        let mut wire = Wire::default();
+        let mut mesh = channel_mesh(2);
+        let mut peer = mesh.pop().unwrap();
+        let mut node0 = mesh.pop().unwrap();
+
+        // Node 0 gathering: a short delta, then a full-length frame with
+        // the wrong tag.
+        peer.send(0, TAG_DELTA, &full[..20]).unwrap();
+        let err = exchange_deltas(&mut node0, &link, &base, &base, &mut wire).unwrap_err();
+        assert_eq!(
+            (err.op, err.peer.as_str(), err.tag),
+            ("recv", "1", Some(TAG_DELTA))
+        );
+        assert!(err.detail.contains("20 bytes"), "{err}");
+        peer.send(0, TAG_BASE, &full).unwrap();
+        let err = exchange_deltas(&mut node0, &link, &base, &base, &mut wire).unwrap_err();
+        assert_eq!((err.peer.as_str(), err.tag), ("1", Some(TAG_BASE)));
+
+        // A peer handed a short base matrix.
+        node0.send(1, TAG_BASE, &full[..full.len() - 4]).unwrap();
+        let err = exchange_deltas(&mut peer, &link, &base, &base, &mut wire).unwrap_err();
+        assert_eq!((err.peer.as_str(), err.tag), ("0", Some(TAG_BASE)));
+        assert!(err.to_string().contains("0xB0"), "{err}");
     }
 }

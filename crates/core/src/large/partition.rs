@@ -7,6 +7,8 @@
 
 use std::ops::Range;
 
+use crate::quant::Precision;
+
 /// A partition of `0..n` into contiguous parts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
@@ -76,6 +78,12 @@ impl Partition {
 /// ceil(n/K)`, so the fit is verified against that, not against the
 /// average `n/K` — deriving K from `n · per_vertex / available` alone can
 /// overshoot device memory by one vertex's worth of rounding per part.
+///
+/// Sub-matrix bins are priced at `precision`'s true row byte width
+/// (`Precision::row_bytes`): quantized bins hold 2-4x more vertices per
+/// device byte, so fewer parts — and shorter rotations — fit the same
+/// budget. The sample-pool term is `u32` indices and does not shrink with
+/// the embedding precision.
 pub fn choose_num_parts(
     n: usize,
     dim: usize,
@@ -83,31 +91,7 @@ pub fn choose_num_parts(
     p_gpu: usize,
     s_gpu: usize,
     batch_b: usize,
-) -> usize {
-    choose_num_parts_prec(
-        n,
-        dim,
-        available_bytes,
-        p_gpu,
-        s_gpu,
-        batch_b,
-        crate::quant::Precision::F32,
-    )
-}
-
-/// [`choose_num_parts`] with the sub-matrix bins priced at `precision`'s
-/// true row byte width (`Precision::row_bytes`): quantized bins hold 2-4x
-/// more vertices per device byte, so fewer parts — and shorter rotations —
-/// fit the same budget. The sample-pool term is `u32` indices and does not
-/// shrink with the embedding precision.
-pub fn choose_num_parts_prec(
-    n: usize,
-    dim: usize,
-    available_bytes: usize,
-    p_gpu: usize,
-    s_gpu: usize,
-    batch_b: usize,
-    precision: crate::quant::Precision,
+    precision: Precision,
 ) -> usize {
     assert!(n >= 2, "graph too small to partition");
     // Per-part bytes: a sub-matrix bin is part_len rows at the storage
@@ -170,8 +154,8 @@ mod tests {
     fn choose_parts_scales_with_memory() {
         // 1M vertices, d = 32: matrix is 128 MB. With ~16 MB available the
         // partitioner must cut it into enough pieces.
-        let k_small = choose_num_parts(1_000_000, 32, 16 << 20, 3, 4, 5);
-        let k_large = choose_num_parts(1_000_000, 32, 256 << 20, 3, 4, 5);
+        let k_small = choose_num_parts(1_000_000, 32, 16 << 20, 3, 4, 5, Precision::F32);
+        let k_large = choose_num_parts(1_000_000, 32, 256 << 20, 3, 4, 5, Precision::F32);
         assert!(k_small > k_large);
         assert!(k_large >= 2);
         // The chosen K must actually fit.
@@ -182,7 +166,10 @@ mod tests {
 
     #[test]
     fn choose_parts_minimum_two() {
-        assert_eq!(choose_num_parts(100, 8, usize::MAX / 2, 3, 4, 5), 2);
+        assert_eq!(
+            choose_num_parts(100, 8, usize::MAX / 2, 3, 4, 5, Precision::F32),
+            2
+        );
     }
 
     #[test]
@@ -193,13 +180,13 @@ mod tests {
         // verified against the ceiling part size.
         let per_vertex = 3 * 8 * 4 + 4 * 5 * 2 * 4;
         assert_eq!(per_vertex, 256);
-        let k = choose_num_parts(3, 8, 2 * per_vertex - 1, 3, 4, 5);
+        let k = choose_num_parts(3, 8, 2 * per_vertex - 1, 3, 4, 5, Precision::F32);
         assert_eq!(k, 3, "rounding overshoot not corrected");
         // Property over a sweep: whenever anything fits at all, the
         // ceiling-sized bins of the chosen K fit in the budget.
         for n in [3usize, 7, 100, 1001, 65_537] {
             for avail in [per_vertex, 2 * per_vertex - 1, 10_000, 1 << 20] {
-                let k = choose_num_parts(n, 8, avail, 3, 4, 5);
+                let k = choose_num_parts(n, 8, avail, 3, 4, 5, Precision::F32);
                 let bytes = n.div_ceil(k) * per_vertex;
                 if avail >= per_vertex {
                     assert!(bytes <= avail, "n={n} avail={avail}: K={k} needs {bytes}");
@@ -210,16 +197,13 @@ mod tests {
 
     #[test]
     fn quantized_bins_need_fewer_parts() {
-        use crate::quant::Precision;
         // Large dim so the matrix term dominates the pool term: narrower
         // rows must never need more parts, and strictly fewer here.
         let budget = 8 << 20;
-        let k = |p| choose_num_parts_prec(1_000_000, 128, budget, 3, 4, 5, p);
+        let k = |p| choose_num_parts(1_000_000, 128, budget, 3, 4, 5, p);
         let (kf32, kf16, ki8) = (k(Precision::F32), k(Precision::F16), k(Precision::I8));
         assert!(kf16 < kf32, "f16 {kf16} vs f32 {kf32}");
         assert!(ki8 < kf16, "i8 {ki8} vs f16 {kf16}");
-        // F32 delegation is exact.
-        assert_eq!(kf32, choose_num_parts(1_000_000, 128, budget, 3, 4, 5));
         // The chosen K still fits at the quantized width.
         let part = 1_000_000usize.div_ceil(ki8);
         let bytes = 3 * part * Precision::I8.row_bytes(128) + 4 * 5 * 2 * part * 4;

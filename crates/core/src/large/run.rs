@@ -36,7 +36,7 @@ use gosh_gpu::{
 };
 use gosh_graph::csr::Csr;
 
-use super::partition::{choose_num_parts_prec, Partition};
+use super::partition::{choose_num_parts, Partition};
 use super::pools::{generate_pool, SamplePool, NO_SAMPLE};
 use super::residency::{place, Placement};
 use super::rotation::inside_out_pairs;
@@ -44,6 +44,7 @@ use crate::backend::{PartitionedOpts, TrainParams};
 use crate::model::Embedding;
 use crate::quant::{quantize_roundtrip, Precision};
 use crate::schedule::decayed_lr;
+use crate::train_gpu::sample_update;
 
 /// What happened during a [`train_large`] run.
 #[derive(Clone, Copy, Debug)]
@@ -116,7 +117,7 @@ impl<'a> BinManager<'a> {
     ) -> Result<Self, DeviceError> {
         let max_part = partition.max_part_len();
         // Bins are charged at the storage width's bytes per element (the
-        // i8 per-row scale metadata is priced by `choose_num_parts_prec`,
+        // i8 per-row scale metadata is priced by `choose_num_parts`,
         // so the fit check is the conservative side of this charge).
         let bins: Vec<FloatBuffer> = (0..num_bins)
             .map(|_| device.alloc_floats_prec(max_part * dim, precision.bytes_per_element()))
@@ -307,7 +308,7 @@ pub fn train_large(
     // Budget 90% of free device memory for bins + pools, with sub-matrix
     // rows priced at the configured precision's true byte width.
     let avail = device.available_bytes() / 10 * 9;
-    let k = choose_num_parts_prec(
+    let k = choose_num_parts(
         n,
         d,
         avail,
@@ -493,40 +494,20 @@ fn kernel_pair(
             let t = samples[src_local * bb + i];
             if t != NO_SAMPLE {
                 let t_local = (t - other_start) as usize;
-                one_update(w, other_bin, t_local, d, src_row, tmp, 1.0, lr);
+                sample_update(w, other_bin, t_local, d, src_row, tmp, 1.0, lr);
             }
             for _ in 0..ns {
                 let u = w.rand_below(other_len as u32) as usize;
-                one_update(w, other_bin, u, d, src_row, tmp, 0.0, lr);
+                sample_update(w, other_bin, u, d, src_row, tmp, 0.0, lr);
             }
         }
         w.global_write_row(src_bin, src_local * d, src_row, Access::Coalesced);
     });
 }
 
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn one_update(
-    w: &gosh_gpu::Warp,
-    buf: &FloatBuffer,
-    local: usize,
-    d: usize,
-    src_row: &mut [f32],
-    tmp: &mut [f32],
-    b: f32,
-    lr: f32,
-) {
-    w.global_read_row(buf, local * d, tmp, Access::Coalesced);
-    let dot = w.dot(src_row, tmp);
-    let score = (b - w.sigmoid(dot)) * lr;
-    w.global_axpy_row(buf, local * d, score, src_row, Access::Coalesced);
-    w.shared_axpy(score, tmp, src_row);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::large::partition::choose_num_parts;
     use gosh_gpu::DeviceConfig;
     use gosh_graph::builder::csr_from_edges;
     use gosh_graph::gen::erdos_renyi;
@@ -573,7 +554,7 @@ mod tests {
         let mut m = Embedding::random(64, 8, 2);
         let before = m.clone();
         train_large(&device, &g, &mut m, &params(8, 50), &opts()).unwrap();
-        let k = choose_num_parts(64, 8, 8192 / 10 * 9, 3, 4, 5);
+        let k = choose_num_parts(64, 8, 8192 / 10 * 9, 3, 4, 5, Precision::F32);
         let p = Partition::new(64, k);
         for j in 0..p.num_parts() {
             let r = p.range(j);

@@ -32,10 +32,12 @@
 //!   `SampleManager`/`PoolManager` threads, and copy/compute overlap.
 //! * [`distrib`] — synchronous data-parallel replica training across a
 //!   [`gosh_runtime::transport::Transport`] mesh: `gosh train --nodes N`
-//!   with replicated coarse levels and delta-exchanged sharded fine
-//!   levels.
-//! * [`pipeline`] — Algorithm 2 tying everything together, dispatching
-//!   every level through the backend chain.
+//!   is the pipeline's walk with a per-level trainer that trains coarse
+//!   levels once and shards fine levels across the nodes with delta
+//!   exchange.
+//! * [`pipeline`] — Algorithm 2 tying everything together: one walk over
+//!   the hierarchy, generic over the per-level trainer; [`embed`]
+//!   dispatches every level through the backend chain.
 //! * [`config`] — the fast/normal/slow/no-coarsening presets of Table 3.
 
 // This crate contains audited `unsafe` (see docs/SAFETY.md and the
@@ -66,7 +68,7 @@ pub use backend::{
     LevelSchedule, LevelStats, PartitionedOpts, Similarity, TrainBackend, TrainParams,
 };
 pub use config::{GoshConfig, PrecisionSchedule, Preset};
-pub use distrib::{embed_distributed, DistribConfig, DistribReport, TransportKind};
+pub use distrib::{embed_distributed, DistribConfig, TransportKind};
 pub use model::Embedding;
 pub use pipeline::{embed, GoshReport};
 pub use quant::Precision;

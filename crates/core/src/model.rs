@@ -122,11 +122,6 @@ impl Embedding {
         &mut self.data
     }
 
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Matrix bytes (`4·|V|·d`), the quantity budgeted against device
     /// memory in §3.3.
     pub fn memory_bytes(&self) -> usize {

@@ -1,20 +1,23 @@
 //! The GOSH pipeline — Algorithm 2.
 //!
 //! Coarsen, initialize the coarsest matrix randomly, then walk the
-//! hierarchy from `G_{D-1}` down to `G_0`: train each level through the
-//! [`TrainBackend`] chain selected by [`crate::backend::BackendChoice`]
-//! (the device-fit check of line 5 is backend selection — the first
-//! backend whose `fits` accepts the level trains it) and project the
-//! result to the next finer level.
+//! hierarchy from `G_{D-1}` down to `G_0`: train each level and project
+//! the result to the next finer level. The walk exists once, generic over
+//! the per-level trainer. [`embed`] trains through the [`TrainBackend`]
+//! chain selected by [`crate::backend::BackendChoice`] (the device-fit
+//! check of line 5 is backend selection — the first backend whose `fits`
+//! accepts the level trains it); [`crate::distrib::embed_distributed`]
+//! trains big levels across a node mesh.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
-use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig, Hierarchy};
+use gosh_coarsen::hierarchy::{coarsen_hierarchy, Hierarchy};
 use gosh_gpu::{CostSnapshot, Device};
 use gosh_graph::csr::Csr;
 
 use crate::backend::{
-    backends_for, BackendKind, LevelSchedule, PartitionedOpts, TrainBackend, TrainParams,
+    backends_for, BackendKind, LevelSchedule, LevelStats, PartitionedOpts, TrainBackend,
 };
 use crate::config::GoshConfig;
 use crate::expand::expand_embedding_parallel;
@@ -41,7 +44,7 @@ pub struct LevelReport {
     pub used_large_path: bool,
 }
 
-/// Summary of one [`embed`] run.
+/// Summary of one [`embed`] or [`crate::distrib::embed_distributed`] run.
 #[derive(Clone, Debug)]
 pub struct GoshReport {
     /// Number of levels D (1 when coarsening is disabled).
@@ -56,24 +59,56 @@ pub struct GoshReport {
     pub levels: Vec<LevelReport>,
     /// Device cost counters accumulated by this run (for modeled time).
     pub device_cost: CostSnapshot,
+    /// Delta-exchange rounds on sharded levels (0 off the mesh).
+    pub exchanges: usize,
+    /// Bytes all nodes put on the wire.
+    pub bytes_exchanged: usize,
+    /// Seconds node 0 spent stalled on modeled interconnect transfers —
+    /// the synchronization cost a single-node run does not pay.
+    pub exchange_stall_seconds: f64,
 }
 
 /// Embed `g0` with GOSH. Returns `M_0` and the run report.
 pub fn embed(g0: &Csr, cfg: &GoshConfig, device: &Device) -> (Embedding, GoshReport) {
-    let t0 = Instant::now();
     let cost0 = device.snapshot();
+    let opts = PartitionedOpts {
+        p_gpu: cfg.p_gpu,
+        s_gpu: cfg.s_gpu,
+        batch_b: cfg.batch_b,
+    };
+    let backends = backends_for(
+        cfg.backend,
+        device,
+        cfg.train_params(),
+        KernelVariant::Auto,
+        opts,
+    );
+    let Ok((matrix, mut report)) = walk(g0, cfg, |g, matrix, lvl| {
+        let backend: &dyn TrainBackend = backends
+            .iter()
+            .find(|b| b.fits(g))
+            .expect("no backend in the chain accepts this level")
+            .as_ref();
+        Ok::<_, Infallible>(backend.train_level(g, matrix, lvl))
+    });
+    report.device_cost = device.snapshot().since(&cost0);
+    (matrix, report)
+}
+
+/// Algorithm 2's walk: coarsen, draw the random coarsest rows, then train
+/// every level coarsest → finest with `train_level`, projecting between
+/// levels. The first trainer error ends the walk.
+pub(crate) fn walk<E>(
+    g0: &Csr,
+    cfg: &GoshConfig,
+    mut train_level: impl FnMut(&Csr, &mut Embedding, LevelSchedule) -> Result<LevelStats, E>,
+) -> Result<(Embedding, GoshReport), E> {
+    let t0 = Instant::now();
 
     // Stage 1: coarsening (Algorithm 4) — or a single-level "hierarchy"
     // for the no-coarsening configuration.
     let hierarchy = match cfg.smoothing {
-        Some(_) => coarsen_hierarchy(
-            g0.clone(),
-            &CoarsenConfig {
-                threshold: cfg.coarsen_threshold,
-                threads: cfg.threads,
-                ..Default::default()
-            },
-        ),
+        Some(_) => coarsen_hierarchy(g0.clone(), &cfg.coarsen_config()),
         None => Hierarchy {
             graphs: vec![g0.clone()],
             maps: Vec::new(),
@@ -83,62 +118,32 @@ pub fn embed(g0: &Csr, cfg: &GoshConfig, device: &Device) -> (Embedding, GoshRep
     let coarsening_seconds = t0.elapsed().as_secs_f64();
 
     let depth = hierarchy.depth();
-    let p = cfg.smoothing.unwrap_or(1.0);
-    let dist = epoch_distribution(cfg.epochs, p, depth);
+    let dist = epoch_distribution(cfg.epochs, cfg.smoothing.unwrap_or(1.0), depth);
 
-    // Stage 2: train coarsest-to-finest with projection in between, each
-    // level dispatched through the backend chain.
+    // Stage 2: train coarsest-to-finest with projection in between.
     let t_train = Instant::now();
     let coarsest = hierarchy.coarsest();
     let mut matrix = Embedding::random(coarsest.num_vertices(), cfg.dim, cfg.seed);
-    let variant = if cfg.small_dim_kernel {
-        KernelVariant::Auto
-    } else {
-        KernelVariant::Optimized
-    };
-    let params = TrainParams {
-        dim: cfg.dim,
-        negative_samples: cfg.negative_samples,
-        lr: cfg.lr,
-        epochs: cfg.epochs,
-        similarity: crate::backend::Similarity::Adjacency,
-        threads: cfg.threads,
-        seed: cfg.seed,
-        precision: cfg.precision,
-    };
-    let opts = PartitionedOpts {
-        p_gpu: cfg.p_gpu,
-        s_gpu: cfg.s_gpu,
-        batch_b: cfg.batch_b,
-    };
-    let backends = backends_for(cfg.backend, device, params, variant, opts);
     let mut levels = Vec::with_capacity(depth);
-
     for i in (0..depth).rev() {
         let g = &hierarchy.graphs[i];
-        let e_i = dist[i];
-        let backend: &dyn TrainBackend = backends
-            .iter()
-            .find(|b| b.fits(g))
-            .expect("no backend in the chain accepts this level")
-            .as_ref();
-        let stats = backend.train_level(
+        let stats = train_level(
             g,
             &mut matrix,
             LevelSchedule {
                 level: i,
-                epochs: e_i,
+                epochs: dist[i],
                 seed: cfg.seed ^ i as u64,
                 precision: cfg
                     .precision_schedule
                     .map(|ps| ps.level_precision(g.num_vertices())),
             },
-        );
+        )?;
         levels.push(LevelReport {
             level: i,
             vertices: g.num_vertices(),
             arcs: g.num_edges(),
-            epochs: e_i,
+            epochs: dist[i],
             seconds: stats.seconds,
             backend: stats.backend,
             used_large_path: stats.backend == BackendKind::GpuPartitioned,
@@ -150,16 +155,18 @@ pub fn embed(g0: &Csr, cfg: &GoshConfig, device: &Device) -> (Embedding, GoshRep
         }
     }
 
-    let training_seconds = t_train.elapsed().as_secs_f64();
     let report = GoshReport {
         depth,
         coarsening_seconds,
-        training_seconds,
+        training_seconds: t_train.elapsed().as_secs_f64(),
         total_seconds: t0.elapsed().as_secs_f64(),
         levels,
-        device_cost: device.snapshot().since(&cost0),
+        device_cost: CostSnapshot::default(),
+        exchanges: 0,
+        bytes_exchanged: 0,
+        exchange_stall_seconds: 0.0,
     };
-    (matrix, report)
+    Ok((matrix, report))
 }
 
 #[cfg(test)]
@@ -263,17 +270,6 @@ mod tests {
         // The device was never touched.
         assert_eq!(report.device_cost.kernels, 0);
         assert_eq!(device.allocated_bytes(), 0);
-    }
-
-    #[test]
-    fn gpu_and_auto_choices_agree_on_backend_sequence() {
-        let g = test_graph();
-        let kinds = |choice: BackendChoice| -> Vec<BackendKind> {
-            let device = Device::new(DeviceConfig::titan_x());
-            let (_, report) = embed(&g, &small_cfg().with_backend(choice), &device);
-            report.levels.iter().map(|l| l.backend).collect()
-        };
-        assert_eq!(kinds(BackendChoice::Gpu), kinds(BackendChoice::Auto));
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl DeviceGraph {
     pub fn adj_slice(&self) -> &[u32] {
         self.adj.as_slice()
     }
-
-    /// Device-side view of the arc-source schedule.
-    pub fn arc_src_slice(&self) -> &[u32] {
-        self.arc_src.as_slice()
-    }
 }
 
 /// Sub-warp lanes for a given dimension (§3.1.1: the smallest multiple of
@@ -227,10 +222,12 @@ fn epoch_optimized(
 }
 
 /// One positive/negative update with the source row staged on chip
-/// (Algorithm 1 with pre-update semantics; see `update.rs`).
+/// (Algorithm 1 with pre-update semantics; see `update.rs`). Row `u` of
+/// `matrix` is the sample; the partitioned kernel passes a sub-matrix bin
+/// and a bin-local row.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn sample_update(
+pub(crate) fn sample_update(
     w: &gosh_gpu::Warp,
     matrix: &FloatBuffer,
     u: usize,

@@ -26,12 +26,12 @@
 
 use std::time::Instant;
 
-use gosh_coarsen::hierarchy::{CoarsenConfig, Hierarchy};
+use gosh_coarsen::hierarchy::Hierarchy;
 use gosh_coarsen::mapping::Mapping;
 use gosh_coarsen::repair::{repair_hierarchy, RepairConfig};
 use gosh_graph::csr::Csr;
 
-use crate::backend::{Similarity, TrainParams};
+use crate::backend::TrainParams;
 use crate::config::GoshConfig;
 use crate::model::Embedding;
 use crate::quant::Precision;
@@ -122,11 +122,7 @@ pub fn warm_embed(
         dirty0,
         &RepairConfig {
             fallback_fraction: wcfg.fallback_fraction,
-            coarsen: CoarsenConfig {
-                threshold: cfg.coarsen_threshold,
-                threads: cfg.threads,
-                ..Default::default()
-            },
+            coarsen: cfg.coarsen_config(),
         },
     );
     let depth = hierarchy.depth();
@@ -148,14 +144,8 @@ pub fn warm_embed(
     let e_total = ((cfg.epochs as f64 * wcfg.epoch_scale).round() as u32).max(1);
     let dist = epoch_distribution(e_total, p, depth);
     let mut params = TrainParams {
-        dim: cfg.dim,
-        negative_samples: cfg.negative_samples,
-        lr: cfg.lr,
-        epochs: 0,
-        similarity: Similarity::Adjacency,
-        threads: cfg.threads,
-        seed: cfg.seed,
         precision: Precision::F32,
+        ..cfg.train_params()
     };
 
     let mut matrix = inits.pop().expect("depth >= 1");
@@ -272,14 +262,7 @@ mod tests {
     }
 
     fn old_state(g: &Csr, wcfg: &WarmConfig) -> (Hierarchy, Embedding) {
-        let h = coarsen_hierarchy(
-            g.clone(),
-            &CoarsenConfig {
-                threshold: wcfg.cfg.coarsen_threshold,
-                threads: wcfg.cfg.threads,
-                ..Default::default()
-            },
-        );
+        let h = coarsen_hierarchy(g.clone(), &wcfg.cfg.coarsen_config());
         let m = Embedding::random(g.num_vertices(), wcfg.cfg.dim, 123);
         (h, m)
     }

@@ -47,7 +47,15 @@ fn train_large_sync(
     assert_eq!(m.dim(), d, "dimension mismatch");
 
     let avail = device.available_bytes() / 10 * 9;
-    let k = choose_num_parts(n, d, avail, opts.p_gpu, opts.s_gpu, opts.batch_b);
+    let k = choose_num_parts(
+        n,
+        d,
+        avail,
+        opts.p_gpu,
+        opts.s_gpu,
+        opts.batch_b,
+        params.precision,
+    );
     let partition = Partition::new(n, k);
     let pairs = inside_out_pairs(k);
     let e_und = g.num_undirected_edges().max(1);
@@ -264,11 +272,11 @@ fn kernel_pair_sync(
             let t = samples[src_local * bb + i];
             if t != NO_SAMPLE {
                 let t_local = (t - other_start) as usize;
-                one_update_sync(w, other_bin, t_local, d, src_row, tmp, 1.0, lr);
+                sync_sample_update(w, other_bin, t_local, d, src_row, tmp, 1.0, lr);
             }
             for _ in 0..ns {
                 let u = w.rand_below(other_len as u32) as usize;
-                one_update_sync(w, other_bin, u, d, src_row, tmp, 0.0, lr);
+                sync_sample_update(w, other_bin, u, d, src_row, tmp, 0.0, lr);
             }
         }
         w.global_write_row(src_bin, src_local * d, src_row, Access::Coalesced);
@@ -277,7 +285,7 @@ fn kernel_pair_sync(
 
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn one_update_sync(
+fn sync_sample_update(
     w: &gosh_gpu::Warp,
     buf: &FloatBuffer,
     local: usize,

@@ -3,12 +3,16 @@
 //! any thread count must be bit-identical (ids *and* score bits) to the
 //! same queries answered one at a time — scores accumulate in a fixed
 //! order per `(store, row, query)` and ties break on the row id total
-//! order, so nothing observable may depend on scheduling.
+//! order, so nothing observable may depend on scheduling. Query and hit
+//! frames are untrusted input: they round-trip, and arbitrary bytes,
+//! truncations and bit flips decode to a value or an error, never a
+//! panic.
 
 use gosh_core::model::Embedding;
 use gosh_core::quant::Precision;
 use gosh_core::serve::{
-    cmp_best, search_batch, search_exact, Hit, IvfIndex, ServeClient, ServeConfig, Server,
+    cmp_best, decode_hits, encode_hits, search_batch, search_exact, Hit, IvfIndex, QueryRequest,
+    ServeClient, ServeConfig, Server,
 };
 use gosh_core::store::{write_store, EmbeddingStore};
 use gosh_runtime::TempDir;
@@ -60,6 +64,94 @@ fn query_entry() -> impl Strategy<Value = f32> {
         3 => f32::NEG_INFINITY,
         _ => x,
     })
+}
+
+/// Any `f32` bit pattern, NaN payloads included.
+fn any_f32() -> impl Strategy<Value = f32> {
+    (0..=u32::MAX).prop_map(f32::from_bits)
+}
+
+/// A well-formed query request: `nq` rows of width `dim`.
+fn query_request() -> impl Strategy<Value = QueryRequest> {
+    (0..=u32::MAX, 0..=u32::MAX, 1u32..9, 0usize..5).prop_flat_map(|(k, nprobe, dim, nq)| {
+        let len = nq * dim as usize;
+        prop::collection::vec(any_f32(), len..=len).prop_map(move |queries| QueryRequest {
+            k,
+            nprobe,
+            dim,
+            queries,
+        })
+    })
+}
+
+/// Hit lists as a server sends them.
+fn hit_lists() -> impl Strategy<Value = Vec<Vec<Hit>>> {
+    let hit = (0..=u32::MAX, any_f32()).prop_map(|(id, score)| Hit { id, score });
+    prop::collection::vec(prop::collection::vec(hit, 0..6), 0..5)
+}
+
+/// Decode a request and keep its fields with the rows as bits (NaN is
+/// not equal to itself as an `f32`).
+fn request_bits(payload: &[u8]) -> Result<(u32, u32, u32, Vec<u32>), String> {
+    QueryRequest::decode(payload).map(|r| {
+        (
+            r.k,
+            r.nprobe,
+            r.dim,
+            r.queries.iter().map(|x| x.to_bits()).collect(),
+        )
+    })
+}
+
+/// `bytes` with bit `bit` of the byte at `frac` of its length flipped.
+fn flip(mut bytes: Vec<u8>, frac: f64, bit: u8) -> Vec<u8> {
+    let pos = ((bytes.len() - 1) as f64 * frac) as usize;
+    bytes[pos] ^= 1 << bit;
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `encode → decode` is the identity on requests and on hit lists,
+    /// down to the bits of every float.
+    #[test]
+    fn query_and_hit_frames_round_trip(req in query_request(), hits in hit_lists()) {
+        let want = (req.k, req.nprobe, req.dim, req.queries.iter().map(|x| x.to_bits()).collect());
+        prop_assert_eq!(request_bits(&req.encode()), Ok(want));
+        prop_assert_eq!(decode_hits(&encode_hits(&hits)), Ok(hits));
+    }
+
+    /// Arbitrary bytes never panic either decoder.
+    #[test]
+    fn frame_decoders_never_panic_on_arbitrary_bytes(
+        bytes in prop::collection::vec(0..=u8::MAX, 0..256),
+    ) {
+        let _ = QueryRequest::decode(&bytes);
+        let _ = decode_hits(&bytes);
+    }
+
+    /// Every proper prefix of a valid frame is an error (each length is
+    /// cross-checked), and a single-bit flip decodes or errs — neither
+    /// panics.
+    #[test]
+    fn damaged_frames_are_errors_not_panics(
+        req in query_request(),
+        hits in hit_lists(),
+        cut_frac in 0.0f64..1.0,
+        flip_frac in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let query = req.encode();
+        let cut = (query.len() as f64 * cut_frac) as usize;
+        prop_assert!(QueryRequest::decode(&query[..cut]).is_err());
+        let _ = QueryRequest::decode(&flip(query, flip_frac, bit));
+
+        let frame = encode_hits(&hits);
+        let cut = (frame.len() as f64 * cut_frac) as usize;
+        prop_assert!(decode_hits(&frame[..cut]).is_err());
+        let _ = decode_hits(&flip(frame, flip_frac, bit));
+    }
 }
 
 proptest! {

@@ -58,11 +58,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of raw edges added so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add one edge. Panics if an endpoint is out of range.
     #[inline]
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) {

@@ -33,4 +33,4 @@ pub use builder::GraphBuilder;
 pub use csr::{Csr, VertexId};
 pub use split::{train_test_split, SplitConfig, TrainTestSplit};
 pub use stats::GraphStats;
-pub use stream::{apply_delta, apply_delta_parallel, EdgeDelta};
+pub use stream::{apply_delta, EdgeDelta};

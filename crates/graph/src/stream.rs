@@ -7,7 +7,7 @@
 //! as a per-vertex sorted merge that is **byte-identical** to rebuilding
 //! the graph from scratch with [`GraphBuilder`](crate::builder::GraphBuilder)
 //! over the edited edge set — the invariant the `prop_stream` proptests
-//! pin at threads 1/2/4/8.
+//! pin.
 //!
 //! Two id spaces are involved, mirroring [`crate::ingest`]: delta files
 //! carry *raw* (file) ids, which [`resolve_delta`] interns against a
@@ -169,47 +169,6 @@ fn merge_into(out: &mut Vec<VertexId>, old: &[VertexId], ins: &[VertexId], del: 
     }
 }
 
-/// Counting twin of [`merge_into`]: `|(old ∪ ins) \ del|` without
-/// allocating — the first pass of the parallel apply.
-fn merge_count(old: &[VertexId], ins: &[VertexId], del: &[VertexId]) -> usize {
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    let mut count = 0usize;
-    loop {
-        let next = match (old.get(i), ins.get(j)) {
-            (Some(&a), Some(&b)) => {
-                if a < b {
-                    i += 1;
-                    a
-                } else if b < a {
-                    j += 1;
-                    b
-                } else {
-                    i += 1;
-                    j += 1;
-                    a
-                }
-            }
-            (Some(&a), None) => {
-                i += 1;
-                a
-            }
-            (None, Some(&b)) => {
-                j += 1;
-                b
-            }
-            (None, None) => break,
-        };
-        while k < del.len() && del[k] < next {
-            k += 1;
-        }
-        if k < del.len() && del[k] == next {
-            continue;
-        }
-        count += 1;
-    }
-    count
-}
-
 /// The destinations of `arcs` whose source is `v`, assuming `arcs` is
 /// sorted by `(src, dst)`; `cursor` advances monotonically across calls
 /// with increasing `v`.
@@ -260,110 +219,6 @@ pub fn apply_delta(g: &Csr, delta: &EdgeDelta) -> Csr {
         let del = dsts(arcs_of(&del_arcs, v, &mut dc));
         merge_into(&mut adj, old, &ins, &del);
         xadj.push(adj.len());
-    }
-    Csr::from_raw_trusted(xadj, adj)
-}
-
-/// [`apply_delta`] on a worker team: a count pass shards the per-vertex
-/// merges, a prefix sum fixes `xadj`, and a fill pass writes disjoint
-/// adjacency slabs. Pure per-vertex merges — bit-identical to the
-/// sequential apply for any `threads >= 1`.
-pub fn apply_delta_parallel(g: &Csr, delta: &EdgeDelta, threads: usize) -> Csr {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return apply_delta(g, delta);
-    }
-    let n_old = g.num_vertices();
-    let n_new = n_old.max(delta.min_vertices());
-    let (ins_arcs, del_arcs) = delta.arc_lists();
-    let shards = gosh_runtime::shard_ranges(n_new, threads);
-
-    // Per-vertex slices of the sorted arc lists, found once by binary
-    // search at shard starts and walked by cursor inside.
-    let slice_for = |arcs: &[(VertexId, VertexId)], v: VertexId| -> (usize, usize) {
-        let lo = arcs.partition_point(|&(s, _)| s < v);
-        let hi = arcs.partition_point(|&(s, _)| s <= v);
-        (lo, hi)
-    };
-
-    // Pass 1: new degree of every vertex.
-    let mut degrees = vec![0usize; n_new];
-    {
-        let deg_slabs: Vec<std::sync::Mutex<Option<&mut [usize]>>> = {
-            let mut rest = degrees.as_mut_slice();
-            let mut slabs = Vec::with_capacity(threads);
-            for r in &shards {
-                let (head, tail) = rest.split_at_mut(r.len());
-                slabs.push(std::sync::Mutex::new(Some(head)));
-                rest = tail;
-            }
-            slabs
-        };
-        gosh_runtime::map_jobs(threads, threads, |t| {
-            let slab = deg_slabs[t]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("degree slab claimed once");
-            for (i, v) in shards[t].clone().enumerate() {
-                let v = v as VertexId;
-                let old = if (v as usize) < n_old {
-                    g.neighbors(v)
-                } else {
-                    &[]
-                };
-                let (il, ih) = slice_for(&ins_arcs, v);
-                let (dl, dh) = slice_for(&del_arcs, v);
-                let ins: Vec<VertexId> = ins_arcs[il..ih].iter().map(|&(_, d)| d).collect();
-                let del: Vec<VertexId> = del_arcs[dl..dh].iter().map(|&(_, d)| d).collect();
-                slab[i] = merge_count(old, &ins, &del);
-            }
-        });
-    }
-    let mut xadj = Vec::with_capacity(n_new + 1);
-    xadj.push(0usize);
-    let mut total = 0usize;
-    for &d in &degrees {
-        total += d;
-        xadj.push(total);
-    }
-
-    // Pass 2: fill disjoint adjacency slabs.
-    let mut adj = vec![0 as VertexId; total];
-    {
-        let adj_slabs: Vec<std::sync::Mutex<Option<&mut [VertexId]>>> = {
-            let mut rest = adj.as_mut_slice();
-            let mut slabs = Vec::with_capacity(threads);
-            for r in &shards {
-                let len = xadj[r.end] - xadj[r.start];
-                let (head, tail) = rest.split_at_mut(len);
-                slabs.push(std::sync::Mutex::new(Some(head)));
-                rest = tail;
-            }
-            slabs
-        };
-        gosh_runtime::map_jobs(threads, threads, |t| {
-            let slab = adj_slabs[t]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("adj slab claimed once");
-            let mut out: Vec<VertexId> = Vec::with_capacity(slab.len());
-            for v in shards[t].clone() {
-                let v = v as VertexId;
-                let old = if (v as usize) < n_old {
-                    g.neighbors(v)
-                } else {
-                    &[]
-                };
-                let (il, ih) = slice_for(&ins_arcs, v);
-                let (dl, dh) = slice_for(&del_arcs, v);
-                let ins: Vec<VertexId> = ins_arcs[il..ih].iter().map(|&(_, d)| d).collect();
-                let del: Vec<VertexId> = del_arcs[dl..dh].iter().map(|&(_, d)| d).collect();
-                merge_into(&mut out, old, &ins, &del);
-            }
-            slab.copy_from_slice(&out);
-        });
     }
     Csr::from_raw_trusted(xadj, adj)
 }
@@ -644,24 +499,6 @@ mod tests {
         let mut d = EdgeDelta::new();
         d.delete(1, 0);
         assert_eq!(apply_delta(&g, &d), rebuild(3, &[]));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = erdos_renyi(200, 800, 3);
-        let mut d = EdgeDelta::new();
-        for i in 0..50u32 {
-            d.insert(i % 200, (i * 37 + 5) % 230); // some grow the graph
-            d.delete((i * 13) % 200, (i * 29) % 200);
-        }
-        let seq = apply_delta(&g, &d);
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                apply_delta_parallel(&g, &d, threads),
-                seq,
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property-based tests for the edge-delta streaming layer: applying a
 //! delta to a CSR must be **byte-identical** to rebuilding the graph
-//! from scratch over the edited edge set, sequentially and at every
-//! thread count — the invariant that lets the incremental pipeline
-//! share baselines with the static one.
+//! from scratch over the edited edge set — the invariant that lets the
+//! incremental pipeline share baselines with the static one. Delta files
+//! are untrusted input: arbitrary bytes, truncations and bit flips of a
+//! valid file parse to a result or an error, never a panic.
 
 use std::collections::HashSet;
 
 use gosh_graph::builder::csr_from_edges;
-use gosh_graph::stream::{apply_delta, apply_delta_parallel, EdgeDelta};
+use gosh_graph::stream::{apply_delta, read_delta, write_delta, EdgeDelta, RawDelta};
+use gosh_runtime::TempDir;
 use proptest::prelude::*;
 
 /// Strategy: a base edge list over up to 48 vertices plus a random
@@ -64,8 +66,69 @@ fn edited_edge_set(
     (set, delta)
 }
 
+/// Strategy: up to four epochs of raw-id insertions and deletions over
+/// the whole `u64` id space.
+fn raw_epochs() -> impl Strategy<Value = Vec<RawDelta>> {
+    let pairs = || prop::collection::vec((0..=u64::MAX, 0..=u64::MAX), 0..6);
+    prop::collection::vec(
+        (pairs(), pairs()).prop_map(|(ins, del)| RawDelta { ins, del }),
+        0..4,
+    )
+}
+
+/// The bytes of the delta format's own grammar.
+const ALPHABET: &[u8] = b"+- 0123456789\ncommit#%\r\t.e";
+
+/// The bytes `write_delta` puts on disk for `epochs`.
+fn delta_file(epochs: &[RawDelta]) -> Vec<u8> {
+    let dir = TempDir::new("prop-delta").unwrap();
+    let path = dir.join("d.delta");
+    write_delta(&path, epochs).unwrap();
+    std::fs::read(&path).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `write_delta → read_delta` returns the epochs it was given,
+    /// empty epochs included, and counts every line.
+    #[test]
+    fn write_delta_then_read_delta_round_trips(epochs in raw_epochs()) {
+        let (back, stats) = read_delta(&delta_file(&epochs)[..]).unwrap();
+        prop_assert_eq!(&back, &epochs);
+        prop_assert_eq!(stats.commits, epochs.len());
+        prop_assert_eq!(stats.insert_lines, epochs.iter().map(|e| e.ins.len()).sum::<usize>());
+        prop_assert_eq!(stats.delete_lines, epochs.iter().map(|e| e.del.len()).sum::<usize>());
+    }
+
+    /// Arbitrary bytes, and bytes over the format's own alphabet (which
+    /// reach the id and weight parsers), never panic the reader.
+    #[test]
+    fn read_delta_never_panics_on_arbitrary_bytes(
+        raw in prop::collection::vec(0..=u8::MAX, 0..512),
+        near in prop::collection::vec((0..ALPHABET.len()).prop_map(|i| ALPHABET[i]), 0..512),
+    ) {
+        let _ = read_delta(&raw[..]);
+        let _ = read_delta(&near[..]);
+    }
+
+    /// Every truncation and every single-bit flip of a valid delta file
+    /// parses to epochs or an error, never a panic.
+    #[test]
+    fn damaged_delta_files_never_panic(
+        epochs in raw_epochs(),
+        cut_frac in 0.0f64..1.0,
+        flip_frac in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let bytes = delta_file(&epochs);
+        let cut = (bytes.len() as f64 * cut_frac) as usize;
+        let _ = read_delta(&bytes[..cut]);
+        let mut flipped = bytes;
+        let pos = ((flipped.len() - 1) as f64 * flip_frac) as usize;
+        flipped[pos] ^= 1 << bit;
+        let _ = read_delta(&flipped[..]);
+    }
 
     /// The tentpole invariant: `apply_delta` equals a from-scratch build
     /// of the edited edge set, byte for byte (deletion wins inside one
@@ -82,21 +145,6 @@ proptest! {
         // And the result upholds the CSR contract independently.
         prop_assert!(applied.is_symmetric());
         prop_assert!(applied.has_no_self_loops());
-    }
-
-    /// The parallel path is byte-identical to the sequential one at every
-    /// thread count the repo pins (1/2/4/8).
-    #[test]
-    fn parallel_apply_matches_sequential_at_every_thread_count(
-        (n, base, ops) in base_and_ops()
-    ) {
-        let g = csr_from_edges(n, &base);
-        let (_, delta) = edited_edge_set(&base, &ops);
-        let reference = apply_delta(&g, &delta);
-        for threads in [1usize, 2, 4, 8] {
-            let par = apply_delta_parallel(&g, &delta, threads);
-            prop_assert_eq!(&par, &reference, "threads = {}", threads);
-        }
     }
 
     /// Epochs compose: applying two deltas one after the other equals a

@@ -40,15 +40,20 @@ pub struct TransportError {
     pub op: &'static str,
     /// The peer of the failed frame (mesh node id or address label).
     pub peer: String,
-    /// Tag of the frame being sent (`None` on recv — the tag never
-    /// arrived).
+    /// Tag of the frame in flight: the one being sent, or on recv the
+    /// one that arrived malformed (`None` when no frame arrived).
     pub tag: Option<u32>,
     /// Underlying cause (I/O error text, or "peer endpoint dropped").
     pub detail: String,
 }
 
 impl TransportError {
-    fn new(op: &'static str, peer: impl Into<String>, tag: Option<u32>, detail: String) -> Self {
+    pub fn new(
+        op: &'static str,
+        peer: impl Into<String>,
+        tag: Option<u32>,
+        detail: String,
+    ) -> Self {
         Self {
             op,
             peer: peer.into(),
@@ -63,7 +68,7 @@ impl std::fmt::Display for TransportError {
         match self.tag {
             Some(tag) => write!(
                 f,
-                "{} of frame 0x{tag:X} to peer {} failed: {}",
+                "{} of frame 0x{tag:X} (peer {}) failed: {}",
                 self.op, self.peer, self.detail
             ),
             None => write!(

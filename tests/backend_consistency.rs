@@ -42,7 +42,7 @@ fn auc_for(g: &Csr, choice: BackendChoice, split_seed: u64, seed: u64) -> f64 {
     let (m, report) = embed(&s.train, &cfg, &device);
     let expected = match choice {
         BackendChoice::Cpu => BackendKind::CpuHogwild,
-        _ => BackendKind::GpuInMemory,
+        BackendChoice::Gpu => BackendKind::GpuInMemory,
     };
     assert!(
         report.levels.iter().all(|l| l.backend == expected),
@@ -189,7 +189,7 @@ fn backend_sequences_are_deterministic_across_choices() {
     // Same config, fresh devices: the per-level backend decisions are a
     // pure function of (choice, fit), never of wall-clock state.
     let g = remove_isolated(&erdos_renyi(500, 3000, 9)).graph;
-    for choice in [BackendChoice::Cpu, BackendChoice::Gpu, BackendChoice::Auto] {
+    for choice in [BackendChoice::Cpu, BackendChoice::Gpu] {
         let cfg = GoshConfig::preset(Preset::Fast, false)
             .with_dim(8)
             .with_epochs(40)
