@@ -8,8 +8,9 @@
 //! same training budget.
 
 use gosh_bench::{auc_percent, datasets_from_args, header, scaled_epochs_with, split, DIM};
-use gosh_coarsen::build::build_coarse_sequential;
+use gosh_coarsen::fused::build_fused;
 use gosh_coarsen::sequential::{map_sequential_with, CollapseOptions};
+use gosh_coarsen::CoarsenWorkspace;
 use gosh_core::config::{GoshConfig, Preset};
 use gosh_core::expand::expand_embedding;
 use gosh_core::model::Embedding;
@@ -25,6 +26,7 @@ fn coarsen(g0: Csr, opts: &CollapseOptions) -> (Vec<Csr>, Vec<gosh_coarsen::Mapp
     let mut graphs = vec![g0];
     let mut maps = Vec::new();
     let mut worst_share = 0.0f64;
+    let mut ws = CoarsenWorkspace::new();
     while graphs.last().unwrap().num_vertices() > 100 && graphs.len() < 32 {
         let g = graphs.last().unwrap();
         let m = map_sequential_with(g, opts);
@@ -37,7 +39,7 @@ fn coarsen(g0: Csr, opts: &CollapseOptions) -> (Vec<Csr>, Vec<gosh_coarsen::Mapp
         if m.num_clusters() as f64 > 0.995 * g.num_vertices() as f64 {
             break;
         }
-        let coarse = build_coarse_sequential(g, &m);
+        let coarse = build_fused(g, &m, 1, &mut ws);
         maps.push(m);
         graphs.push(coarse);
     }

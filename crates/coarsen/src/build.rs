@@ -4,10 +4,11 @@
 //! clusters `c != c'` iff some fine edge crosses them (multi-edges
 //! collapsed, self-loops dropped — the "MultiEdgeCollapse" in the name).
 //!
-//! The parallel version is the count/fill half of the fused pipeline,
-//! [`crate::fused::build_fused`]. It produces a CSR byte-identical to the
-//! sequential builder below for any thread count; this one is kept as
-//! the oracle that equality is tested against.
+//! The production builder, at every thread count, is the count/fill half
+//! of the fused pipeline, [`crate::fused::build_fused`]. It produces a
+//! CSR byte-identical to the sequential builder below for any thread
+//! count; this one is only the oracle that equality is tested against
+//! (proptests and the micro-benchmark), and no production path calls it.
 
 use crate::mapping::Mapping;
 use gosh_graph::csr::{Csr, VertexId};

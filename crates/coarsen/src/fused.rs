@@ -146,8 +146,8 @@ impl CoarsenWorkspace {
 
 /// One fused coarsening step: mapping and coarse graph in a single
 /// pipeline, reusing `ws` for all scratch. `threads == 1` still runs the
-/// lock-free path (use [`crate::sequential::map_sequential`] +
-/// [`crate::build::build_coarse_sequential`] for the exact Algorithm 4).
+/// lock-free matcher (use [`crate::sequential::map_sequential`] +
+/// [`build_fused`] for the exact Algorithm 4).
 pub fn coarsen_step_fused(g: &Csr, threads: usize, ws: &mut CoarsenWorkspace) -> (Mapping, Csr) {
     let mapping = map_fused(g, threads, ws);
     let coarse = build_fused(g, &mapping, threads, ws);

@@ -3,7 +3,6 @@
 
 use std::time::Instant;
 
-use crate::build::build_coarse_sequential;
 use crate::fused::{build_fused, map_fused, CoarsenWorkspace};
 use crate::mapping::Mapping;
 use crate::sequential::map_sequential;
@@ -16,8 +15,11 @@ pub struct CoarsenConfig {
     /// the current level has *more* vertices than this (paper default:
     /// 100). The coarsest level may undershoot it by one step's shrink.
     pub threshold: usize,
-    /// Worker threads; 1 selects the exact sequential Algorithm 4,
-    /// anything larger the fused lock-free pipeline of [`crate::fused`].
+    /// Worker threads; 1 selects the exact sequential Algorithm 4
+    /// mapping, anything larger the fused lock-free matcher of
+    /// [`crate::fused`]. The coarse graphs are built by
+    /// [`crate::fused::build_fused`] at every thread count; its output
+    /// does not depend on the count.
     pub threads: usize,
     /// Hard cap on the number of levels (D), a safety net for graphs that
     /// stop shrinking (e.g. perfect matchings of hubs).
@@ -138,21 +140,15 @@ pub fn coarsen_hierarchy(g0: Csr, cfg: &CoarsenConfig) -> Hierarchy {
     while graphs[level].num_vertices() > cfg.threshold && graphs.len() < cfg.max_levels {
         let start = Instant::now();
         let g = &graphs[level];
-        let (mapping, coarse) = if cfg.threads == 1 {
-            let mapping = map_sequential(g);
-            if !accept_mapping(g.num_vertices(), &mapping, cfg) {
-                break; // stalled or degenerate: stop with what we have
-            }
-            let coarse = build_coarse_sequential(g, &mapping);
-            (mapping, coarse)
+        let mapping = if cfg.threads == 1 {
+            map_sequential(g)
         } else {
-            let mapping = map_fused(g, cfg.threads, &mut ws);
-            if !accept_mapping(g.num_vertices(), &mapping, cfg) {
-                break;
-            }
-            let coarse = build_fused(g, &mapping, cfg.threads, &mut ws);
-            (mapping, coarse)
+            map_fused(g, cfg.threads, &mut ws)
         };
+        if !accept_mapping(g.num_vertices(), &mapping, cfg) {
+            break; // stalled or degenerate: stop with what we have
+        }
+        let coarse = build_fused(g, &mapping, cfg.threads, &mut ws);
         let seconds = start.elapsed().as_secs_f64();
         stats.push(LevelStats {
             level: level + 1,

@@ -19,9 +19,12 @@
 //! pass produces the mapping *and* the coarse CSR on reusable level-sized
 //! scratch ([`fused::CoarsenWorkspace`]), replacing the old
 //! match-then-rebuild two-pass design. Callers of either half on its own
-//! ([`fused::map_fused`], [`fused::build_fused`]) pass a workspace too;
-//! [`sequential`] and [`build::build_coarse_sequential`] are the exact
-//! Algorithm 4 oracles.
+//! ([`fused::map_fused`], [`fused::build_fused`]) pass a workspace too.
+//! At one thread the mapping is the exact Algorithm 4 of [`sequential`];
+//! every production coarse graph, at any thread count, comes from
+//! [`fused::build_fused`], whose output does not depend on the count.
+//! [`build::build_coarse_sequential`] is the oracle it is tested
+//! against, and nothing else.
 
 pub mod build;
 pub mod fused;

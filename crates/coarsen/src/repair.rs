@@ -33,7 +33,6 @@ use std::time::Instant;
 
 use gosh_graph::csr::{Csr, VertexId};
 
-use crate::build::build_coarse_sequential;
 use crate::fused::{build_fused, CoarsenWorkspace};
 use crate::hierarchy::{coarsen_hierarchy, CoarsenConfig, Hierarchy, LevelStats};
 use crate::mapping::{Mapping, UNMAPPED};
@@ -45,7 +44,7 @@ pub struct RepairConfig {
     /// is fully recoarsened instead of repaired.
     pub fallback_fraction: f64,
     /// The coarsening parameters the fallback (and any deepening) uses;
-    /// `threads` also selects the coarse-graph builder.
+    /// `threads` also sizes the coarse-graph builder's team.
     pub coarsen: CoarsenConfig,
 }
 
@@ -172,11 +171,7 @@ pub fn repair_hierarchy(
             break;
         }
 
-        let coarse = if threads == 1 {
-            build_coarse_sequential(g, &mapping)
-        } else {
-            build_fused(g, &mapping, threads, &mut ws)
-        };
+        let coarse = build_fused(g, &mapping, threads, &mut ws);
         stats_levels.push(LevelStats {
             level: i + 1,
             seconds: level_start.elapsed().as_secs_f64(),
@@ -345,6 +340,7 @@ fn repair_level(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::build_coarse_sequential;
     use gosh_graph::gen::{community_graph, CommunityConfig};
     use gosh_graph::stream::{apply_delta, EdgeDelta};
 

@@ -192,6 +192,10 @@ pub fn warm_embed(
 fn init_fine(g_new: &Csr, old: &Embedding, dim: usize, seed: u64) -> Embedding {
     let n_new = g_new.num_vertices();
     let old_n = old.num_vertices();
+    if n_new == old_n {
+        // Every row is an old row: no draw of the random base survives.
+        return old.clone();
+    }
     let mut m = Embedding::random(n_new, dim, seed);
     m.as_mut_slice()[..old_n * dim].copy_from_slice(old.as_slice());
     for v in old_n..n_new {
@@ -346,6 +350,62 @@ mod tests {
         assert_eq!(m.row(b), base.row(b));
         // Old vertices keep their rows bit-for-bit.
         assert_eq!(&m.as_slice()[..n * 8], old.as_slice());
+    }
+
+    /// The fine init as a draw over every row: the random base, old rows
+    /// copied over it, then the neighbour means of new rows.
+    fn init_fine_over_random_base(
+        g_new: &Csr,
+        old: &Embedding,
+        dim: usize,
+        seed: u64,
+    ) -> Embedding {
+        let old_n = old.num_vertices();
+        let mut m = Embedding::random(g_new.num_vertices(), dim, seed);
+        m.as_mut_slice()[..old_n * dim].copy_from_slice(old.as_slice());
+        for v in old_n as u32..g_new.num_vertices() as u32 {
+            let olds: Vec<u32> = g_new
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| (u as usize) < old_n)
+                .collect();
+            if olds.is_empty() {
+                continue;
+            }
+            let mut acc = vec![0.0f32; dim];
+            for &u in &olds {
+                for (a, &x) in acc.iter_mut().zip(old.row(u)) {
+                    *a += x;
+                }
+            }
+            let inv = 1.0 / olds.len() as f32;
+            for (dst, a) in m.row_mut(v).iter_mut().zip(&acc) {
+                *dst = a * inv;
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn init_fine_matches_the_random_base_with_and_without_new_vertices() {
+        let g = base_graph();
+        let n = g.num_vertices() as u32;
+        let old = Embedding::random(g.num_vertices(), 8, 7);
+        let mut same_vertices = EdgeDelta::new();
+        same_vertices.insert(0, 399);
+        same_vertices.delete(1, 2);
+        let mut new_vertices = same_vertices.clone();
+        new_vertices.insert(n, 3);
+        new_vertices.insert(n + 1, n + 2);
+        for delta in [EdgeDelta::new(), same_vertices, new_vertices] {
+            let g_new = apply_delta(&g, &delta);
+            let got = init_fine(&g_new, &old, 8, 42);
+            let want = init_fine_over_random_base(&g_new, &old, 8, 42);
+            assert_eq!(got.num_vertices(), want.num_vertices());
+            let bits = |m: &Embedding| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n_new = {}", g_new.num_vertices());
+        }
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //!
 //! 1. **Chunk** — the input splits into newline-aligned byte ranges of
 //!    roughly [`IngestConfig::chunk_bytes`] each; workers claim chunks
-//!    through an atomic cursor.
+//!    through an atomic cursor. One worker's default is one chunk.
 //! 2. **Parse** — each chunk is scanned as raw bytes (no per-line
 //!    `String`, no UTF-8 pass) by a single-pass fast scanner for the hot
 //!    `u v` / `u v w` shapes; anything else falls back to the shared
 //!    [`crate::io::parse_edge_line`] grammar, so format (and error)
-//!    semantics live in one place. Sparse vertex ids intern into a
-//!    *chunk-local* open-addressed map (multiply-shift hashing — much
-//!    cheaper than the reference parser's SipHash `HashMap`), producing
-//!    local arcs plus the chunk's raw ids in local first-seen order.
+//!    semantics live in one place. Vertex ids intern into a
+//!    *chunk-local* interner: ids below a bound proportional to the
+//!    chunk's byte length index a direct table (the dense `0..n` ids
+//!    generators and converters write never hash), every other id goes
+//!    to an open-addressed map (multiply-shift hashing — much cheaper
+//!    than the reference parser's SipHash `HashMap`). The result is local
+//!    arcs plus the chunk's raw ids in local first-seen order.
 //! 3. **Shard merge** — raw ids hash-partition across one shard map per
 //!    worker; each shard records the earliest `(chunk, position)`
 //!    occurrence of its ids. No locks: a shard is owned by one worker.
@@ -27,7 +30,8 @@
 //!    `(chunk, position)` reproduces the sequential first-seen order
 //!    exactly. A prefix sum over per-chunk win counts turns ranks into
 //!    dense ids, per-chunk translation tables rewrite the local arcs,
-//!    and `original_ids` concatenates the winners.
+//!    and `original_ids` concatenates the winners. Phases 3–4 are the
+//!    identity on a single chunk and are skipped there.
 //! 5. **Build** — the remapped arc chunks feed the parallel
 //!    counting-sort CSR build ([`crate::builder`]): an atomic-free
 //!    scatter/gather in the spirit of the fused coarsener, with static
@@ -53,30 +57,32 @@ pub struct IngestConfig {
     /// Worker threads for every phase.
     pub threads: usize,
     /// Target bytes per newline-aligned chunk (actual chunks extend to
-    /// the next newline). Small values exist for tests; the default
-    /// keeps per-chunk interners L2-resident while giving the team
-    /// enough chunks to balance.
+    /// the next newline). Small values exist for tests; the team default
+    /// keeps per-chunk interners cache-resident while giving the team
+    /// enough chunks to balance, and one worker's default is the whole
+    /// input as one chunk.
     pub chunk_bytes: usize,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism()
+        Self::with_threads(
+            std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
                 .min(16),
-            chunk_bytes: 1 << 20,
-        }
+        )
     }
 }
 
 impl IngestConfig {
-    /// A config with `threads` workers and the default chunk size.
+    /// A config with `threads` workers and the default chunk size: 1 MiB
+    /// for a team, and for one worker the whole input, so the id
+    /// resolution of phases 3–4 (the identity on one chunk) is skipped.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads,
-            ..Self::default()
+            chunk_bytes: if threads <= 1 { usize::MAX } else { 1 << 20 },
         }
     }
 }
@@ -102,6 +108,55 @@ pub fn read_edge_list_parallel(data: &[u8], cfg: &IngestConfig) -> io::Result<Lo
         }
         line_base += ch.lines;
     }
+
+    // Phases 3–4 turn chunk-local ids into global first-seen ids. For a
+    // single chunk they are the identity: its local first-seen order is
+    // the document's, so its ids and arcs are final as parsed.
+    let (original_ids, arc_lists) = if nc == 1 {
+        let ch = &mut chunks[0];
+        (
+            std::mem::take(&mut ch.firsts),
+            vec![std::mem::take(&mut ch.arcs)],
+        )
+    } else {
+        resolve_chunks(&mut chunks, threads)
+    };
+    let n = original_ids.len();
+    if n > u32::MAX as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{n} distinct vertex ids exceed the u32 vertex-id space"),
+        ));
+    }
+
+    // Phase 5: parallel counting-sort CSR build over the arc chunks.
+    let refs: Vec<&[(VertexId, VertexId)]> = arc_lists.iter().map(|v| v.as_slice()).collect();
+    let graph = build_csr_parallel(n, &refs, threads);
+
+    let mut stats = ParseStats::default();
+    for ch in &chunks {
+        stats.edge_lines += ch.edge_lines;
+        stats.weighted_lines += ch.weighted_lines;
+        stats.self_loops_dropped += ch.self_loops;
+    }
+    stats.duplicates_dropped =
+        stats.edge_lines - stats.self_loops_dropped - graph.num_undirected_edges();
+
+    Ok(LoadedGraph {
+        graph,
+        original_ids,
+        stats,
+    })
+}
+
+/// Phases 3–4 for two or more chunks: resolve every chunk's local ids to
+/// global dense ids in document first-seen order. Returns
+/// `original_ids` and the per-chunk arc lists rewritten to global ids.
+fn resolve_chunks(
+    chunks: &mut [ChunkParse],
+    threads: usize,
+) -> (Vec<u64>, Vec<Vec<(VertexId, VertexId)>>) {
+    let nc = chunks.len();
 
     // Phase 3: shard merge. Each shard map records the earliest
     // (chunk, position) occurrence of the raw ids that hash to it.
@@ -144,17 +199,11 @@ pub fn read_edge_list_parallel(data: &[u8], cfg: &IngestConfig) -> io::Result<Lo
     for c in 0..nc {
         base[c + 1] = base[c] + wins[c].wins;
     }
-    let n = base[nc];
-    if n > u32::MAX as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{n} distinct vertex ids exceed the u32 vertex-id space"),
-        ));
-    }
 
     // Phase 4b: per-chunk original-id runs and local→global translation
     // tables. Winners take `base[chunk] + rank`; losers resolve through
-    // their owning chunk's rank.
+    // their owning chunk's rank. (Ids past `u32::MAX` wrap here; the
+    // caller rejects that many ids before anything reads the arcs.)
     let parts: Vec<(Vec<u64>, Vec<VertexId>)> = map_jobs(threads, nc, |c| {
         let ch = &chunks[c];
         let rank = &wins[c].rank;
@@ -200,29 +249,11 @@ pub fn read_edge_list_parallel(data: &[u8], cfg: &IngestConfig) -> io::Result<Lo
         }
     });
 
-    // Phase 5: parallel counting-sort CSR build over the arc chunks.
-    let refs: Vec<&[(VertexId, VertexId)]> = arc_lists.iter().map(|v| v.as_slice()).collect();
-    let graph = build_csr_parallel(n, &refs, threads);
-
-    let mut original_ids: Vec<u64> = Vec::with_capacity(n);
+    let mut original_ids: Vec<u64> = Vec::with_capacity(base[nc]);
     for (ids, _) in &parts {
         original_ids.extend_from_slice(ids);
     }
-
-    let mut stats = ParseStats::default();
-    for ch in &chunks {
-        stats.edge_lines += ch.edge_lines;
-        stats.weighted_lines += ch.weighted_lines;
-        stats.self_loops_dropped += ch.self_loops;
-    }
-    stats.duplicates_dropped =
-        stats.edge_lines - stats.self_loops_dropped - graph.num_undirected_edges();
-
-    Ok(LoadedGraph {
-        graph,
-        original_ids,
-        stats,
-    })
+    (original_ids, arc_lists)
 }
 
 /// Load an edge-list file through the parallel path.
@@ -310,23 +341,24 @@ fn chunk_bounds(data: &[u8], target: usize) -> Vec<(usize, usize)> {
 /// Byte-scan one chunk: fast-path scanner with the shared grammar as
 /// the fallback oracle, feeding the local interner.
 fn parse_chunk(data: &[u8]) -> ChunkParse {
+    // Every edge line ends in a newline except perhaps the last, so this
+    // bounds the arc count without a doubling vector spanning the input.
+    // (Byte sums over 255-byte blocks cannot overflow and vectorize.)
+    let max_lines = data
+        .chunks(255)
+        .map(|c| c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize)
+        .sum::<usize>()
+        + 1;
     let mut cp = ChunkParse {
         firsts: Vec::new(),
-        arcs: Vec::new(),
+        arcs: Vec::with_capacity(max_lines),
         lines: 0,
         edge_lines: 0,
         weighted_lines: 0,
         self_loops: 0,
         error: None,
     };
-    let mut map = RawMap::with_capacity(256);
-    let intern = |map: &mut RawMap, firsts: &mut Vec<u64>, raw: u64| -> u32 {
-        let (val, inserted) = map.get_or_insert(raw, firsts.len() as u64);
-        if inserted {
-            firsts.push(raw);
-        }
-        val as u32
-    };
+    let mut interner = Interner::new(data.len() / DIRECT_BYTES_PER_ID);
     let mut pos = 0usize;
     while pos < data.len() {
         let scanned = match scan_line(data, pos) {
@@ -356,8 +388,8 @@ fn parse_chunk(data: &[u8]) -> ChunkParse {
                 cp.edge_lines += 1;
                 cp.weighted_lines += usize::from(weighted);
                 cp.self_loops += usize::from(u == v);
-                let ui = intern(&mut map, &mut cp.firsts, u);
-                let vi = intern(&mut map, &mut cp.firsts, v);
+                let ui = interner.intern(&mut cp.firsts, u);
+                let vi = interner.intern(&mut cp.firsts, v);
                 cp.arcs.push((ui, vi));
             }
             Err(msg) => {
@@ -369,6 +401,63 @@ fn parse_chunk(data: &[u8]) -> ChunkParse {
         cp.lines += 1;
     }
     cp
+}
+
+/// Input bytes per direct-index slot: a chunk of `len` bytes interns ids
+/// below `len / DIRECT_BYTES_PER_ID` through [`Interner::direct`]. Every
+/// edge line takes at least four bytes and names at most two new ids, so
+/// a file whose ids are `0..n` — what generators and `gosh convert` write
+/// — stays below the bound unless its lines average under eight bytes
+/// per distinct id.
+const DIRECT_BYTES_PER_ID: usize = 4;
+
+/// A chunk's raw-id → local-id interner. Small ids index a table
+/// directly (one load, no hash, and dense ids touch it sequentially);
+/// every other id goes through the open-addressed [`RawMap`]. Both paths
+/// hand out local ids in first-seen order.
+struct Interner {
+    /// `direct[raw]` is the local id of `raw` plus one, or 0 if `raw` has
+    /// not been seen. Grows by doubling up to `bound` entries, so its
+    /// size follows the largest small id seen, not the chunk.
+    direct: Vec<u32>,
+    /// Exclusive upper bound on the ids `direct` may hold.
+    bound: u64,
+    /// Every id at or above `bound`.
+    map: RawMap,
+}
+
+impl Interner {
+    fn new(bound: usize) -> Self {
+        Self {
+            direct: Vec::new(),
+            bound: bound as u64,
+            map: RawMap::with_capacity(256),
+        }
+    }
+
+    /// The local id of `raw`, appending it to `firsts` on first sight.
+    /// Local ids past `u32::MAX` wrap; the caller rejects that many ids.
+    #[inline]
+    fn intern(&mut self, firsts: &mut Vec<u64>, raw: u64) -> u32 {
+        if raw < self.bound {
+            let i = raw as usize;
+            if i >= self.direct.len() {
+                let len = (i + 1).next_power_of_two().max(1024);
+                self.direct.resize(len.min(self.bound as usize), 0);
+            }
+            let slot = &mut self.direct[i];
+            if *slot == 0 {
+                *slot = (firsts.len() as u32).wrapping_add(1);
+                firsts.push(raw);
+            }
+            return slot.wrapping_sub(1);
+        }
+        let (val, inserted) = self.map.get_or_insert(raw, firsts.len() as u64);
+        if inserted {
+            firsts.push(raw);
+        }
+        val as u32
+    }
 }
 
 /// One fast-scanned line.
@@ -677,6 +766,57 @@ mod tests {
         for chunk_bytes in [1, 1 << 20] {
             assert_matches_sequential(&text, 2, chunk_bytes);
         }
+    }
+
+    #[test]
+    fn ids_around_the_direct_table_bound_match_sequential() {
+        // Zero-padded ids give every line the same 18 bytes, so the
+        // whole-input chunk's table bound is exactly 18 * 100 / 4 = 450:
+        // ids 449, 450 and 451 land on both sides of it.
+        let ids = [449u64, 3, 450, 451, 0, 98_765_432, 449, 451, 2, 450];
+        let mut text = String::new();
+        for i in 0..100 {
+            let (u, v) = (ids[i % ids.len()], ids[(i * 7 + 3) % ids.len()]);
+            text.push_str(&format!("{u:08} {v:08}\n"));
+        }
+        assert_eq!(text.len() / DIRECT_BYTES_PER_ID, 450);
+        for threads in [1, 2] {
+            assert_matches_sequential(&text, threads, usize::MAX);
+        }
+        assert_matches_sequential(&text, 2, 1 << 20);
+    }
+
+    #[test]
+    fn one_worker_defaults_to_one_chunk() {
+        assert_eq!(IngestConfig::with_threads(1).chunk_bytes, usize::MAX);
+        assert_eq!(IngestConfig::with_threads(4).chunk_bytes, 1 << 20);
+        assert_eq!(chunk_bounds(b"1 2\n3 4\n", usize::MAX), vec![(0, 8)]);
+    }
+
+    #[test]
+    fn interner_hands_out_first_seen_ids() {
+        let mut interner = Interner::new(100);
+        let mut firsts = Vec::new();
+        let mut reference: std::collections::HashMap<u64, u32> = Default::default();
+        let mut x = 0x9876u64;
+        for _ in 0..5_000 {
+            x = mix64(x);
+            // Below, at and above the bound, plus the largest ids.
+            let raw = match x % 4 {
+                0 => x % 100,
+                1 => 95 + x % 10,
+                2 => x >> 40,
+                _ => u64::MAX - x % 3,
+            };
+            let next = reference.len() as u32;
+            let want = *reference.entry(raw).or_insert(next);
+            assert_eq!(interner.intern(&mut firsts, raw), want, "raw id {raw}");
+        }
+        assert_eq!(firsts.len(), reference.len());
+        for (i, raw) in firsts.iter().enumerate() {
+            assert_eq!(reference[raw], i as u32);
+        }
+        assert!(interner.direct.len() <= 100);
     }
 
     #[test]

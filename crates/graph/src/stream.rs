@@ -203,22 +203,60 @@ pub fn apply_delta(g: &Csr, delta: &EdgeDelta) -> Csr {
         "apply_delta requires sorted, deduplicated neighbour lists"
     );
     let (ins_arcs, del_arcs) = delta.arc_lists();
+    let (old_xadj, old_adj) = (g.xadj(), g.adj());
     let mut xadj = Vec::with_capacity(n_new + 1);
     xadj.push(0usize);
     let mut adj: Vec<VertexId> = Vec::with_capacity(g.num_edges() + ins_arcs.len());
     let (mut ic, mut dc) = (0usize, 0usize);
-    let dsts =
-        |arcs: &[(VertexId, VertexId)]| -> Vec<VertexId> { arcs.iter().map(|&(_, d)| d).collect() };
-    for v in 0..n_new as VertexId {
-        let old = if (v as usize) < n_old {
-            g.neighbors(v)
+    let (mut ins, mut del): (Vec<VertexId>, Vec<VertexId>) = (Vec::new(), Vec::new());
+    let mut v = 0usize;
+    while v < n_new {
+        // Rows before the next one the delta touches are unchanged: old
+        // rows are copied as one block, new rows are empty.
+        let touched = [ins_arcs.get(ic), del_arcs.get(dc)]
+            .into_iter()
+            .flatten()
+            .map(|&(src, _)| src as usize)
+            .min()
+            .unwrap_or(n_new);
+        let copy_end = touched.min(n_old);
+        if v < copy_end {
+            let (base, start) = (adj.len(), old_xadj[v]);
+            adj.extend_from_slice(&old_adj[start..old_xadj[copy_end]]);
+            xadj.extend(
+                old_xadj[v + 1..=copy_end]
+                    .iter()
+                    .map(|&x| base + (x - start)),
+            );
+            v = copy_end;
+        }
+        while v < touched {
+            xadj.push(adj.len());
+            v += 1;
+        }
+        if v == n_new {
+            break;
+        }
+        let old = if v < n_old {
+            g.neighbors(v as VertexId)
         } else {
             &[]
         };
-        let ins = dsts(arcs_of(&ins_arcs, v, &mut ic));
-        let del = dsts(arcs_of(&del_arcs, v, &mut dc));
+        ins.clear();
+        ins.extend(
+            arcs_of(&ins_arcs, v as VertexId, &mut ic)
+                .iter()
+                .map(|&(_, d)| d),
+        );
+        del.clear();
+        del.extend(
+            arcs_of(&del_arcs, v as VertexId, &mut dc)
+                .iter()
+                .map(|&(_, d)| d),
+        );
         merge_into(&mut adj, old, &ins, &del);
         xadj.push(adj.len());
+        v += 1;
     }
     Csr::from_raw_trusted(xadj, adj)
 }

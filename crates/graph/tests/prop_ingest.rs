@@ -114,3 +114,129 @@ proptest! {
         }
     }
 }
+
+/// Both parsers' outcome on `bytes` at threads 1, 2 and 4, each with the
+/// default chunking (one chunk at one thread) and with 7-byte chunks:
+/// the same graph, `original_ids` and stats, or the same error message
+/// and kind.
+fn assert_same_outcome(bytes: &[u8]) {
+    let seq = read_edge_list(Cursor::new(bytes));
+    for threads in [1usize, 2, 4] {
+        for cfg in [
+            IngestConfig::with_threads(threads),
+            IngestConfig {
+                threads,
+                chunk_bytes: 7,
+            },
+        ] {
+            let par = read_edge_list_parallel(bytes, &cfg);
+            match (&seq, &par) {
+                (Ok(s), Ok(p)) => {
+                    assert_eq!(&p.graph, &s.graph, "graph at {cfg:?}");
+                    assert_eq!(&p.original_ids, &s.original_ids, "ids at {cfg:?}");
+                    assert_eq!(p.stats, s.stats, "stats at {cfg:?}");
+                }
+                (Err(s), Err(p)) => {
+                    assert_eq!(p.to_string(), s.to_string(), "error at {cfg:?}");
+                    assert_eq!(p.kind(), s.kind(), "error kind at {cfg:?}");
+                }
+                _ => panic!(
+                    "outcomes differ at {cfg:?}: sequential {:?}, parallel {:?}",
+                    seq.as_ref().map(|l| l.stats),
+                    par.as_ref().map(|l| l.stats)
+                ),
+            }
+        }
+    }
+}
+
+/// One id token: `class` 0 is a small contiguous id (0–47, the direct
+/// table's home), 1 an id below 2048 (on both sides of the table bound,
+/// which is a quarter of the chunk's byte length), 2 one of the two
+/// largest `u64`s, 3 a sparse id `x·1 000 003 + 17`.
+type IdSpec = (usize, u64);
+
+fn render_id((class, x): IdSpec, only_small: bool) -> u64 {
+    match if only_small { 0 } else { class } {
+        0 => x % 48,
+        1 => x % 2048,
+        2 => u64::MAX - x % 2,
+        _ => x % 4096 * 1_000_003 + 17,
+    }
+}
+
+fn id_lines() -> impl Strategy<Value = Vec<(IdSpec, IdSpec)>> {
+    prop::collection::vec(
+        ((0usize..4, 0u64..1 << 20), (0usize..4, 0u64..1 << 20)),
+        0..96,
+    )
+}
+
+fn render_ids(lines: &[(IdSpec, IdSpec)], only_small: bool) -> String {
+    let mut text = String::new();
+    for &(u, v) in lines {
+        text.push_str(&format!(
+            "{} {}\n",
+            render_id(u, only_small),
+            render_id(v, only_small)
+        ));
+    }
+    text
+}
+
+/// Bytes that are mostly edge-list material (digits, field and line
+/// separators, comment and sign characters, exponent letters) with
+/// arbitrary bytes mixed in.
+fn noisy_bytes() -> impl Strategy<Value = Vec<u8>> {
+    const ALPHABET: &[u8] = b"0123456789 \t\r\n\n\n#%-+.eE";
+    prop::collection::vec((0usize..4, 0u8..=255), 0..256).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(class, b)| {
+                if class == 0 {
+                    b
+                } else {
+                    ALPHABET[b as usize % ALPHABET.len()]
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn interner_id_classes_match_sequential(
+        lines in id_lines(),
+        only_small in prop::bool::ANY,
+    ) {
+        // Small contiguous ids, ids straddling the direct-table bound,
+        // `u64::MAX` and sparse ids, alone and mixed inside one chunk
+        // (default chunking) and across chunks (7-byte chunks).
+        let text = render_ids(&lines, only_small);
+        assert_same_outcome(text.as_bytes());
+    }
+
+    #[test]
+    fn arbitrary_bytes_match_sequential(bytes in noisy_bytes()) {
+        assert_same_outcome(&bytes);
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_edge_lists_match_sequential(
+        lines in id_lines(),
+        cut in 0usize..4096,
+        flip_at in 0usize..4096,
+        flip_bit in 0u32..8,
+    ) {
+        let text = render_ids(&lines, false).into_bytes();
+        let cut = cut % (text.len() + 1);
+        assert_same_outcome(&text[..cut]);
+        if !text.is_empty() {
+            let mut flipped = text.clone();
+            flipped[flip_at % text.len()] ^= 1 << flip_bit;
+            assert_same_outcome(&flipped);
+        }
+    }
+}
