@@ -36,13 +36,16 @@
 //!    thread's private output run, zeroing both levels on the way out:
 //!    no comparison sort of candidate lists and no clear pass anywhere.
 //! 5. **Assemble** — the unique degrees prefix-sum into the final
-//!    `xadj` and the per-thread runs concatenate with plain memcpys.
+//!    `xadj`; thread 0's run becomes the adjacency and the other runs
+//!    append to it with plain memcpys (nothing is copied at one thread).
 //!    The result is byte-identical to
 //!    [`crate::build::build_coarse_sequential`] on the same mapping.
 //!
 //! All level-sized scratch lives in a [`CoarsenWorkspace`] that the
 //! hierarchy loop reuses across levels: because coarse graphs only
-//! shrink, the whole hierarchy runs on the buffers sized by `G_0`.
+//! shrink, the whole hierarchy runs on the buffers sized by `G_0`. The
+//! one exception is thread 0's output run, which leaves with each
+//! coarse graph as its adjacency.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -72,13 +75,15 @@ struct ThreadScratch {
     summary: Vec<u64>,
     /// The thread's finished adjacency run: deduplicated, sorted target
     /// lists of its contiguous cluster range, back to back. Assembly
-    /// concatenates these runs in range order with plain memcpys.
+    /// takes thread 0's run as the coarse adjacency and appends the
+    /// others in range order with plain memcpys.
     out: Vec<VertexId>,
 }
 
 /// Reusable level-sized scratch for [`coarsen_step_fused`]. Create once,
 /// pass to every level: buffers grow to the finest level's size and are
-/// reused (never reallocated) for all coarser levels.
+/// reused (never reallocated) for all coarser levels, except thread 0's
+/// output run, which each level's coarse graph takes as its adjacency.
 #[derive(Default)]
 pub struct CoarsenWorkspace {
     /// Cluster labels (hub vertex ids) — the per-entry locks.
@@ -406,10 +411,13 @@ pub fn build_fused(g: &Csr, mapping: &Mapping, threads: usize, ws: &mut CoarsenW
     for c in cursors {
         xadj.push(xadj.last().unwrap() + c.load(Ordering::Relaxed));
     }
-    let mut adj: Vec<VertexId> = Vec::with_capacity(xadj[k]);
-    for scratch in &ws.threads[..threads] {
+    // Thread 0's run becomes the adjacency itself (at one thread, with
+    // no copy at all); the other runs are appended after it.
+    let mut adj = std::mem::take(&mut ws.threads[0].out);
+    for scratch in &ws.threads[1..threads] {
         adj.extend_from_slice(&scratch.out);
     }
+    adj.shrink_to_fit();
     // Construction proves the invariants: `xadj` is a prefix sum (so
     // monotone, starting at 0) whose total is exactly the concatenated
     // run length, and every entry is a compact cluster id < k. Debug
