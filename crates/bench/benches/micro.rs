@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks of the hot paths behind every table:
 //! the Algorithm 1 update, the fused in-place trainer update, the
 //! sharded trainer core, the pipelined Algorithm 5 large-graph engine,
-//! one coarsening step (sequential and parallel), coarse-graph
-//! construction, positive sampling, AUCROC, and CSR builds.
+//! the Algorithm 4 mapping, coarse-graph construction, positive
+//! sampling, AUCROC, and CSR builds.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gosh_coarsen::build::build_coarse_sequential;
-use gosh_coarsen::fused::{build_fused, map_fused, CoarsenWorkspace};
+use gosh_coarsen::fused::{build_fused, CoarsenWorkspace};
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
 use gosh_coarsen::sequential::map_sequential;
 use gosh_core::model::{Embedding, SharedMatrix};
@@ -81,10 +81,6 @@ fn bench_coarsening(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("sequential", |b| {
         b.iter(|| map_sequential(black_box(&g)));
-    });
-    group.bench_function("parallel_8t", |b| {
-        let mut ws = CoarsenWorkspace::new();
-        b.iter(|| map_fused(black_box(&g), 8, &mut ws));
     });
     group.finish();
 

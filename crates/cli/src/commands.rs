@@ -51,11 +51,14 @@ fn pipeline_and_distrib_flags() -> Vec<&'static str> {
     [PIPELINE_FLAGS, DISTRIB_FLAGS].concat()
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8)
-        .min(16)
+/// The `--threads` flag: at least one worker, by default one per core
+/// (at most 16).
+fn threads_flag(p: &Parsed) -> Result<usize, String> {
+    let cores = || std::thread::available_parallelism().map_or(8, |n| n.get().min(16));
+    match p.flag::<usize>("threads")?.unwrap_or_else(cores) {
+        0 => Err("--threads must be at least 1".into()),
+        t => Ok(t),
+    }
 }
 
 /// A loaded input file: binary CSRs carry only the graph, text edge
@@ -98,8 +101,7 @@ fn load_input(path: &str, threads: usize) -> Result<LoadedInput, String> {
 /// Load a graph: `.csr` binary or edge-list text, honouring the
 /// command's `--threads` flag (commands without one use the default).
 fn load_graph(path: &str, p: &Parsed) -> Result<Csr, String> {
-    let threads = p.flag::<usize>("threads")?.unwrap_or_else(default_threads);
-    load_input(path, threads).map(LoadedInput::into_graph)
+    load_input(path, threads_flag(p)?).map(LoadedInput::into_graph)
 }
 
 /// Save a graph: `.csr` binary or edge-list text.
@@ -128,7 +130,7 @@ fn build_config(p: &Parsed) -> Result<(GoshConfig, Device), String> {
     let preset = parse_preset(p)?;
     let mut cfg = GoshConfig::preset(preset, false)
         .with_dim(p.flag::<usize>("dim")?.unwrap_or(32))
-        .with_threads(p.flag::<usize>("threads")?.unwrap_or_else(default_threads));
+        .with_threads(threads_flag(p)?);
     if let Some(e) = p.flag::<u32>("epochs")? {
         cfg = cfg.with_epochs(e);
     }
@@ -237,8 +239,7 @@ pub fn generate(args: &[String]) -> Result<(), String> {
 /// `gosh stats <graph> [--threads N]`.
 pub fn stats(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["threads"])?;
-    let threads = p.flag::<usize>("threads")?.unwrap_or_else(default_threads);
-    let input = load_input(p.positional(0, "graph")?, threads)?;
+    let input = load_input(p.positional(0, "graph")?, threads_flag(&p)?)?;
     let g = input.graph();
     let s = GraphStats::compute(g);
     let comps = connected_components(g);
@@ -271,8 +272,7 @@ pub fn convert(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["threads"])?;
     let input_path = p.positional(0, "input graph")?;
     let out = p.positional(1, "output file")?;
-    let threads = p.flag::<usize>("threads")?.unwrap_or_else(default_threads);
-    let input = load_input(input_path, threads)?;
+    let input = load_input(input_path, threads_flag(&p)?)?;
     let to_csr = out.ends_with(".csr");
     let result = match (&input, to_csr) {
         (_, true) => io::write_binary(out, input.graph()),
@@ -307,7 +307,7 @@ pub fn coarsen(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["threads", "threshold"])?;
     let g = load_graph(p.positional(0, "graph")?, &p)?;
     let cfg = CoarsenConfig {
-        threads: p.flag::<usize>("threads")?.unwrap_or_else(default_threads),
+        threads: threads_flag(&p)?,
         threshold: p.flag::<usize>("threshold")?.unwrap_or(100),
         ..Default::default()
     };
@@ -467,7 +467,7 @@ pub fn update(args: &[String]) -> Result<(), String> {
     let delta_path = p.positional(1, "delta file")?;
     let store_path = p.positional(2, "model store (.embin)")?;
     let out = p.positional(3, "output file")?;
-    let threads = p.flag::<usize>("threads")?.unwrap_or_else(default_threads);
+    let threads = threads_flag(&p)?;
 
     let input = load_input(graph_path, threads)?;
     let mut original_ids: Vec<u64> = match &input {
@@ -575,13 +575,13 @@ pub fn update(args: &[String]) -> Result<(), String> {
 pub fn serve(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["addr", "threads", "ivf"])?;
     let path = p.positional(0, ".embin store")?;
-    let store = EmbeddingStore::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    let (n, dim, precision) = (store.num_vertices(), store.dim(), store.precision());
     let cfg = ServeConfig {
-        threads: p.flag::<usize>("threads")?.unwrap_or_else(default_threads),
+        threads: threads_flag(&p)?,
         build_ivf: p.flag::<bool>("ivf")?.unwrap_or(true),
         verbose: true,
     };
+    let store = EmbeddingStore::open(path).map_err(|e| format!("opening {path}: {e}"))?;
+    let (n, dim, precision) = (store.num_vertices(), store.dim(), store.precision());
     let addr = p.flag_str("addr").unwrap_or("127.0.0.1:7070");
     let server = Server::bind(store, addr, cfg).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;

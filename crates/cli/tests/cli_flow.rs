@@ -152,6 +152,27 @@ fn flag_validation_catches_typos_and_misuse() {
     let (ok, text) = run(&["stats", "g.csr", "--dim", "8"]);
     assert!(!ok);
     assert!(text.contains("unknown flag --dim"), "{text}");
+
+    // `--threads 0` is a usage error, named before any file is read,
+    // on every command that takes the flag.
+    for args in [
+        &["stats", "g.csr"][..],
+        &["convert", "g.txt", "g.csr"],
+        &["coarsen", "g.txt"],
+        &["embed", "g.txt", "out.emb"],
+        &["eval", "g.txt"],
+        &["train", "g.txt", "out.emb"],
+        &["update", "g.txt", "d.txt", "m.embin", "out.emb"],
+        &["serve", "m.embin"],
+    ] {
+        let (ok, text) = run(&[args, &["--threads", "0"]].concat());
+        assert!(!ok, "{args:?}: {text}");
+        assert!(
+            text.contains("--threads must be at least 1"),
+            "{args:?}: {text}"
+        );
+        assert!(!text.contains("panicked"), "{args:?}: {text}");
+    }
 }
 
 #[test]

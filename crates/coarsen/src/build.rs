@@ -43,7 +43,7 @@ pub fn build_coarse_sequential(g: &Csr, mapping: &Mapping) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::{build_fused, map_fused, CoarsenWorkspace};
+    use crate::fused::{build_fused, CoarsenWorkspace};
     use crate::sequential::map_sequential;
     use gosh_graph::builder::csr_from_edges;
     use gosh_graph::gen::{erdos_renyi, rmat, RmatConfig};
@@ -98,9 +98,8 @@ mod tests {
     #[test]
     fn parallel_build_invariants() {
         let g = erdos_renyi(1000, 8000, 17);
-        let mut ws = CoarsenWorkspace::new();
-        let m = map_fused(&g, 4, &mut ws);
-        let c = build_fused(&g, &m, 4, &mut ws);
+        let m = map_sequential(&g);
+        let c = build_fused(&g, &m, 4, &mut CoarsenWorkspace::new());
         check_coarse_invariants(&g, &m, &c);
     }
 

@@ -1,31 +1,16 @@
-//! The fused lock-free coarsening pipeline.
+//! The parallel coarse-graph builder.
 //!
-//! One coarsening step used to be two passes with an intermediate
-//! representation: a parallel matcher produced a [`Mapping`], then a
-//! parallel builder materialized per-cluster member lists
-//! (`Mapping::members`, a full counting sort of |V|), gathered neighbour
-//! lists through that indirection into thread-private edge regions, and
-//! stitched the regions together under a mutex. Every level also
-//! reallocated every buffer from scratch.
+//! One coarsening step is the sequential Algorithm 4 mapping of
+//! [`crate::sequential`] followed by [`build_fused`], which turns the
+//! fine CSR and that mapping into the coarse CSR in one allocation-free
+//! pipeline:
 //!
-//! This module fuses the step into a single allocation-free pipeline over
-//! the CSR:
-//!
-//! 1. **Match** — threads claim dynamic vertex ranges of the hubs-first
-//!    order and label clusters with their hub id via relaxed
-//!    compare-and-swap (each map entry is its own lock, as in §3.2.2; the
-//!    hub–hub density rule is unchanged). No fences: a cell only ever
-//!    transitions `UNMAPPED → hub` once, and the labels are not read
-//!    until after the scope join, which is the synchronization point.
-//! 2. **Compact** — hub labels become dense cluster ids in two O(|V|)
-//!    sweeps (hubs numbered in increasing id order, then a rewrite), the
-//!    only sequential part of the step.
-//! 3. **Scatter** — a member counting sort onto reused scratch: counts
+//! 1. **Scatter** — a member counting sort onto reused scratch: counts
 //!    per cluster in one O(|V|) sweep, prefix-summed offsets, then a
 //!    parallel member-id scatter with one relaxed `fetch_add` per
 //!    vertex. The intermediate is |V| ids, a tenth of the old
 //!    thread-private edge regions.
-//! 4. **Gather + dedup + sort** — clusters are split into one
+//! 2. **Gather + dedup + sort** — clusters are split into one
 //!    contiguous range per thread (balanced by member mass); each
 //!    thread walks a cluster's members, maps every fine arc's target
 //!    once, and sets one bit per target in a two-level bitmap
@@ -35,11 +20,12 @@
 //!    words and emits the unique targets *already sorted* into the
 //!    thread's private output run, zeroing both levels on the way out:
 //!    no comparison sort of candidate lists and no clear pass anywhere.
-//! 5. **Assemble** — the unique degrees prefix-sum into the final
+//! 3. **Assemble** — the unique degrees prefix-sum into the final
 //!    `xadj`; thread 0's run becomes the adjacency and the other runs
 //!    append to it with plain memcpys (nothing is copied at one thread).
 //!    The result is byte-identical to
-//!    [`crate::build::build_coarse_sequential`] on the same mapping.
+//!    [`crate::build::build_coarse_sequential`] on the same mapping, at
+//!    every thread count.
 //!
 //! All level-sized scratch lives in a [`CoarsenWorkspace`] that the
 //! hierarchy loop reuses across levels: because coarse graphs only
@@ -49,11 +35,10 @@
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use crate::mapping::{Mapping, UNMAPPED};
-use crate::order::sort_by_degree_desc_into;
+use crate::mapping::Mapping;
 use gosh_graph::csr::{Csr, VertexId};
 
-/// Vertices per dynamic batch in the match and fill phases.
+/// Vertices per dynamic batch in the scatter phase.
 const VERTEX_BATCH: usize = 512;
 
 /// Per-thread scratch for the gather phase: a two-level bitmap
@@ -80,24 +65,12 @@ struct ThreadScratch {
     out: Vec<VertexId>,
 }
 
-/// Reusable level-sized scratch for [`coarsen_step_fused`]. Create once,
+/// Reusable level-sized scratch for [`build_fused`]. Create once,
 /// pass to every level: buffers grow to the finest level's size and are
 /// reused (never reallocated) for all coarser levels, except thread 0's
 /// output run, which each level's coarse graph takes as its adjacency.
 #[derive(Default)]
 pub struct CoarsenWorkspace {
-    /// Cluster labels (hub vertex ids) — the per-entry locks.
-    labels: Vec<AtomicU32>,
-    /// Hubs-first processing order.
-    order: Vec<VertexId>,
-    /// Degree buckets for the counting sort behind `order`.
-    buckets: Vec<usize>,
-    /// Bitmap: vertex degree ≤ δ (the density rule's "small" side). One
-    /// bit per vertex keeps the per-neighbour rule check L1-resident
-    /// instead of two random `xadj` loads.
-    small: Vec<u64>,
-    /// Hub vertex id → dense cluster id.
-    dense: Vec<VertexId>,
     /// Per-cluster member offsets (counting sort, prefix-summed).
     offsets: Vec<usize>,
     /// Per-cluster scatter cursor; after the gather, the unique degree.
@@ -113,18 +86,6 @@ impl CoarsenWorkspace {
     /// An empty workspace; buffers are sized on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure_vertices(&mut self, n: usize) {
-        if self.labels.len() < n {
-            self.labels.resize_with(n, || AtomicU32::new(UNMAPPED));
-        }
-        if self.dense.len() < n {
-            self.dense.resize(n, UNMAPPED);
-        }
-        if self.small.len() < n.div_ceil(64) {
-            self.small.resize(n.div_ceil(64), 0);
-        }
     }
 
     fn ensure_clusters(&mut self, k: usize) {
@@ -149,120 +110,7 @@ impl CoarsenWorkspace {
     }
 }
 
-/// One fused coarsening step: mapping and coarse graph in a single
-/// pipeline, reusing `ws` for all scratch. `threads == 1` still runs the
-/// lock-free matcher (use [`crate::sequential::map_sequential`] +
-/// [`build_fused`] for the exact Algorithm 4).
-pub fn coarsen_step_fused(g: &Csr, threads: usize, ws: &mut CoarsenWorkspace) -> (Mapping, Csr) {
-    let mapping = map_fused(g, threads, ws);
-    let coarse = build_fused(g, &mapping, threads, ws);
-    (mapping, coarse)
-}
-
-/// Phases 1–2: lock-free matching plus label compaction.
-pub fn map_fused(g: &Csr, threads: usize, ws: &mut CoarsenWorkspace) -> Mapping {
-    assert!(threads >= 1, "need at least one thread");
-    let n = g.num_vertices();
-    if n == 0 {
-        return Mapping::new(Vec::new(), 0);
-    }
-    ws.ensure_vertices(n);
-    sort_by_degree_desc_into(g, &mut ws.order, &mut ws.buckets);
-    for l in &ws.labels[..n] {
-        l.store(UNMAPPED, Ordering::Relaxed);
-    }
-
-    // Phase 1: match. Threads grab dynamic vertex ranges of the order;
-    // every claim is a relaxed CAS against the entry's own lock.
-    let labels = &ws.labels[..n];
-    let order = &ws.order[..n];
-    // Integer form of Algorithm 4's δ: `deg as f64 <= delta` for integer
-    // degrees is exactly `deg <= floor(delta)`. The outcome is
-    // precomputed as one bit per vertex so the claim loop's rule check
-    // reads a ~|V|/8-byte bitmap (L1/L2-resident) instead of two random
-    // `xadj` entries per neighbour.
-    let small_max = g.density().floor() as usize;
-    let small = &mut ws.small[..n.div_ceil(64)];
-    small.fill(0);
-    for v in 0..n {
-        if g.degree(v as VertexId) <= small_max {
-            small[v / 64] |= 1u64 << (v % 64);
-        }
-    }
-    let small = &ws.small[..n.div_ceil(64)];
-    let is_small = |v: VertexId| small[v as usize / 64] >> (v % 64) & 1 == 1;
-    let cursor = AtomicUsize::new(0);
-    gosh_runtime::global().run(threads, |_ctx| {
-        loop {
-            let start = cursor.fetch_add(VERTEX_BATCH, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + VERTEX_BATCH).min(n);
-            for &v in &order[start..end] {
-                // Claim v as the hub of a new cluster. The cheap
-                // load filters already-claimed vertices without
-                // paying for a locked instruction.
-                if labels[v as usize].load(Ordering::Relaxed) != UNMAPPED
-                    || labels[v as usize]
-                        .compare_exchange(UNMAPPED, v, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_err()
-                {
-                    continue;
-                }
-                let v_small = is_small(v);
-                for &u in g.neighbors(v) {
-                    // Algorithm 4 line 12: at least one endpoint
-                    // must be below the density threshold δ.
-                    if (v_small || is_small(u))
-                        && labels[u as usize].load(Ordering::Relaxed) == UNMAPPED
-                    {
-                        // Best-effort: losing the race means u
-                        // joined another cluster, which is fine.
-                        let _ = labels[u as usize].compare_exchange(
-                            UNMAPPED,
-                            v,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                    }
-                }
-            }
-        }
-    });
-
-    // Phase 2: compact hub labels to dense cluster ids (§3.2.2's two
-    // sequential traversals), writing straight into the Mapping's vector.
-    //
-    // Ids are handed out by hub *position in the degree order*, not by
-    // hub id: coarse vertex degree correlates strongly with hub degree,
-    // so the next level's hubs-first processing order becomes almost the
-    // identity permutation — its claim loop then walks `xadj`/`adj`/the
-    // map nearly sequentially instead of hopping across the address
-    // space. Measured on the bench workload this keeps every level of
-    // the hierarchy ~4x faster to traverse than id-ordered numbering
-    // (which, under racy membership, scatters the degree order).
-    let dense = &mut ws.dense[..n];
-    if cfg!(debug_assertions) {
-        dense.fill(UNMAPPED);
-    }
-    let mut next = 0 as VertexId;
-    for &v in order {
-        if labels[v as usize].load(Ordering::Relaxed) == v {
-            dense[v as usize] = next;
-            next += 1;
-        }
-    }
-    let mut map = Vec::with_capacity(n);
-    for l in labels {
-        let hub = l.load(Ordering::Relaxed) as usize;
-        debug_assert!(dense[hub] != UNMAPPED, "label points at non-hub {hub}");
-        map.push(dense[hub]);
-    }
-    Mapping::new(map, next as usize)
-}
-
-/// Phases 3–6: parallel two-phase count/fill coarse-CSR construction.
+/// The parallel coarse-CSR construction of one coarsening step.
 /// Byte-identical to [`crate::build::build_coarse_sequential`] on the
 /// same mapping, for any thread count.
 pub fn build_fused(g: &Csr, mapping: &Mapping, threads: usize, ws: &mut CoarsenWorkspace) -> Csr {
@@ -281,7 +129,7 @@ pub fn build_fused(g: &Csr, mapping: &Mapping, threads: usize, ws: &mut CoarsenW
     ws.ensure_arena(n);
     ws.ensure_threads(threads);
 
-    // Phase 3: member counting sort onto reused scratch — counts per
+    // Phase 1: member counting sort onto reused scratch — counts per
     // cluster (one O(|V|) sweep), prefix-summed offsets, then a parallel
     // scatter of member vertex ids (one relaxed fetch_add per vertex).
     // Scattering |V| member ids instead of |E| arc targets keeps the
@@ -315,7 +163,7 @@ pub fn build_fused(g: &Csr, mapping: &Mapping, threads: usize, ws: &mut CoarsenW
         }
     });
 
-    // Phase 4+5: fused gather + dedup + sort per coarse vertex. Clusters
+    // Phase 2: fused gather + dedup + sort per coarse vertex. Clusters
     // are split into one contiguous range per thread, balanced by member
     // mass. Each thread walks a cluster's members and *sets one bit per
     // mapped arc target* in its two-level bitmap accumulator (dedup for
@@ -402,7 +250,7 @@ pub fn build_fused(g: &Csr, mapping: &Mapping, threads: usize, ws: &mut CoarsenW
         }
     });
 
-    // Phase 6: assemble. Prefix-sum the unique degrees into the final
+    // Phase 3: assemble. Prefix-sum the unique degrees into the final
     // xadj and concatenate the per-thread runs — contiguous cluster
     // ranges in order, so the result is the same cluster-major CSR the
     // sequential builder emits, bit for bit, for any thread count.
@@ -449,7 +297,6 @@ mod tests {
     use super::*;
     use crate::build::build_coarse_sequential;
     use crate::sequential::map_sequential;
-    use gosh_graph::builder::csr_from_edges;
     use gosh_graph::gen::{erdos_renyi, rmat, RmatConfig};
 
     #[test]
@@ -467,8 +314,8 @@ mod tests {
     #[test]
     fn fused_step_produces_consistent_pair() {
         let g = erdos_renyi(2000, 12_000, 3);
-        let mut ws = CoarsenWorkspace::new();
-        let (m, coarse) = coarsen_step_fused(&g, 4, &mut ws);
+        let m = map_sequential(&g);
+        let coarse = build_fused(&g, &m, 4, &mut CoarsenWorkspace::new());
         assert_eq!(m.num_fine(), g.num_vertices());
         assert_eq!(coarse.num_vertices(), m.num_clusters());
         assert_eq!(coarse, build_coarse_sequential(&g, &m));
@@ -483,7 +330,8 @@ mod tests {
         let mut g = rmat(&RmatConfig::graph500(11, 8.0), 17);
         let mut ws = CoarsenWorkspace::new();
         for _ in 0..6 {
-            let (m, coarse) = coarsen_step_fused(&g, 3, &mut ws);
+            let m = map_sequential(&g);
+            let coarse = build_fused(&g, &m, 3, &mut ws);
             assert_eq!(coarse, build_coarse_sequential(&g, &m));
             if coarse.num_vertices() < 2 || coarse.num_vertices() == g.num_vertices() {
                 break;
@@ -493,132 +341,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_map_respects_hub_hub_rule() {
-        let mut edges = vec![];
-        for leaf in 2..16u32 {
-            edges.push((0, leaf));
-        }
-        for leaf in 16..30u32 {
-            edges.push((1, leaf));
-        }
-        edges.push((0, 1));
-        let g = csr_from_edges(30, &edges);
-        let mut ws = CoarsenWorkspace::new();
-        for _ in 0..8 {
-            let m = map_fused(&g, 4, &mut ws);
-            assert_ne!(m.cluster_of(0), m.cluster_of(1));
-        }
-    }
-
-    #[test]
     fn empty_and_isolated_graphs() {
         let mut ws = CoarsenWorkspace::new();
-        let (m, c) = coarsen_step_fused(&Csr::empty(0), 4, &mut ws);
+        let g = Csr::empty(0);
+        let m = map_sequential(&g);
         assert_eq!(m.num_clusters(), 0);
-        assert_eq!(c.num_vertices(), 0);
-        let (m, c) = coarsen_step_fused(&Csr::empty(7), 3, &mut ws);
+        assert_eq!(build_fused(&g, &m, 4, &mut ws).num_vertices(), 0);
+        let g = Csr::empty(7);
+        let m = map_sequential(&g);
         assert_eq!(m.num_clusters(), 7);
+        let c = build_fused(&g, &m, 3, &mut ws);
         assert_eq!(c.num_vertices(), 7);
         assert_eq!(c.num_edges(), 0);
-    }
-
-    #[test]
-    fn single_thread_matches_star() {
-        let g = csr_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let m = map_fused(&g, 1, &mut CoarsenWorkspace::new());
-        assert_eq!(m.num_clusters(), 1);
-    }
-
-    #[test]
-    fn all_vertices_mapped_multithreaded() {
-        let g = rmat(&RmatConfig::graph500(12, 8.0), 3);
-        for threads in [2, 4, 8] {
-            let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
-            assert_eq!(m.num_fine(), g.num_vertices());
-            assert!(m
-                .as_slice()
-                .iter()
-                .all(|&c| (c as usize) < m.num_clusters()));
-        }
-    }
-
-    #[test]
-    fn cluster_members_are_connected_to_hub() {
-        // Every cluster of size > 1 must be a star around its hub: members
-        // were claimed through an edge of the hub.
-        let g = rmat(&RmatConfig::graph500(10, 6.0), 5);
-        let m = map_fused(&g, 4, &mut CoarsenWorkspace::new());
-        let (offsets, members) = m.members();
-        for c in 0..m.num_clusters() {
-            let mem = &members[offsets[c]..offsets[c + 1]];
-            if mem.len() <= 1 {
-                continue;
-            }
-            // Find a member adjacent to all other members (the hub).
-            let hub_exists = mem.iter().any(|&h| {
-                mem.iter()
-                    .filter(|&&x| x != h)
-                    .all(|&x| g.neighbors(h).contains(&x))
-            });
-            assert!(hub_exists, "cluster {c} is not hub-centered: {mem:?}");
-        }
-    }
-
-    #[test]
-    fn shrink_comparable_to_sequential() {
-        // §4.4: "a negligible difference regarding the quality of graphs
-        // generated by the two algorithms". The 8-thread CAS matching is
-        // a race, so bound the mean over graphs, not one draw. Measured
-        // on 2 cores, 40 draws on each of eight graphs: one draw's
-        // |par/seq - 1| is 0-0.13 on an idle host, but 0-0.45 with two
-        // busy threads beside it (a preempted claimer leaves its star
-        // unmatched; about one draw in seven lands at 0.28-0.45), while
-        // each graph's mean stays at or below 0.11 either way.
-        let seeds = 7..17u64;
-        let mut total = 0.0;
-        for seed in seeds.clone() {
-            let g = rmat(&RmatConfig::graph500(12, 8.0), seed);
-            let seq = map_sequential(&g).num_clusters() as f64;
-            let par = map_fused(&g, 8, &mut CoarsenWorkspace::new()).num_clusters() as f64;
-            total += (par / seq - 1.0).abs();
-        }
-        let mean = total / seeds.count() as f64;
-        assert!(
-            mean < 0.35,
-            "mean |parallel / sequential clusters - 1| = {mean}"
-        );
-    }
-
-    #[test]
-    fn hub_hub_merges_still_forbidden() {
-        let mut edges = vec![];
-        for leaf in 2..16u32 {
-            edges.push((0, leaf));
-        }
-        for leaf in 16..30u32 {
-            edges.push((1, leaf));
-        }
-        edges.push((0, 1));
-        let g = csr_from_edges(30, &edges);
-        for _ in 0..8 {
-            let m = map_fused(&g, 4, &mut CoarsenWorkspace::new());
-            assert_ne!(m.cluster_of(0), m.cluster_of(1));
-        }
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = Csr::empty(0);
-        assert_eq!(
-            map_fused(&g, 4, &mut CoarsenWorkspace::new()).num_clusters(),
-            0
-        );
-    }
-
-    #[test]
-    fn isolated_vertices_are_singletons() {
-        let g = Csr::empty(7);
-        let m = map_fused(&g, 3, &mut CoarsenWorkspace::new());
-        assert_eq!(m.num_clusters(), 7);
     }
 }

@@ -1,9 +1,7 @@
 //! Cluster mappings produced by one coarsening step.
 //!
 //! A mapping assigns every vertex of `G_i` a cluster id, i.e. a vertex of
-//! `G_{i+1}` (the paper's `map_i`). The parallel algorithm first labels
-//! clusters with their hub-vertex id and then compacts labels to the dense
-//! range `0..num_clusters` in a sequential O(|V|) pass (§3.2.2).
+//! `G_{i+1}` (the paper's `map_i`), in the dense range `0..num_clusters`.
 
 use gosh_graph::csr::VertexId;
 
@@ -31,16 +29,11 @@ impl Mapping {
         Self { map, num_clusters }
     }
 
-    /// Build from hub-vertex labels (parallel algorithm output): every
+    /// Build from hub-vertex labels (the MILE baseline's output): every
     /// entry points at some vertex id acting as its cluster's hub. Detects
     /// the hubs (`labels[v] == v`), assigns them dense ids in increasing
     /// hub-id order, then rewrites all entries — the two sequential
     /// traversals described in §3.2.2.
-    ///
-    /// Note: the fused pipeline ([`crate::fused::map_fused`]) numbers
-    /// clusters by hub *degree-order position* instead (a cache-locality
-    /// optimization for the next level); both numberings are valid
-    /// compact mappings, they just permute cluster ids.
     pub fn from_hub_labels(labels: &[VertexId]) -> Self {
         let n = labels.len();
         let mut dense = vec![UNMAPPED; n];

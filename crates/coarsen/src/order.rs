@@ -12,32 +12,11 @@ use gosh_graph::csr::{Csr, VertexId};
 /// Ties are broken by vertex id (ascending), which makes the order — and
 /// therefore the whole sequential coarsening — fully deterministic.
 pub fn sort_by_degree_desc(g: &Csr) -> Vec<VertexId> {
-    let mut order = Vec::new();
-    let mut buckets = Vec::new();
-    sort_by_degree_desc_into(g, &mut order, &mut buckets);
-    order.truncate(g.num_vertices());
-    order
-}
-
-/// [`sort_by_degree_desc`] into caller-owned buffers, so the hierarchy
-/// loop can reuse one allocation for every level. On return the first
-/// `g.num_vertices()` entries of `order` hold the hubs-first order;
-/// `buckets` is counting-sort scratch with no meaningful content.
-pub fn sort_by_degree_desc_into(g: &Csr, order: &mut Vec<VertexId>, buckets: &mut Vec<usize>) {
     let n = g.num_vertices();
-    if order.len() < n {
-        order.resize(n, 0);
-    }
-    if n == 0 {
-        return;
-    }
+    let mut order = vec![0; n];
     let max_d = g.max_degree();
     // Counting sort over degree buckets, hubs first.
-    if buckets.len() < max_d + 2 {
-        buckets.resize(max_d + 2, 0);
-    }
-    let counts = &mut buckets[..max_d + 2];
-    counts.fill(0);
+    let mut counts = vec![0usize; max_d + 2];
     for v in 0..n as VertexId {
         counts[max_d - g.degree(v) + 1] += 1;
     }
@@ -49,6 +28,7 @@ pub fn sort_by_degree_desc_into(g: &Csr, order: &mut Vec<VertexId>, buckets: &mu
         order[counts[bucket]] = v;
         counts[bucket] += 1;
     }
+    order
 }
 
 #[cfg(test)]
@@ -88,20 +68,6 @@ mod tests {
     fn empty_graph() {
         let g = gosh_graph::csr::Csr::empty(0);
         assert!(sort_by_degree_desc(&g).is_empty());
-    }
-
-    #[test]
-    fn into_variant_reuses_oversized_buffers() {
-        let big = erdos_renyi(400, 2000, 5);
-        let small = erdos_renyi(50, 120, 6);
-        let mut order = Vec::new();
-        let mut buckets = Vec::new();
-        sort_by_degree_desc_into(&big, &mut order, &mut buckets);
-        assert_eq!(&order[..400], &sort_by_degree_desc(&big)[..]);
-        // Reuse the (now oversized) buffers for a smaller graph: the
-        // prefix must match a fresh computation exactly.
-        sort_by_degree_desc_into(&small, &mut order, &mut buckets);
-        assert_eq!(&order[..50], &sort_by_degree_desc(&small)[..]);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! only clusters adjacent to those can see their coarse neighbourhoods
 //! change. [`repair_hierarchy`] exploits that: per level it **dissolves**
 //! the dirty clusters, keeps every clean cluster's membership (compactly
-//! renumbered in old order), re-matches the dissolved region with exactly
-//! the sequential `MultiEdgeCollapse` rule of
-//! [`map_sequential`](crate::sequential::map_sequential) — hubs-first
-//! order, the δ = |E|/|V| density rule — restricted to dissolved
-//! vertices, and re-compacts the coarse graph. The dirty set propagated
-//! one level down is exactly the set of re-matched clusters — membership
-//! changes, not mere neighbourhood changes, are what force dissolution —
-//! and the next level repairs the same way.
+//! renumbered in old order), re-matches the dissolved region with the
+//! claim loop [`map_sequential`](crate::sequential::map_sequential) runs
+//! — hubs-first order, the δ = |E|/|V| density rule — restricted to
+//! dissolved vertices, and re-compacts the coarse graph. The dirty set
+//! propagated one level down is exactly the set of re-matched clusters —
+//! membership changes, not mere neighbourhood changes, are what force
+//! dissolution — and the next level repairs the same way.
 //!
 //! When the dirty fraction at any level crosses
 //! [`RepairConfig::fallback_fraction`], localized repair stops paying for
@@ -21,10 +20,10 @@
 //! [`coarsen_hierarchy`] — the safety valve the bench measures against.
 //!
 //! The repair is a pure function of `(old hierarchy, new graph, dirty
-//! set)`: it is sequential over the dirty region (assumed small — that is
-//! the regime repair exists for) and the coarse-graph rebuild is the
-//! thread-count-proven fused builder, so the output is byte-identical for
-//! any `threads`, preserving the repo-wide determinism invariant. It may
+//! set)`: the matching is sequential, the coarse-graph rebuild is the
+//! fused builder whose output does not depend on the thread count, and
+//! the fallback is [`coarsen_hierarchy`], which is built from the same
+//! two; so the output is byte-identical for any `threads`. It may
 //! legitimately differ from coarsening the new graph from scratch — the
 //! warm-start AUC parity bound in `gosh-bench::stream` is the quality
 //! guard for that gap.
@@ -36,6 +35,8 @@ use gosh_graph::csr::{Csr, VertexId};
 use crate::fused::{build_fused, CoarsenWorkspace};
 use crate::hierarchy::{coarsen_hierarchy, CoarsenConfig, Hierarchy, LevelStats};
 use crate::mapping::{Mapping, UNMAPPED};
+use crate::order::sort_by_degree_desc;
+use crate::sequential::claim_clusters;
 
 /// Configuration for [`repair_hierarchy`].
 #[derive(Clone, Copy, Debug)]
@@ -219,8 +220,8 @@ pub fn repair_hierarchy(
 
 /// Repair one level: dissolve dirty clusters, keep clean memberships
 /// (renumbered compactly in old-cluster order), re-match dissolved
-/// vertices with the sequential `MultiEdgeCollapse` rule restricted to
-/// the dissolved region.
+/// vertices with the Algorithm 4 claim loop restricted to the dissolved
+/// region.
 ///
 /// Returns `(mapping, old_of_new, next_dirty, dissolved)`:
 /// * `mapping` — fine→coarse over the new graph;
@@ -254,9 +255,7 @@ fn repair_level(
 
     // A vertex is re-matchable iff it has no old assignment or its old
     // cluster dissolves.
-    let rematch: Vec<bool> = (0..n)
-        .map(|v| old_assign[v] == UNMAPPED || cluster_dirty[old_assign[v] as usize])
-        .collect();
+    let rematch = |v: usize| old_assign[v] == UNMAPPED || cluster_dirty[old_assign[v] as usize];
 
     // Clean clusters keep their membership, renumbered compactly in old
     // order so ids stay dense (the `Mapping` contract). A clean cluster
@@ -266,7 +265,7 @@ fn repair_level(
     // rather than surviving as memberless coarse vertices.
     let mut members = vec![0usize; old_k];
     for v in 0..n {
-        if !rematch[v] {
+        if !rematch(v) {
             members[old_assign[v] as usize] += 1;
         }
     }
@@ -283,39 +282,17 @@ fn repair_level(
 
     let mut map = vec![UNMAPPED; n];
     for v in 0..n {
-        if !rematch[v] {
+        if !rematch(v) {
             map[v] = new_id_of_old[old_assign[v] as usize];
         }
     }
 
-    // Re-match the dissolved region: hubs-first over re-matchable
-    // vertices (degree descending, ties id ascending — the
-    // `sort_by_degree_desc` order restricted to the region), δ from the
-    // *new* graph's density, the Algorithm 4 line-12 rule against
-    // re-matchable unmapped neighbours only.
-    let mut region: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| rematch[v as usize])
-        .collect();
-    region.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)));
-    let delta = g.density();
-    let mut cluster = next;
-    for &v in &region {
-        if map[v as usize] != UNMAPPED {
-            continue;
-        }
-        map[v as usize] = cluster;
-        let v_small = (g.degree(v) as f64) <= delta;
-        for &u in g.neighbors(v) {
-            if rematch[u as usize]
-                && map[u as usize] == UNMAPPED
-                && (v_small || (g.degree(u) as f64) <= delta)
-            {
-                map[u as usize] = cluster;
-            }
-        }
-        cluster += 1;
-    }
-    let num_clusters = cluster as usize;
+    // Re-match the dissolved region with the one Algorithm 4 claim loop,
+    // over the new graph's hubs-first order and δ. Every vertex outside
+    // the region already holds its clean cluster id, so the loop neither
+    // founds a cluster at it nor pulls it in: the region is matched in
+    // `sort_by_degree_desc` order among its own vertices only.
+    let num_clusters = claim_clusters(g, &sort_by_degree_desc(g), g.density(), &mut map, next);
 
     // Old-cluster identity of each new cluster (clean ones only).
     let mut old_of_new = vec![UNMAPPED; num_clusters];
@@ -530,5 +507,88 @@ mod tests {
         let (h, _) = repair_hierarchy(&old, g_new, &d.dirty_vertices(80), &RepairConfig::default());
         assert_eq!(h.graphs[0].num_vertices(), 82);
         check_hierarchy_valid(&h);
+    }
+
+    /// `repair_level`'s re-match as it was written before it shared the
+    /// claim loop with `map_sequential`: its own loop over the region
+    /// sorted by degree descending, id ascending, with an explicit
+    /// `rematch[u]` test.
+    fn former_rematch(
+        g: &Csr,
+        rematch: &[bool],
+        mut map: Vec<VertexId>,
+        first: VertexId,
+    ) -> Vec<VertexId> {
+        let mut region: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+            .filter(|&v| rematch[v as usize])
+            .collect();
+        region.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)));
+        let delta = g.density();
+        let mut cluster = first;
+        for &v in &region {
+            if map[v as usize] != UNMAPPED {
+                continue;
+            }
+            map[v as usize] = cluster;
+            let v_small = (g.degree(v) as f64) <= delta;
+            for &u in g.neighbors(v) {
+                if rematch[u as usize]
+                    && map[u as usize] == UNMAPPED
+                    && (v_small || (g.degree(u) as f64) <= delta)
+                {
+                    map[u as usize] = cluster;
+                }
+            }
+            cluster += 1;
+        }
+        map
+    }
+
+    #[test]
+    fn rematch_equals_the_former_region_loop() {
+        let g = base_graph(47);
+        let n = g.num_vertices() as VertexId;
+        let old = coarsen_hierarchy(g.clone(), &CoarsenConfig::default());
+        let old_k = old.maps[0].num_clusters();
+        let mut grown = small_delta(&g, 53);
+        grown.insert(0, n);
+        grown.insert(n, n + 1);
+        for d in [small_delta(&g, 53), grown] {
+            let g_new = apply_delta(&g, &d);
+            let dirty = d.dirty_vertices(n as usize);
+            let old_assign: Vec<VertexId> = (0..g_new.num_vertices() as VertexId)
+                .map(|v| {
+                    if v < n {
+                        old.maps[0].cluster_of(v)
+                    } else {
+                        UNMAPPED
+                    }
+                })
+                .collect();
+            let (m, _, next_dirty, dissolved) = repair_level(&g_new, &old_assign, old_k, &dirty);
+            assert!(dissolved > 0 && !next_dirty.is_empty());
+
+            // Keep the clean clusters repair_level numbered, clear the
+            // region, and re-match it the former way.
+            let mut dirty_cluster = vec![false; old_k];
+            for &v in &dirty {
+                if v < n {
+                    dirty_cluster[old_assign[v as usize] as usize] = true;
+                }
+            }
+            let rematch: Vec<bool> = old_assign
+                .iter()
+                .map(|&oc| oc == UNMAPPED || dirty_cluster[oc as usize])
+                .collect();
+            let first = next_dirty[0];
+            let clean: Vec<VertexId> = m
+                .as_slice()
+                .iter()
+                .zip(&rematch)
+                .map(|(&c, &r)| if r { UNMAPPED } else { c })
+                .collect();
+            assert!(clean.iter().all(|&c| c == UNMAPPED || c < first));
+            assert_eq!(m.as_slice(), former_rematch(&g_new, &rematch, clean, first));
+        }
     }
 }

@@ -44,7 +44,6 @@ pub fn map_sequential_with(g: &Csr, opts: &CollapseOptions) -> Mapping {
     } else {
         (0..n as VertexId).collect()
     };
-    let mut map = vec![UNMAPPED; n];
     // δ from Algorithm 4 line 5; |E| here counts directed arcs, matching
     // the CSR-based |E_i| the reference implementation divides by.
     let delta = if opts.density_rule {
@@ -52,9 +51,26 @@ pub fn map_sequential_with(g: &Csr, opts: &CollapseOptions) -> Mapping {
     } else {
         f64::INFINITY
     };
-    let mut cluster = 0 as VertexId;
+    let mut map = vec![UNMAPPED; n];
+    let k = claim_clusters(g, &order, delta, &mut map, 0);
+    Mapping::new(map, k)
+}
 
-    for &v in &order {
+/// The claim loop of Algorithm 4 (lines 7–14), the one copy of the rule
+/// that every mapping — fresh or repaired — goes through. Each vertex of
+/// `order` still `UNMAPPED` in `map` founds the next cluster id, counting
+/// from `first`, and pulls in every unmapped neighbour unless both
+/// endpoints have degree above `delta`. Vertices outside `order` must
+/// already hold a cluster id. Returns the cluster count, `first` included.
+pub(crate) fn claim_clusters(
+    g: &Csr,
+    order: &[VertexId],
+    delta: f64,
+    map: &mut [VertexId],
+    first: VertexId,
+) -> usize {
+    let mut cluster = first;
+    for &v in order {
         if map[v as usize] != UNMAPPED {
             continue;
         }
@@ -68,8 +84,7 @@ pub fn map_sequential_with(g: &Csr, opts: &CollapseOptions) -> Mapping {
         }
         cluster += 1;
     }
-
-    Mapping::new(map, cluster as usize)
+    cluster as usize
 }
 
 #[cfg(test)]
@@ -162,22 +177,18 @@ mod tests {
 
     #[test]
     fn members_stay_within_hub_neighborhood() {
-        // First-order proximity: every non-hub member of a cluster must be
-        // adjacent to its hub (it was pulled in through an edge).
+        // First-order proximity: every cluster is a star around the
+        // vertex that founded it, since each other member was pulled in
+        // through one of the founder's edges.
         let g = rmat(&RmatConfig::graph500(9, 6.0), 4);
         let m = map_sequential(&g);
         let (offsets, members) = m.members();
         for c in 0..m.num_clusters() {
             let mem = &members[offsets[c]..offsets[c + 1]];
-            if mem.len() == 1 {
-                continue;
-            }
-            // The hub is the member that is adjacent to all others... at
-            // minimum, each member must touch some other member.
-            for &v in mem {
-                let touches = g.neighbors(v).iter().any(|u| mem.contains(u));
-                assert!(touches, "vertex {v} has no edge inside its cluster");
-            }
+            let star = mem
+                .iter()
+                .any(|&h| mem.iter().all(|&x| x == h || g.neighbors(h).contains(&x)));
+            assert!(star, "cluster {c} is not a star around a member: {mem:?}");
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests: coarsening invariants over randomized graphs.
 
 use gosh_coarsen::build::build_coarse_sequential;
-use gosh_coarsen::fused::{build_fused, coarsen_step_fused, map_fused, CoarsenWorkspace};
+use gosh_coarsen::fused::{build_fused, CoarsenWorkspace};
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
-use gosh_coarsen::mapping::UNMAPPED;
+use gosh_coarsen::mapping::{Mapping, UNMAPPED};
 use gosh_coarsen::sequential::map_sequential;
 use gosh_graph::builder::csr_from_edges;
 use gosh_graph::csr::Csr;
@@ -39,6 +39,31 @@ fn edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
+/// A graph from [`edge_list`] with an arbitrary compact mapping of its
+/// vertices: k in 1..=n clusters, every id used. Every such mapping is
+/// a valid builder input, so the builders are checked on more mappings
+/// than the matcher ever emits.
+fn graph_and_mapping() -> impl Strategy<Value = (Csr, Mapping)> {
+    edge_list()
+        .prop_flat_map(|(n, edges)| {
+            let ids = (1..=n).prop_flat_map(move |k| {
+                prop::collection::vec(0..k as u32, n).prop_map(move |ids| (k, ids))
+            });
+            (Just(edges), ids, prop::collection::vec(0..u64::MAX, n))
+        })
+        .prop_map(|(edges, (k, mut ids), keys)| {
+            // k vertices in random order found the k clusters, so every
+            // id is used; the rest keep their random draw.
+            let n = ids.len();
+            let mut founders: Vec<usize> = (0..n).collect();
+            founders.sort_by_key(|&v| keys[v]);
+            for (c, &v) in founders.iter().take(k).enumerate() {
+                ids[v] = c as u32;
+            }
+            (csr_from_edges(n, &edges), Mapping::new(ids, k))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -61,21 +86,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_mapping_is_total_and_compact((n, edges) in edge_list(), threads in 1usize..5) {
-        let g = csr_from_edges(n, &edges);
-        let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
-        prop_assert_eq!(m.num_fine(), n);
-        let k = m.num_clusters();
-        let mut used = vec![false; k];
-        for v in 0..n as u32 {
-            let c = m.cluster_of(v);
-            prop_assert!((c as usize) < k);
-            used[c as usize] = true;
-        }
-        prop_assert!(used.iter().all(|&u| u));
-    }
-
-    #[test]
     fn clusters_never_merge_two_hubs((n, edges) in edge_list()) {
         let g = csr_from_edges(n, &edges);
         let delta = g.density();
@@ -84,11 +94,10 @@ proptest! {
         for c in 0..m.num_clusters() {
             let mem = &members[offsets[c]..offsets[c + 1]];
             let hubs = mem.iter().filter(|&&v| g.degree(v) as f64 > delta).count();
-            // The hub that founded the cluster may be big; everyone pulled
-            // in must satisfy the rule, so a second hub can only appear if
-            // the founder was small. Two *big* vertices both above δ can
-            // coexist only if one was the small-side founder; three cannot.
-            prop_assert!(hubs <= 2, "cluster {c} holds {hubs} hubs");
+            // Hubs-first order maps every hub before any small vertex
+            // founds a cluster, and a hub founder pulls in small vertices
+            // only, so no cluster holds a second hub.
+            prop_assert!(hubs <= 1, "cluster {c} holds {hubs} hubs");
         }
     }
 
@@ -123,75 +132,13 @@ proptest! {
     }
 
     #[test]
-    fn parallel_mapping_valid_across_thread_counts(
-        (n, edges) in edge_list(),
-        threads in 1usize..9,
-    ) {
-        // The full validity contract in one place: every vertex mapped,
-        // cluster ids dense (every id in 0..k used, none out of range),
-        // no matter how many threads raced over the claim CAS loop.
-        let g = csr_from_edges(n, &edges);
-        let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
-        prop_assert_eq!(m.num_fine(), n);
-        let k = m.num_clusters();
-        prop_assert!(k >= 1 || n == 0);
-        let mut used = vec![false; k];
-        for v in 0..n as u32 {
-            let c = m.cluster_of(v);
-            prop_assert!(c != UNMAPPED, "vertex {} unmapped", v);
-            prop_assert!((c as usize) < k, "vertex {} has cluster {} >= {}", v, c, k);
-            used[c as usize] = true;
-        }
-        prop_assert!(used.iter().all(|&u| u), "cluster ids not dense");
-    }
-
-    #[test]
-    fn parallel_mapping_never_merges_two_hubs(
-        (n, edges) in edge_list(),
-        threads in 1usize..9,
-    ) {
-        // The density rule of Algorithm 4 line 12, under races: a merge
-        // only happens through an edge whose endpoints are not both
-        // above δ. So whenever a cluster holds two hubs, the founder
-        // must have been small — i.e. some member with degree ≤ δ is
-        // adjacent to every other member. A cluster of hubs only, with
-        // no small founder, would mean a hub claimed a hub directly.
-        let g = csr_from_edges(n, &edges);
-        let delta = g.density();
-        let m = map_fused(&g, threads, &mut CoarsenWorkspace::new());
-        let (offsets, members) = m.members();
-        for c in 0..m.num_clusters() {
-            let mem = &members[offsets[c]..offsets[c + 1]];
-            let hubs = mem.iter().filter(|&&v| g.degree(v) as f64 > delta).count();
-            if hubs >= 2 {
-                let small_founder = mem.iter().any(|&f| {
-                    (g.degree(f) as f64) <= delta
-                        && mem
-                            .iter()
-                            .filter(|&&x| x != f)
-                            .all(|&x| g.neighbors(f).contains(&x))
-                });
-                prop_assert!(
-                    small_founder,
-                    "cluster {} holds {} hubs with no small founder: {:?}",
-                    c, hubs, mem
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fused_build_byte_identical_to_sequential_across_thread_counts(
-        (n, edges) in edge_list(),
-        map_threads in 1usize..5,
+        (g, m) in graph_and_mapping(),
     ) {
-        // The satellite contract: the fused parallel coarse-CSR
+        // The builder contract: the fused parallel coarse-CSR
         // construction is byte-identical to `build_coarse_sequential`
-        // on the same mapping for threads 1/2/4/8 — including mappings
-        // produced by the racy parallel matcher, and including
-        // workspace reuse between differently-shaped calls.
-        let g = csr_from_edges(n, &edges);
-        let m = map_fused(&g, map_threads, &mut CoarsenWorkspace::new());
+        // on the same mapping for threads 1/2/4/8 — on any compact
+        // mapping, and with workspace reuse between calls.
         let oracle = build_coarse_sequential(&g, &m);
         let mut ws = CoarsenWorkspace::new();
         for threads in [1usize, 2, 4, 8] {
@@ -226,13 +173,10 @@ proptest! {
     }
 
     #[test]
-    fn fused_step_pair_is_consistent((n, edges) in edge_list(), threads in 1usize..5) {
-        // One fused step returns a (mapping, coarse) pair that is
-        // internally consistent and matches the oracle builder.
-        let g = csr_from_edges(n, &edges);
-        let mut ws = CoarsenWorkspace::new();
-        let (m, coarse) = coarsen_step_fused(&g, threads, &mut ws);
-        prop_assert_eq!(m.num_fine(), g.num_vertices());
+    fn fused_step_pair_is_consistent((g, m) in graph_and_mapping(), threads in 1usize..5) {
+        // The builder's coarse graph is consistent with the mapping it
+        // was given and matches the oracle builder.
+        let coarse = build_fused(&g, &m, threads, &mut CoarsenWorkspace::new());
         prop_assert_eq!(coarse.num_vertices(), m.num_clusters());
         assert_valid_level_csr(&coarse);
         prop_assert_eq!(&coarse, &build_coarse_sequential(&g, &m));
@@ -240,18 +184,27 @@ proptest! {
 
     #[test]
     fn coarse_builders_agree_on_parallel_mappings(
-        (n, edges) in edge_list(),
-        map_threads in 1usize..5,
+        (g, m) in graph_and_mapping(),
         build_threads in 1usize..5,
     ) {
         // Bit-identical CSRs from both builders on the *same* mapping,
-        // including mappings produced by the racy parallel mapper — the
-        // build phase must be deterministic given its input even when
-        // the input itself came from a nondeterministic race.
-        let g = csr_from_edges(n, &edges);
-        let m = map_fused(&g, map_threads, &mut CoarsenWorkspace::new());
+        // for any compact mapping, not only the ones the matcher emits.
         let seq = build_coarse_sequential(&g, &m);
         let par = build_fused(&g, &m, build_threads, &mut CoarsenWorkspace::new());
         prop_assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn hierarchy_identical_across_thread_counts((n, edges) in edge_list()) {
+        // One matcher at every thread count and a builder whose output
+        // does not depend on it: the whole hierarchy is the same.
+        let g = csr_from_edges(n, &edges);
+        let cfg = |threads| CoarsenConfig { threshold: 2, threads, ..Default::default() };
+        let reference = coarsen_hierarchy(g.clone(), &cfg(1));
+        for threads in [2usize, 3, 4, 8] {
+            let h = coarsen_hierarchy(g.clone(), &cfg(threads));
+            prop_assert_eq!(&h.graphs, &reference.graphs, "threads = {}", threads);
+            prop_assert_eq!(&h.maps, &reference.maps, "threads = {}", threads);
+        }
     }
 }

@@ -6,7 +6,7 @@
 
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
 use gosh_coarsen::mapping::UNMAPPED;
-use gosh_coarsen::repair::{repair_hierarchy, RepairConfig};
+use gosh_coarsen::repair::{repair_hierarchy, RepairConfig, RepairStats};
 use gosh_graph::builder::csr_from_edges;
 use gosh_graph::csr::Csr;
 use gosh_graph::stream::{apply_delta, EdgeDelta};
@@ -74,6 +74,32 @@ fn hierarchies_equal(
     a.graphs == b.graphs && a.maps == b.maps
 }
 
+/// Everything a repair returns except its wall-clock seconds.
+#[allow(clippy::type_complexity)]
+fn repair_outcome(
+    h: &gosh_coarsen::hierarchy::Hierarchy,
+    st: &RepairStats,
+) -> (
+    Vec<(usize, usize, usize)>,
+    usize,
+    bool,
+    Vec<f64>,
+    Vec<usize>,
+    Vec<Vec<u32>>,
+) {
+    (
+        h.stats
+            .iter()
+            .map(|s| (s.level, s.vertices, s.edges))
+            .collect(),
+        st.repaired_levels,
+        st.fell_back,
+        st.dirty_fractions.clone(),
+        st.dissolved_clusters.clone(),
+        st.dirty_per_level.clone(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -118,6 +144,33 @@ proptest! {
             prop_assert!(
                 hierarchies_equal(&h, &reference),
                 "repair diverged at {} threads", threads
+            );
+        }
+    }
+
+    /// `gosh update` at any `--threads`: coarsening the old graph and
+    /// repairing it both at `threads` gives the same hierarchy and the
+    /// same `RepairStats` (seconds aside) at 1, 2 and 4 threads. A low
+    /// threshold gives these small graphs levels to repair.
+    #[test]
+    fn repair_end_to_end_is_identical_across_thread_counts((n, base, ops) in graph_and_ops()) {
+        let g: Csr = csr_from_edges(n, &base);
+        let delta = build_delta(&ops);
+        let g_new = apply_delta(&g, &delta);
+        let dirty = delta.dirty_vertices(n);
+        let run = |threads| {
+            let coarsen = CoarsenConfig { threshold: 4, ..coarsen_cfg(threads) };
+            let old = coarsen_hierarchy(g.clone(), &coarsen);
+            repair_hierarchy(&old, g_new.clone(), &dirty, &RepairConfig { coarsen, ..Default::default() })
+        };
+        let (reference, ref_stats) = run(1);
+        for threads in [2usize, 4] {
+            let (h, st) = run(threads);
+            prop_assert!(hierarchies_equal(&h, &reference), "threads = {}", threads);
+            prop_assert_eq!(
+                repair_outcome(&h, &st),
+                repair_outcome(&reference, &ref_stats),
+                "threads = {}", threads
             );
         }
     }

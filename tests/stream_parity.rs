@@ -85,15 +85,15 @@ fn warm_start_matches_full_retrain_within_the_parity_bound() {
         let auc_full = evaluate_link_prediction(&m_full, g_new, &split.test_edges, &ecfg);
         assert!(auc_full > 0.75, "full retrain under-trained: {auc_full}");
         assert!(auc_warm > 0.75, "warm retrain under-trained: {auc_warm}");
-        // The dirty share roughly doubles per level (4 %, 10-12 %, then
-        // 20-29 % here), so on the ~150-vertex third level it straddles
-        // the 25 % fallback threshold: which side it lands on depends on
-        // how the 4-thread CAS matching raced (25 of 60 draws fell back
-        // there on the 2-core host, 0 of 60 with sequential matching).
-        // What holds on every draw is that the two finest levels, over
-        // 90 % of the hierarchy's vertices, are repaired in place.
+        // The dirty share roughly doubles per level (4.3 %, 10.2 %, then
+        // 20.4 % on the third), under the 25 % fallback threshold, so a
+        // 0.5 % batch repairs every level in place. This holds on every
+        // draw: coarsening and repair give the same hierarchy at every
+        // thread count (one sequential matcher, and a builder whose
+        // output does not depend on the count), so the 4-thread run
+        // here repairs exactly as a 1-thread run does.
         assert!(
-            report.repaired_levels >= 2,
+            report.repaired_levels >= 2 && !report.fell_back,
             "a 0.5% batch should repair the fine levels, not fall back: dirty {:?}",
             report.dirty_fractions
         );
