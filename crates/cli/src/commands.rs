@@ -6,12 +6,11 @@ use std::time::Instant;
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, CoarsenConfig};
 use gosh_core::backend::{BackendChoice, BackendKind};
 use gosh_core::config::{GoshConfig, PrecisionSchedule, Preset};
-use gosh_core::distrib::{embed_distributed, DistribConfig, TransportKind};
 use gosh_core::model::Embedding;
 use gosh_core::pipeline::embed as gosh_embed;
 use gosh_core::quant::Precision;
 use gosh_core::serve::{IvfIndex, ServeClient, ServeConfig, Server};
-use gosh_core::store::{embin_path_for, write_store, write_text, EmbeddingStore};
+use gosh_core::store::{embin_path_for, write_store, write_text, EmbeddingStore, MAX_DIM};
 use gosh_eval::{evaluate_link_prediction, EvalConfig};
 use gosh_gpu::{Device, DeviceConfig};
 use gosh_graph::components::connected_components;
@@ -25,7 +24,7 @@ use gosh_graph::stream::{apply_delta, load_delta, resolve_delta};
 
 use crate::args::{parse, Parsed};
 
-/// Flags shared by `embed`, `eval` and `train` (the GOSH pipeline knobs).
+/// Flags shared by `embed` and `eval` (the GOSH pipeline knobs).
 const PIPELINE_FLAGS: &[&str] = &[
     "dim",
     "preset",
@@ -36,20 +35,6 @@ const PIPELINE_FLAGS: &[&str] = &[
     "precision",
     "precision-schedule",
 ];
-
-/// Flags of the multi-node path (`train`, and `eval --nodes N`).
-const DISTRIB_FLAGS: &[&str] = &[
-    "nodes",
-    "transport",
-    "net-gbps",
-    "exchange-every",
-    "shard-min",
-];
-
-/// `PIPELINE_FLAGS ∪ DISTRIB_FLAGS` for commands that accept both.
-fn pipeline_and_distrib_flags() -> Vec<&'static str> {
-    [PIPELINE_FLAGS, DISTRIB_FLAGS].concat()
-}
 
 /// The `--threads` flag: at least one worker, by default one per core
 /// (at most 16).
@@ -126,10 +111,16 @@ fn parse_preset(p: &Parsed) -> Result<Preset, String> {
     }
 }
 
-fn build_config(p: &Parsed) -> Result<(GoshConfig, Device), String> {
+/// The pipeline and simulated-device configuration of `embed` and
+/// `eval`, from flags alone: a bad flag fails before any file is read.
+fn build_config(p: &Parsed) -> Result<(GoshConfig, DeviceConfig), String> {
     let preset = parse_preset(p)?;
+    let dim = p.flag::<usize>("dim")?.unwrap_or(32);
+    if !(1..=MAX_DIM).contains(&dim) {
+        return Err(format!("--dim must be in 1..={MAX_DIM}"));
+    }
     let mut cfg = GoshConfig::preset(preset, false)
-        .with_dim(p.flag::<usize>("dim")?.unwrap_or(32))
+        .with_dim(dim)
         .with_threads(threads_flag(p)?);
     if let Some(e) = p.flag::<u32>("epochs")? {
         cfg = cfg.with_epochs(e);
@@ -144,8 +135,10 @@ fn build_config(p: &Parsed) -> Result<(GoshConfig, Device), String> {
         cfg = cfg.with_precision_schedule(parse_precision_schedule(spec)?);
     }
     let device_mb = p.flag::<usize>("device-mb")?.unwrap_or(12 * 1024);
-    let device = Device::new(DeviceConfig::tiny(device_mb << 20));
-    Ok((cfg, device))
+    if device_mb == 0 {
+        return Err("--device-mb must be at least 1".into());
+    }
+    Ok((cfg, DeviceConfig::tiny(device_mb << 20)))
 }
 
 /// Parse `--precision-schedule coarse:fine[:cutoff]` (e.g. `f32:i8` or
@@ -176,36 +169,6 @@ fn parse_precision_schedule(spec: &str) -> Result<PrecisionSchedule, String> {
         fine,
         cutoff,
     })
-}
-
-/// Parse the `--nodes`/`--transport`/... flags into a [`DistribConfig`].
-fn parse_distrib(p: &Parsed) -> Result<DistribConfig, String> {
-    let mut dcfg = DistribConfig::default();
-    if let Some(n) = p.flag::<usize>("nodes")? {
-        if n == 0 {
-            return Err("--nodes must be at least 1".into());
-        }
-        dcfg.nodes = n;
-    }
-    if let Some(t) = p.flag::<TransportKind>("transport")? {
-        dcfg.transport = t;
-    }
-    if let Some(g) = p.flag::<f64>("net-gbps")? {
-        if g <= 0.0 {
-            return Err("--net-gbps must be positive".into());
-        }
-        dcfg.net_gbps = g;
-    }
-    if let Some(e) = p.flag::<u32>("exchange-every")? {
-        if e == 0 {
-            return Err("--exchange-every must be at least 1".into());
-        }
-        dcfg.exchange_every = e;
-    }
-    if let Some(v) = p.flag::<usize>("shard-min")? {
-        dcfg.shard_min = v;
-    }
-    Ok(dcfg)
 }
 
 /// `gosh generate <dataset|N:K> <out>`.
@@ -329,13 +292,12 @@ pub fn coarsen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared by `embed` and `eval`: run GOSH on `g`. Returns the embedding,
-/// the wall seconds, and the configuration (so `embed` can write the
-/// `.embin` store at the precision the run trained with).
-fn run_gosh(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, GoshConfig), String> {
-    let (cfg, device) = build_config(p)?;
+/// Shared by `embed` and `eval`: run GOSH on `g` and report the run.
+/// Returns the embedding and the wall seconds.
+fn run_gosh(g: &Csr, cfg: &GoshConfig, device: DeviceConfig) -> (Embedding, f64) {
+    let device = Device::new(device);
     let t0 = Instant::now();
-    let (m, report) = gosh_embed(g, &cfg, &device);
+    let (m, report) = gosh_embed(g, cfg, &device);
     let secs = t0.elapsed().as_secs_f64();
     println!(
         "embedded: D = {} levels, {:.2}s total ({:.2}s coarsening), {} partitioned levels, {} CPU levels",
@@ -349,31 +311,7 @@ fn run_gosh(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, GoshConfig), String>
             .filter(|l| l.backend == BackendKind::CpuHogwild)
             .count()
     );
-    Ok((m, secs, cfg))
-}
-
-/// Shared by `train` and `eval --nodes N`: run GOSH on `g` across a mesh
-/// of simulated nodes. Returns what [`run_gosh`] returns.
-fn run_distributed(g: &Csr, p: &Parsed) -> Result<(Embedding, f64, GoshConfig), String> {
-    let (cfg, _device) = build_config(p)?;
-    let dcfg = parse_distrib(p)?;
-    let (m, report) = embed_distributed(g, &cfg, &dcfg).map_err(|e| e.to_string())?;
-    println!(
-        "trained on {} node(s): D = {} levels ({} sharded), {} exchanges, \
-         {:.1} MB on the wire, {:.3}s exchange stall ({:.2}s total)",
-        dcfg.nodes,
-        report.depth,
-        report
-            .levels
-            .iter()
-            .filter(|l| l.backend == BackendKind::Sharded)
-            .count(),
-        report.exchanges,
-        report.bytes_exchanged as f64 / (1024.0 * 1024.0),
-        report.exchange_stall_seconds,
-        report.total_seconds,
-    );
-    Ok((m, report.total_seconds, cfg))
+    (m, secs)
 }
 
 /// Write both artifacts of an embedding run: the text format (kept for
@@ -392,27 +330,17 @@ fn write_outputs(out: &str, m: &Embedding, precision: Precision) -> Result<(), S
 /// `gosh embed <graph> <out.emb> [...]`.
 pub fn embed(args: &[String]) -> Result<(), String> {
     let p = parse(args, PIPELINE_FLAGS)?;
+    let (cfg, device) = build_config(&p)?;
     let g = load_graph(p.positional(0, "graph")?, &p)?;
     let out = p.positional(1, "output file")?;
-    let (m, _, cfg) = run_gosh(&g, &p)?;
-    write_outputs(out, &m, cfg.precision)
-}
-
-/// `gosh train <graph> <out.emb> --nodes N [...]`: embed across a mesh
-/// of simulated nodes (coarse levels trained once, delta-exchanged
-/// sharded fine levels) and write node 0's matrix.
-pub fn train(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &pipeline_and_distrib_flags())?;
-    let g = load_graph(p.positional(0, "graph")?, &p)?;
-    let out = p.positional(1, "output file")?;
-    let (m, _, cfg) = run_distributed(&g, &p)?;
+    let (m, _) = run_gosh(&g, &cfg, device);
     write_outputs(out, &m, cfg.precision)
 }
 
 /// `gosh eval <graph> [...]`: split, embed the train side, report AUCROC.
-/// With `--nodes N` the embedding trains on the multi-node path.
 pub fn eval(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &pipeline_and_distrib_flags())?;
+    let p = parse(args, PIPELINE_FLAGS)?;
+    let (cfg, device) = build_config(&p)?;
     let g = load_graph(p.positional(0, "graph")?, &p)?;
     let split = train_test_split(&g, &SplitConfig::default());
     println!(
@@ -421,11 +349,7 @@ pub fn eval(args: &[String]) -> Result<(), String> {
         split.train.num_undirected_edges(),
         split.test_edges.len()
     );
-    let (m, secs, cfg) = if parse_distrib(&p)?.nodes > 1 {
-        run_distributed(&split.train, &p)?
-    } else {
-        run_gosh(&split.train, &p)?
-    };
+    let (m, secs) = run_gosh(&split.train, &cfg, device);
     let auc = evaluate_link_prediction(
         &m,
         &split.train,
@@ -468,6 +392,20 @@ pub fn update(args: &[String]) -> Result<(), String> {
     let store_path = p.positional(2, "model store (.embin)")?;
     let out = p.positional(3, "output file")?;
     let threads = threads_flag(&p)?;
+    let mut cfg = GoshConfig::preset(parse_preset(&p)?, false).with_threads(threads);
+    if let Some(e) = p.flag::<u32>("epochs")? {
+        cfg = cfg.with_epochs(e);
+    }
+    cfg.seed = p.flag::<u64>("seed")?.unwrap_or(cfg.seed);
+    let fallback_fraction = p.flag::<f64>("fallback-fraction")?.unwrap_or(0.25);
+    if !(0.0..=1.0).contains(&fallback_fraction) {
+        return Err("--fallback-fraction must be in [0, 1]".into());
+    }
+    let epoch_scale = p.flag::<f64>("epoch-scale")?.unwrap_or(0.5);
+    if !(epoch_scale.is_finite() && epoch_scale > 0.0) {
+        return Err("--epoch-scale must be finite and greater than 0".into());
+    }
+    let precision = p.flag::<Precision>("precision")?;
 
     let input = load_input(graph_path, threads)?;
     let mut original_ids: Vec<u64> = match &input {
@@ -486,24 +424,14 @@ pub fn update(args: &[String]) -> Result<(), String> {
         ));
     }
     let m_old = store.to_embedding();
-    let out_precision = p
-        .flag::<Precision>("precision")?
-        .unwrap_or_else(|| store.precision());
+    let out_precision = precision.unwrap_or_else(|| store.precision());
 
     let (raw_epochs, dstats) = load_delta(delta_path).map_err(|e| format!("{delta_path}: {e}"))?;
 
-    let preset = parse_preset(&p)?;
-    let mut cfg = GoshConfig::preset(preset, false)
-        .with_dim(store.dim())
-        .with_threads(threads);
-    if let Some(e) = p.flag::<u32>("epochs")? {
-        cfg = cfg.with_epochs(e);
-    }
-    cfg.seed = p.flag::<u64>("seed")?.unwrap_or(cfg.seed);
     let wcfg = gosh_core::warm::WarmConfig {
-        fallback_fraction: p.flag::<f64>("fallback-fraction")?.unwrap_or(0.25),
-        epoch_scale: p.flag::<f64>("epoch-scale")?.unwrap_or(0.5),
-        cfg,
+        fallback_fraction,
+        epoch_scale,
+        cfg: cfg.with_dim(store.dim()),
     };
 
     // The old hierarchy the repair works from: recover it once from the

@@ -10,12 +10,9 @@
 //!                              [--backend cpu|gpu]
 //!                              [--precision f32|f16|i8]
 //!                              [--precision-schedule C:F[:V]]
-//! gosh train <graph> <out.emb> [--nodes N] [--transport channel|tcp]
-//!                              [--net-gbps G] [--exchange-every E]
-//!                              [--shard-min V] [+ embed's pipeline flags]
 //! gosh eval <graph> [--dim D] [--preset P] [--epochs E] [--device-mb M]
 //!                   [--backend cpu|gpu] [--precision f32|f16|i8]
-//!                   [--precision-schedule C:F[:V]] [+ train's node flags]
+//!                   [--precision-schedule C:F[:V]]
 //! gosh update <graph> <delta> <store.embin> <out.emb>
 //!                   [--threads N] [--preset P] [--epochs E] [--seed S]
 //!                   [--fallback-fraction F] [--epoch-scale X]
@@ -49,7 +46,6 @@ fn main() -> ExitCode {
         Some("convert") => commands::convert(&argv[1..]),
         Some("coarsen") => commands::coarsen(&argv[1..]),
         Some("embed") => commands::embed(&argv[1..]),
-        Some("train") => commands::train(&argv[1..]),
         Some("eval") => commands::eval(&argv[1..]),
         Some("update") => commands::update(&argv[1..]),
         Some("serve") => commands::serve(&argv[1..]),
@@ -83,12 +79,9 @@ USAGE:
                                [--backend cpu|gpu]
                                [--precision f32|f16|i8]
                                [--precision-schedule C:F[:V]]
-  gosh train <graph> <out.emb> [--nodes N] [--transport channel|tcp]
-                               [--net-gbps G] [--exchange-every E]
-                               [--shard-min V] [+ embed's pipeline flags]
   gosh eval <graph> [--dim D] [--preset P] [--epochs E] [--device-mb M]
                     [--backend cpu|gpu] [--precision f32|f16|i8]
-                    [--precision-schedule C:F[:V]] [+ train's node flags]
+                    [--precision-schedule C:F[:V]]
   gosh update <graph> <delta> <store.embin> <out.emb>
                     [--threads N] [--preset P] [--epochs E] [--seed S]
                     [--fallback-fraction F] [--epoch-scale X]
@@ -121,15 +114,7 @@ USAGE:
   levels with fewer than V vertices (default 4096) train at precision
   C, levels at or above V at precision F — e.g. f32:i8 spends full
   precision only where epochs concentrate.
-  train runs the multi-node replica pipeline on --nodes N simulated
-  nodes: coarse levels (< --shard-min vertices) are trained once and
-  handed to every node at zero network cost, fine levels are sharded with a
-  delta exchange every --exchange-every epochs over --transport
-  (in-process channels or TCP loopback), each copy charged through the
-  modeled --net-gbps interconnect. --nodes 1 is bit-identical to the
-  CPU-backend embed. eval accepts the same node flags to score a
-  distributed run end-to-end.
-  embed and train write two artifacts: the text .emb (six decimal
+  embed writes two artifacts: the text .emb (six decimal
   places — lossy) and a checksummed binary .embin store next to it
   that round-trips bit-exactly and serves via mmap without decoding.
   update applies an edge-delta file to a trained model: `+ u v` /

@@ -132,6 +132,16 @@ fn bad_inputs_fail_cleanly() {
     let (ok, text) = run(&["embed", "--dim"]);
     assert!(!ok);
     assert!(text.contains("expects a value"));
+
+    // There is no multi-node trainer: `embed --backend cpu --threads N`
+    // trains on N cores.
+    let (ok, text) = run(&["train", "g.txt", "out.emb"]);
+    assert!(!ok);
+    assert!(text.contains("unknown command `train`"), "{text}");
+    assert!(text.contains("USAGE"), "{text}");
+    let (ok, text) = run(&["eval", "g.txt", "--nodes", "2"]);
+    assert!(!ok);
+    assert!(text.contains("unknown flag --nodes"), "{text}");
 }
 
 #[test]
@@ -161,7 +171,6 @@ fn flag_validation_catches_typos_and_misuse() {
         &["coarsen", "g.txt"],
         &["embed", "g.txt", "out.emb"],
         &["eval", "g.txt"],
-        &["train", "g.txt", "out.emb"],
         &["update", "g.txt", "d.txt", "m.embin", "out.emb"],
         &["serve", "m.embin"],
     ] {
@@ -171,6 +180,33 @@ fn flag_validation_catches_typos_and_misuse() {
             text.contains("--threads must be at least 1"),
             "{args:?}: {text}"
         );
+        assert!(!text.contains("panicked"), "{args:?}: {text}");
+    }
+
+    // Out-of-range numbers are usage errors naming the flag, raised
+    // before any file is read (`g.txt` does not exist).
+    let embed = &["embed", "g.txt", "out.emb"][..];
+    let eval = &["eval", "g.txt"][..];
+    let update = &["update", "g.txt", "d.txt", "m.embin", "out.emb"][..];
+    for (command, flag, value) in [
+        (embed, "--dim", "0"),
+        (embed, "--dim", "16777217"),
+        (eval, "--dim", "0"),
+        (embed, "--device-mb", "0"),
+        (eval, "--device-mb", "0"),
+        (update, "--epoch-scale", "-1"),
+        (update, "--epoch-scale", "0"),
+        (update, "--epoch-scale", "nan"),
+        (update, "--epoch-scale", "inf"),
+        (update, "--fallback-fraction", "-3"),
+        (update, "--fallback-fraction", "1.5"),
+        (update, "--fallback-fraction", "nan"),
+    ] {
+        let args = [command, &[flag, value]].concat();
+        let (ok, text) = run(&args);
+        assert!(!ok, "{args:?}: {text}");
+        assert!(text.contains(&format!("{flag} must")), "{args:?}: {text}");
+        assert!(!text.contains("loading"), "{args:?}: {text}");
         assert!(!text.contains("panicked"), "{args:?}: {text}");
     }
 }

@@ -35,9 +35,12 @@ fn build_delta(ops: &[(bool, u32, u32)]) -> EdgeDelta {
     d
 }
 
+/// A threshold of 4 (default 100) gives these 8–63-vertex graphs
+/// levels to repair.
 fn coarsen_cfg(threads: usize) -> CoarsenConfig {
     CoarsenConfig {
         threads,
+        threshold: 4,
         ..Default::default()
     }
 }
@@ -150,8 +153,7 @@ proptest! {
 
     /// `gosh update` at any `--threads`: coarsening the old graph and
     /// repairing it both at `threads` gives the same hierarchy and the
-    /// same `RepairStats` (seconds aside) at 1, 2 and 4 threads. A low
-    /// threshold gives these small graphs levels to repair.
+    /// same `RepairStats` (seconds aside) at 1, 2 and 4 threads.
     #[test]
     fn repair_end_to_end_is_identical_across_thread_counts((n, base, ops) in graph_and_ops()) {
         let g: Csr = csr_from_edges(n, &base);
@@ -159,7 +161,7 @@ proptest! {
         let g_new = apply_delta(&g, &delta);
         let dirty = delta.dirty_vertices(n);
         let run = |threads| {
-            let coarsen = CoarsenConfig { threshold: 4, ..coarsen_cfg(threads) };
+            let coarsen = coarsen_cfg(threads);
             let old = coarsen_hierarchy(g.clone(), &coarsen);
             repair_hierarchy(&old, g_new.clone(), &dirty, &RepairConfig { coarsen, ..Default::default() })
         };

@@ -207,9 +207,6 @@ pub enum BackendKind {
     GpuInMemory,
     /// Partitioned device training (Algorithm 5).
     GpuPartitioned,
-    /// Data-parallel training across the nodes of a mesh, reconciled by
-    /// delta exchange ([`crate::distrib`]).
-    Sharded,
 }
 
 /// What a backend reports back for one trained level.

@@ -26,18 +26,13 @@
 //!   in naive, optimized and packed small-dimension variants.
 //! * [`train_cpu`] — the multi-threaded Hogwild CPU trainer used as the
 //!   §4.8 speedup reference: one epoch loop over an f32 or an f16/i8 row
-//!   store, for full, restricted-source and per-node training.
+//!   store, for full and restricted-source training.
 //! * [`large`] — the out-of-memory path (Algorithm 5): embedding-matrix
 //!   partitioning, inside-out rotations, host-side sample pools with
 //!   `SampleManager`/`PoolManager` threads, and copy/compute overlap.
-//! * [`distrib`] — synchronous data-parallel replica training across a
-//!   [`gosh_runtime::transport::Transport`] mesh: `gosh train --nodes N`
-//!   is the pipeline's walk with a per-level trainer that trains coarse
-//!   levels once and shards fine levels across the nodes with delta
-//!   exchange.
-//! * [`pipeline`] — Algorithm 2 tying everything together: one walk over
-//!   the hierarchy, generic over the per-level trainer; [`embed`]
-//!   dispatches every level through the backend chain.
+//! * [`pipeline`] — Algorithm 2 tying everything together: [`embed`]
+//!   walks the hierarchy and dispatches every level through the backend
+//!   chain.
 //! * [`config`] — the fast/normal/slow/no-coarsening presets of Table 3.
 
 // This crate contains audited `unsafe` (see docs/SAFETY.md and the
@@ -48,7 +43,6 @@
 
 pub mod backend;
 pub mod config;
-pub mod distrib;
 pub mod expand;
 pub mod large;
 pub mod model;
@@ -68,7 +62,6 @@ pub use backend::{
     LevelSchedule, LevelStats, PartitionedOpts, Similarity, TrainBackend, TrainParams,
 };
 pub use config::{GoshConfig, PrecisionSchedule, Preset};
-pub use distrib::{embed_distributed, DistribConfig, TransportKind};
 pub use model::Embedding;
 pub use pipeline::{embed, GoshReport};
 pub use quant::Precision;

@@ -3,22 +3,19 @@
 //! Coarsen, initialize the coarsest matrix randomly, then walk the
 //! hierarchy from `G_{D-1}` down to `G_0`: train each level and project
 //! the result to the next finer level. The walk exists once, generic over
-//! the per-level trainer. [`embed`] trains through the [`TrainBackend`]
-//! chain selected by [`crate::backend::BackendChoice`] (the device-fit
-//! check of line 5 is backend selection — the first backend whose `fits`
-//! accepts the level trains it); [`crate::distrib::embed_distributed`]
-//! trains big levels across a node mesh.
+//! the per-level trainer. [`embed`] trains through the
+//! [`TrainBackend`](crate::backend::TrainBackend) chain selected by
+//! [`crate::backend::BackendChoice`] (the device-fit check of line 5 is
+//! backend selection — the first backend whose `fits` accepts the level
+//! trains it).
 
-use std::convert::Infallible;
 use std::time::Instant;
 
 use gosh_coarsen::hierarchy::{coarsen_hierarchy, Hierarchy};
 use gosh_gpu::{CostSnapshot, Device};
 use gosh_graph::csr::Csr;
 
-use crate::backend::{
-    backends_for, BackendKind, LevelSchedule, LevelStats, PartitionedOpts, TrainBackend,
-};
+use crate::backend::{backends_for, BackendKind, LevelSchedule, LevelStats, PartitionedOpts};
 use crate::config::GoshConfig;
 use crate::expand::expand_embedding_parallel;
 use crate::model::Embedding;
@@ -44,7 +41,7 @@ pub struct LevelReport {
     pub used_large_path: bool,
 }
 
-/// Summary of one [`embed`] or [`crate::distrib::embed_distributed`] run.
+/// Summary of one [`embed`] run.
 #[derive(Clone, Debug)]
 pub struct GoshReport {
     /// Number of levels D (1 when coarsening is disabled).
@@ -59,13 +56,6 @@ pub struct GoshReport {
     pub levels: Vec<LevelReport>,
     /// Device cost counters accumulated by this run (for modeled time).
     pub device_cost: CostSnapshot,
-    /// Delta-exchange rounds on sharded levels (0 off the mesh).
-    pub exchanges: usize,
-    /// Bytes all nodes put on the wire.
-    pub bytes_exchanged: usize,
-    /// Seconds node 0 spent stalled on modeled interconnect transfers —
-    /// the synchronization cost a single-node run does not pay.
-    pub exchange_stall_seconds: f64,
 }
 
 /// Embed `g0` with GOSH. Returns `M_0` and the run report.
@@ -83,13 +73,12 @@ pub fn embed(g0: &Csr, cfg: &GoshConfig, device: &Device) -> (Embedding, GoshRep
         KernelVariant::Auto,
         opts,
     );
-    let Ok((matrix, mut report)) = walk(g0, cfg, |g, matrix, lvl| {
-        let backend: &dyn TrainBackend = backends
+    let (matrix, mut report) = walk(g0, cfg, |g, matrix, lvl| {
+        backends
             .iter()
             .find(|b| b.fits(g))
             .expect("no backend in the chain accepts this level")
-            .as_ref();
-        Ok::<_, Infallible>(backend.train_level(g, matrix, lvl))
+            .train_level(g, matrix, lvl)
     });
     report.device_cost = device.snapshot().since(&cost0);
     (matrix, report)
@@ -97,12 +86,12 @@ pub fn embed(g0: &Csr, cfg: &GoshConfig, device: &Device) -> (Embedding, GoshRep
 
 /// Algorithm 2's walk: coarsen, draw the random coarsest rows, then train
 /// every level coarsest → finest with `train_level`, projecting between
-/// levels. The first trainer error ends the walk.
-pub(crate) fn walk<E>(
+/// levels.
+pub(crate) fn walk(
     g0: &Csr,
     cfg: &GoshConfig,
-    mut train_level: impl FnMut(&Csr, &mut Embedding, LevelSchedule) -> Result<LevelStats, E>,
-) -> Result<(Embedding, GoshReport), E> {
+    mut train_level: impl FnMut(&Csr, &mut Embedding, LevelSchedule) -> LevelStats,
+) -> (Embedding, GoshReport) {
     let t0 = Instant::now();
 
     // Stage 1: coarsening (Algorithm 4) — or a single-level "hierarchy"
@@ -138,7 +127,7 @@ pub(crate) fn walk<E>(
                     .precision_schedule
                     .map(|ps| ps.level_precision(g.num_vertices())),
             },
-        )?;
+        );
         levels.push(LevelReport {
             level: i,
             vertices: g.num_vertices(),
@@ -162,11 +151,8 @@ pub(crate) fn walk<E>(
         total_seconds: t0.elapsed().as_secs_f64(),
         levels,
         device_cost: CostSnapshot::default(),
-        exchanges: 0,
-        bytes_exchanged: 0,
-        exchange_stall_seconds: 0.0,
     };
-    Ok((matrix, report))
+    (matrix, report)
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //!   buffer (the way `train_cpu` stages source rows) and `map_jobs`
 //!   restores job order. Either way batched results are bit-identical to
 //!   one-at-a-time at any thread count.
-//! * **Wire** — a tagged request/response protocol over the transport
-//!   mesh's frame format, carried on one
+//! * **Wire** — a tagged request/response protocol over the runtime's
+//!   frame format, carried on one
 //!   [`gosh_runtime::transport::FramedConn`] per client. [`Server`]
 //!   answers from the moment [`Server::bind`] returns: the IVF index is
 //!   built on a thread of its own ([`IndexBuild`]), exact requests never

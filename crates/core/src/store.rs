@@ -52,6 +52,8 @@ pub const EMBIN_MAGIC: &[u8; 8] = b"GOSHEMB1";
 pub const EMBIN_VERSION: u32 = 1;
 /// Header size in bytes; the payload starts here, 8-byte aligned.
 pub const EMBIN_HEADER_BYTES: usize = 40;
+/// Widest row a store holds; a store's dimension lies in `1..=MAX_DIM`.
+pub const MAX_DIM: usize = 1 << 24;
 
 /// Derive the `.embin` sibling path for a text embedding output:
 /// `x.emb → x.embin`, anything else gets `.embin` appended.
@@ -349,8 +351,8 @@ impl EmbeddingStore {
                 "num_vertices {num_vertices} exceeds u32 range"
             )));
         }
-        if dim == 0 || dim > (1u64 << 24) {
-            return Err(bad(format!("dim {dim} out of range (1..=2^24)")));
+        if dim == 0 || dim > MAX_DIM as u64 {
+            return Err(bad(format!("dim {dim} out of range (1..={MAX_DIM})")));
         }
         // All size arithmetic checked: a forged header must not be able
         // to overflow its way past the length comparison.

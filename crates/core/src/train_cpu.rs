@@ -23,7 +23,7 @@
 //!   into f32 lanes, takes [`crate::update::update_embedding`] and
 //!   requantizes; the staged source requantizes once at write-back.
 //!
-//! Each epoch's source span is split into one contiguous shard per thread
+//! Each epoch's sources are split into one contiguous shard per thread
 //! ([`shard_ranges`]); the persistent [`gosh_runtime`] worker team holds at
 //! a poisonable epoch barrier ([`gosh_runtime::WorkerCtx::barrier`]), so
 //! threads never touch a shared cursor or pay a per-epoch spawn, and a
@@ -31,18 +31,14 @@
 //! are prefetched as soon as their ids are drawn.
 //!
 //! [`HogwildPlan::train`] is the one entry: [`train_cpu`] trains every
-//! source for every epoch, the warm-start trainer (`crate::warm`) a
-//! restricted source list, and the distributed trainer (`crate::distrib`)
-//! a source span and an epoch window per node, with globally-indexed
-//! learning-rate decay and RNG streams — full ranges on node 0 reproduce
-//! [`train_cpu`] bit-for-bit at one thread.
+//! source, the warm-start trainer (`crate::warm`) a restricted source
+//! list.
 
-use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 
 use gosh_graph::csr::Csr;
 use gosh_graph::rng::{mix64, Xorshift128Plus};
-use gosh_runtime::{shard_ranges, Runtime};
+use gosh_runtime::shard_ranges;
 
 use crate::backend::{Similarity, TrainParams};
 use crate::model::{Embedding, SharedMatrix};
@@ -55,19 +51,16 @@ use crate::update::{fast_sigmoid, update_embedding};
 ///
 /// `params.dim` is ignored — the dimension comes from `m` itself.
 pub fn train_cpu(g: &Csr, m: &mut Embedding, params: &TrainParams) {
-    let plan = HogwildPlan::new(g);
-    let (rt, span) = (gosh_runtime::global(), 0..plan.sources());
-    plan.train(rt, g, m, params, 0..params.epochs, params.epochs, span, 0);
+    HogwildPlan::new(g).train(g, m, params);
 }
 
 /// Precomputed training plan for one level: the arc list positive
 /// sampling walks (`Q` of Algorithm 1) and the per-epoch source count.
-/// Built once per level, reusable across epoch windows — the distributed
-/// trainer calls [`HogwildPlan::train`] once per exchange round without
-/// re-deriving the arc list.
 pub struct HogwildPlan {
     arc_src: Vec<u32>,
     num_arcs: usize,
+    /// Source processings per epoch: half the arc count, at least one
+    /// while the plan has an arc, zero when it has none.
     sources: usize,
 }
 
@@ -101,79 +94,45 @@ impl HogwildPlan {
         }
     }
 
-    /// Source processings per epoch: half the arc count, at least one
-    /// while the plan has an arc, zero when it has none.
-    pub fn sources(&self) -> usize {
-        self.sources
-    }
-
-    /// Train `m` on `g` in place: epochs `epochs` (global indices —
-    /// learning-rate decay and RNG seeds use them against
-    /// `total_epochs`) over source span `span`, sharded across
-    /// `params.threads` workers of `rt`, in the row store
-    /// `params.precision` picks.
-    ///
-    /// `rng_salt` keys this caller's per-thread RNG streams; distributed
-    /// nodes pass `node << 32` so no two nodes share a stream.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train(
-        &self,
-        rt: &Runtime,
-        g: &Csr,
-        m: &mut Embedding,
-        params: &TrainParams,
-        epochs: Range<u32>,
-        total_epochs: u32,
-        span: Range<usize>,
-        rng_salt: u64,
-    ) {
+    /// Train `m` on `g` in place for `params.epochs` epochs, each over
+    /// every source of the plan, sharded across `params.threads` workers
+    /// of the global runtime, in the row store `params.precision` picks.
+    pub fn train(&self, g: &Csr, m: &mut Embedding, params: &TrainParams) {
         assert_eq!(g.num_vertices(), m.num_vertices(), "graph/matrix mismatch");
         assert!(params.threads >= 1);
-        if self.num_arcs == 0 || epochs.is_empty() || span.is_empty() {
+        if self.num_arcs == 0 || params.epochs == 0 {
             return;
         }
         *m = match params.precision {
             Precision::F32 => {
                 let rows = SharedMatrix::from_embedding(m);
-                self.run_range(rt, g, &rows, params, epochs, total_epochs, span, rng_salt);
+                self.run(g, &rows, params);
                 rows.to_embedding()
             }
             precision => {
                 let rows = QuantizedMatrix::from_embedding(m, precision);
-                self.run_range(rt, g, &rows, params, epochs, total_epochs, span, rng_salt);
+                self.run(g, &rows, params);
                 rows.to_embedding()
             }
         };
     }
 
     /// The epoch loop of [`Self::train`] over a staged row store.
-    #[allow(clippy::too_many_arguments)]
-    fn run_range<S: RowStore>(
-        &self,
-        rt: &Runtime,
-        g: &Csr,
-        rows: &S,
-        params: &TrainParams,
-        epochs: Range<u32>,
-        total_epochs: u32,
-        span: Range<usize>,
-        rng_salt: u64,
-    ) {
+    fn run<S: RowStore>(&self, g: &Csr, rows: &S, params: &TrainParams) {
         let n = g.num_vertices() as u32;
         let arc_src = &self.arc_src;
         let num_arcs = self.num_arcs;
         // No thread should sit on an empty shard *and* a barrier slot.
-        let threads = params.threads.min(span.len());
-        let shards = shard_ranges(span.len(), threads);
-        rt.run(threads, |ctx| {
+        let threads = params.threads.min(self.sources);
+        let shards = shard_ranges(self.sources, threads);
+        gosh_runtime::global().run(threads, |ctx| {
             let t = ctx.index();
-            let shard = (shards[t].start + span.start)..(shards[t].end + span.start);
+            let shard = shards[t].clone();
             let mut scratch = rows.scratch();
-            for epoch in epochs.clone() {
-                let lr_now = decayed_lr(params.lr, epoch, total_epochs);
-                let mut rng = Xorshift128Plus::new(mix64(
-                    params.seed ^ ((epoch as u64) << 20) ^ (rng_salt + t as u64),
-                ));
+            for epoch in 0..params.epochs {
+                let lr_now = decayed_lr(params.lr, epoch, params.epochs);
+                let mut rng =
+                    Xorshift128Plus::new(mix64(params.seed ^ ((epoch as u64) << 20) ^ t as u64));
                 // `(2s + epoch) % num_arcs` with the division hoisted:
                 // 2s < num_arcs and offset < num_arcs, so one
                 // conditional subtract replaces a per-source div.
@@ -431,18 +390,7 @@ mod tests {
     /// The warm-start trainer's call: every epoch over the plan of
     /// `sources`.
     fn train_sources(g: &Csr, m: &mut Embedding, p: &TrainParams, sources: &[u32]) {
-        let plan = HogwildPlan::new_for_sources(g, sources);
-        let span = 0..plan.sources();
-        plan.train(
-            gosh_runtime::global(),
-            g,
-            m,
-            p,
-            0..p.epochs,
-            p.epochs,
-            span,
-            0,
-        );
+        HogwildPlan::new_for_sources(g, sources).train(g, m, p);
     }
 
     #[test]

@@ -154,10 +154,9 @@ pub fn warm_embed(
         let sources = &rstats.dirty_per_level[i];
         trained_sources[i] = sources.len();
         params.seed = cfg.seed ^ i as u64;
+        params.epochs = dist[i];
         let g = &hierarchy.graphs[i];
-        let plan = HogwildPlan::new_for_sources(g, sources);
-        let (rt, span) = (gosh_runtime::global(), 0..plan.sources());
-        plan.train(rt, g, &mut matrix, &params, 0..dist[i], dist[i], span, 0);
+        HogwildPlan::new_for_sources(g, sources).train(g, &mut matrix, &params);
         if i > 0 {
             // Partial expansion: dirty fine rows inherit their cluster's
             // trained row; clean rows keep their (old-solution) init.

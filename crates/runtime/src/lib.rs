@@ -21,13 +21,10 @@
 //!    is poisonable, so one panic unwinds the whole team and re-raises
 //!    the original payload on the submitting thread.
 //!
-//! On top of the in-process teams, [`transport`] extends the same model
-//! across node boundaries: a node is just another device with a slow
-//! interconnect (priced by [`transport::Interconnect`], the PCIe cost
-//! model generalized), reachable through the [`transport::Transport`]
-//! trait — an in-process channel mesh for tests and a TCP-loopback mesh
-//! that exercises real sockets. Every file the workspace writes goes
-//! through [`replace_file`], so a reader never sees it half-written.
+//! Beside the teams, [`transport`] carries typed frames over one TCP
+//! connection (the `gosh serve` wire), and every file the workspace
+//! writes goes through [`replace_file`], so a reader never sees it
+//! half-written.
 //!
 //! Task model:
 //! - [`Runtime::run`] — a *team task*: the closure runs once on every
@@ -71,10 +68,9 @@ static GLOBAL: OnceLock<Runtime> = OnceLock::new();
 
 /// The process-wide runtime shared by the CPU-side teams (training,
 /// coarsening, ingestion, expansion, eval). Workers are spawned lazily
-/// up to the largest team ever requested. Simulated devices and
-/// distributed nodes own *private* [`Runtime`]s instead: they train
-/// concurrently with each other, and one shared launch lock would
-/// serialize them (and deadlock a mid-training delta exchange).
+/// up to the largest team ever requested. Simulated devices own
+/// *private* [`Runtime`]s instead: they train concurrently with each
+/// other, and one shared launch lock would serialize them.
 pub fn global() -> &'static Runtime {
     GLOBAL.get_or_init(Runtime::empty)
 }

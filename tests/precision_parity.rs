@@ -8,8 +8,8 @@
 //! error must stay inside. README "Precision modes" documents the bound;
 //! loosening it is an API change, not a test tweak. Training runs four
 //! Hogwild threads, so no two runs agree and the bound is a statistical
-//! one — on the mean absolute gap over training seeds, as in
-//! `distrib_parity.rs` — not a single-draw threshold.
+//! one — on the mean absolute gap over training seeds — not a
+//! single-draw threshold.
 
 use gosh::core::backend::BackendChoice;
 use gosh::core::config::{GoshConfig, Preset};
