@@ -7,14 +7,28 @@
 //! [`Precision`], selected by `--precision f32|f16|i8` on the CLI and
 //! carried by `TrainParams`/`GoshConfig`.
 //!
-//! * **f16** — IEEE binary16 stored as `u16` bit patterns (the toolchain
-//!   is stable, so there is no hardware `f16` type; the conversions here
-//!   are software, round-to-nearest-even).
+//! * **f16** — IEEE binary16, round-to-nearest-even. The toolchain is
+//!   stable, so there is no hardware `f16` type: [`f32_to_f16_bits`] and
+//!   [`f16_bits_to_f32`] are the software reference converters.
 //! * **i8** — 8-bit integer codes with a **per-row** affine decode
-//!   `x = zero + scale · q`, `q ∈ 0..=255`: [`quantize_row_i8`] maps the
-//!   row's min to code 0 and its max to code 255, so the two scale
-//!   parameters adapt to each vertex's dynamic range (embedding row
-//!   norms vary by orders of magnitude between hubs and leaves).
+//!   `x = zero + scale · q`, `q ∈ 0..=255`: [`i8_scale`] maps the row's
+//!   min to code 0 and its max to code 255, so the two scale parameters
+//!   adapt to each vertex's dynamic range (embedding row norms vary by
+//!   orders of magnitude between hubs and leaves).
+//!
+//! This module is the only one that knows either encoding. A row is a
+//! run of little-endian 64-bit **words**: word `i` holds f16 elements
+//! `4i..4i+4` or i8 codes `8i..8i+8`, the low element in the low bits,
+//! and the last word is zero past the row end. The four codecs —
+//! [`encode_f16`], [`decode_f16`], [`encode_i8`] (after [`i8_scale`]) and
+//! [`decode_i8`] — each have one F16C/AVX2 kernel and one scalar
+//! fallback, and read words through a source `get(i)` or write them
+//! through a sink `put(i, w)`. So one piece of code serves every
+//! container: the trainer's [`QuantizedMatrix`] cells, `.embin` payload
+//! bytes ([`le_word`] / [`put_le_word`]), the stack buffer of
+//! [`quantize_roundtrip`], and the serving scan's tile staging. The codecs
+//! equal the scalar converters on every non-NaN value and map a NaN to
+//! some NaN (F16C quiets signalling NaNs).
 //!
 //! Training at reduced precision keeps all arithmetic in f32 lanes: the
 //! one Hogwild engine (`crate::train_cpu`) trains in a [`QuantizedMatrix`]
@@ -162,310 +176,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Vector conversion kernels (x86_64)
-// ---------------------------------------------------------------------------
-
-/// AVX2 / F16C batch paths for the conversion loops above — the scalar
-/// converters are the semantic reference, and every kernel here is
-/// bit-compatible with them for finite (and infinite) inputs:
-///
-/// * f16 uses `vcvtps2ph`/`vcvtph2ps` with static round-to-nearest-even,
-///   the same rounding as [`f32_to_f16_bits`] (NaN payloads may differ in
-///   hardware quieting — training matrices are asserted finite);
-/// * the i8 encode computes `floor(t + 0.5)`, which equals the scalar
-///   `t.round()` (half away from zero) exactly for `t ∈ [0, 256)` where
-///   `t + 0.5` is exactly representable;
-/// * decodes are the same widen→mul→add sequence as the scalar loop
-///   (separate `mul`/`add`, no fma contraction).
-///
-/// Rows containing non-finite values bail out to the scalar path, which
-/// owns the degenerate collapse. Callers verify feature presence through
-/// [`crate::simd::avx2_available`] / [`crate::simd::f16c_available`].
-#[cfg(target_arch = "x86_64")]
-mod vecq {
-    use core::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use super::RowScale;
-    use crate::model::pack_pair;
-
-    /// In-place f32→f16→f32 round trip, eight lanes per conversion.
-    ///
-    /// # Safety
-    /// The CPU must support F16C (callers check
-    /// [`crate::simd::f16c_available`] first).
-    #[target_feature(enable = "f16c")]
-    pub unsafe fn f16_roundtrip_f16c(data: &mut [f32]) {
-        let chunks = data.len() / 8;
-        for g in 0..chunks {
-            // SAFETY: `8 * g + 8 <= data.len()`, so the in-place 8-lane
-            // load/convert/store stays inside the slice.
-            unsafe {
-                let p = data.as_mut_ptr().add(8 * g);
-                let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_loadu_ps(p));
-                _mm256_storeu_ps(p, _mm256_cvtph_ps(h));
-            }
-        }
-        for x in &mut data[8 * chunks..] {
-            *x = super::f16_bits_to_f32(super::f32_to_f16_bits(*x));
-        }
-    }
-
-    /// Dequantize an f16 cell row (4 codes per cell) into f32 lanes, two
-    /// cells per conversion. The `[u64; 2]` staging keeps every atomic
-    /// access a plain `load`, like the pair kernels in `crate::simd`.
-    ///
-    /// # Safety
-    /// The CPU must support F16C (callers check
-    /// [`crate::simd::f16c_available`] first), and `cells` must hold at
-    /// least `ceil(out.len() / 4)` cells (the [`super::QuantizedMatrix`]
-    /// row layout).
-    #[target_feature(enable = "f16c")]
-    pub unsafe fn load_f16_cells(cells: &[AtomicU64], out: &mut [f32]) {
-        let groups = out.len() / 8;
-        for g in 0..groups {
-            let bits = [
-                cells[2 * g].load(Ordering::Relaxed),
-                cells[2 * g + 1].load(Ordering::Relaxed),
-            ];
-            // SAFETY: `bits` is a local `[u64; 2]` = one 128-bit load,
-            // and `8 * g + 8 <= out.len()` bounds the 8-lane store.
-            unsafe {
-                let h = _mm_loadu_si128(bits.as_ptr().cast());
-                _mm256_storeu_ps(out.as_mut_ptr().add(8 * g), _mm256_cvtph_ps(h));
-            }
-        }
-        for (k, y) in out[8 * groups..].iter_mut().enumerate() {
-            let idx = 8 * groups + k;
-            let w = cells[idx / 4].load(Ordering::Relaxed);
-            *y = super::f16_bits_to_f32((w >> (16 * (idx % 4))) as u16);
-        }
-    }
-
-    /// Requantize f32 lanes into f16 cells.
-    ///
-    /// # Safety
-    /// The CPU must support F16C (callers check
-    /// [`crate::simd::f16c_available`] first), and `cells` must hold at
-    /// least `ceil(row.len() / 4)` cells (the [`super::QuantizedMatrix`]
-    /// row layout).
-    #[target_feature(enable = "f16c")]
-    pub unsafe fn store_f16_cells(cells: &[AtomicU64], row: &[f32]) {
-        let groups = row.len() / 8;
-        for g in 0..groups {
-            let mut bits = [0u64; 2];
-            // SAFETY: `8 * g + 8 <= row.len()` bounds the 8-lane load,
-            // and `bits` is a local `[u64; 2]` = one 128-bit store.
-            unsafe {
-                let v = _mm256_loadu_ps(row.as_ptr().add(8 * g));
-                let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
-                _mm_storeu_si128(bits.as_mut_ptr().cast(), h);
-            }
-            cells[2 * g].store(bits[0], Ordering::Relaxed);
-            cells[2 * g + 1].store(bits[1], Ordering::Relaxed);
-        }
-        for (ci, chunk) in row[8 * groups..].chunks(4).enumerate() {
-            let mut bits = 0u64;
-            for (k, &x) in chunk.iter().enumerate() {
-                bits |= (super::f32_to_f16_bits(x) as u64) << (16 * k);
-            }
-            cells[2 * groups + ci].store(bits, Ordering::Relaxed);
-        }
-    }
-
-    /// Lanewise min/max with a finiteness check fused into the same pass.
-    /// Returns `None` if any element is non-finite; otherwise the exact
-    /// `(lo, hi)` (selection is order-independent for finite values).
-    ///
-    /// Safe `#[target_feature]` fn: callable without `unsafe` only from
-    /// the AVX2-enabled fns below, which is exactly its call set.
-    #[target_feature(enable = "avx2")]
-    fn minmax_finite(row: &[f32]) -> Option<(f32, f32)> {
-        let chunks = row.len() / 8;
-        let mut vlo = _mm256_set1_ps(f32::INFINITY);
-        let mut vhi = _mm256_set1_ps(f32::NEG_INFINITY);
-        let mut vok = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-        let zero = _mm256_setzero_ps();
-        for g in 0..chunks {
-            // SAFETY: `8 * g + 8 <= row.len()` bounds the 8-lane load.
-            let x = unsafe { _mm256_loadu_ps(row.as_ptr().add(8 * g)) };
-            vlo = _mm256_min_ps(vlo, x);
-            vhi = _mm256_max_ps(vhi, x);
-            // x − x == 0 exactly iff x is finite (∞−∞ and NaN are NaN).
-            vok = _mm256_and_ps(vok, _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_sub_ps(x, x), zero));
-        }
-        if _mm256_movemask_ps(vok) != 0xff {
-            return None;
-        }
-        let mut los = [0f32; 8];
-        let mut his = [0f32; 8];
-        // SAFETY: `los`/`his` are exactly 8 f32s — one vector store each.
-        unsafe {
-            _mm256_storeu_ps(los.as_mut_ptr(), vlo);
-            _mm256_storeu_ps(his.as_mut_ptr(), vhi);
-        }
-        let mut lo = los.iter().copied().fold(f32::INFINITY, f32::min);
-        let mut hi = his.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        for &x in &row[8 * chunks..] {
-            if !x.is_finite() {
-                return None;
-            }
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        Some((lo, hi))
-    }
-
-    /// Eight codes from eight lanes: `clamp(floor(t + 0.5), 0, 255)`
-    /// packed into one little-endian code word.
-    ///
-    /// Safe `#[target_feature]` fn — register-only, no memory operands.
-    #[target_feature(enable = "avx2")]
-    fn encode8(x: __m256, vlo: __m256, vinv: __m256) -> u64 {
-        let t = _mm256_mul_ps(_mm256_sub_ps(x, vlo), vinv);
-        let r = _mm256_round_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(_mm256_add_ps(
-            t,
-            _mm256_set1_ps(0.5),
-        ));
-        let c = _mm256_min_ps(_mm256_max_ps(r, _mm256_setzero_ps()), _mm256_set1_ps(255.0));
-        let i = _mm256_cvtps_epi32(c);
-        let p16 = _mm_packus_epi32(_mm256_castsi256_si128(i), _mm256_extracti128_si256::<1>(i));
-        let p8 = _mm_packus_epi16(p16, p16);
-        _mm_cvtsi128_si64(p8) as u64
-    }
-
-    /// Eight affine decodes from one packed code word.
-    ///
-    /// Safe `#[target_feature]` fn — register-only, no memory operands.
-    #[target_feature(enable = "avx2")]
-    fn decode8(w: u64, vs: __m256, vz: __m256) -> __m256 {
-        let q = _mm_cvtsi64_si128(w as i64);
-        let f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(q));
-        _mm256_add_ps(vz, _mm256_mul_ps(vs, f))
-    }
-
-    /// Vector [`super::quantize_row_i8`] writing into a byte scratch.
-    /// `None` when the row is degenerate or contains non-finite values.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (callers check
-    /// [`crate::simd::avx2_available`] first); `codes.len()` must be at
-    /// least `row.len()` (asserted by [`super::quantize_row_i8`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn quantize_row_i8_avx2(row: &[f32], codes: &mut [u8]) -> Option<RowScale> {
-        let (lo, hi) = minmax_finite(row)?;
-        // Finiteness is already established, so `>=` is a total order here.
-        if lo >= hi {
-            return None;
-        }
-        let inv = 255.0 / (hi - lo);
-        let vlo = _mm256_set1_ps(lo);
-        let vinv = _mm256_set1_ps(inv);
-        let chunks = row.len() / 8;
-        for g in 0..chunks {
-            // SAFETY: `8 * g + 8 <= row.len()` bounds the 8-lane load.
-            let x = unsafe { _mm256_loadu_ps(row.as_ptr().add(8 * g)) };
-            let w = encode8(x, vlo, vinv);
-            codes[8 * g..8 * g + 8].copy_from_slice(&w.to_le_bytes());
-        }
-        for (c, &x) in codes[8 * chunks..].iter_mut().zip(&row[8 * chunks..]) {
-            *c = (((x - lo) * inv).round()).clamp(0.0, 255.0) as u8;
-        }
-        Some(RowScale {
-            scale: (hi - lo) / 255.0,
-            zero: lo,
-        })
-    }
-
-    /// Vector [`super::dequantize_row_i8`] from a byte slice.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (callers check
-    /// [`crate::simd::avx2_available`] first); `codes.len()` must be at
-    /// least `out.len()` (asserted by [`super::dequantize_row_i8`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn decode_i8_avx2(codes: &[u8], rs: RowScale, out: &mut [f32]) {
-        let vs = _mm256_set1_ps(rs.scale);
-        let vz = _mm256_set1_ps(rs.zero);
-        let chunks = out.len() / 8;
-        for g in 0..chunks {
-            let w = u64::from_le_bytes(codes[8 * g..8 * g + 8].try_into().unwrap());
-            // SAFETY: `8 * g + 8 <= out.len()` bounds the 8-lane store.
-            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(8 * g), decode8(w, vs, vz)) };
-        }
-        for (y, &c) in out[8 * chunks..].iter_mut().zip(&codes[8 * chunks..]) {
-            *y = rs.zero + rs.scale * c as f32;
-        }
-    }
-
-    /// Dequantize an i8 cell row (8 codes per cell), one decode per cell.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (callers check
-    /// [`crate::simd::avx2_available`] first), and `cells` must hold at
-    /// least `ceil(out.len() / 8)` cells (the [`super::QuantizedMatrix`]
-    /// row layout).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn decode_i8_cells(cells: &[AtomicU64], rs: RowScale, out: &mut [f32]) {
-        let vs = _mm256_set1_ps(rs.scale);
-        let vz = _mm256_set1_ps(rs.zero);
-        let full = out.len() / 8;
-        for (g, cell) in cells.iter().enumerate().take(full) {
-            let w = cell.load(Ordering::Relaxed);
-            // SAFETY: `8 * g + 8 <= out.len()` bounds the 8-lane store.
-            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(8 * g), decode8(w, vs, vz)) };
-        }
-        let tail = &mut out[8 * full..];
-        if !tail.is_empty() {
-            let bytes = cells[full].load(Ordering::Relaxed).to_le_bytes();
-            for (k, y) in tail.iter_mut().enumerate() {
-                *y = rs.zero + rs.scale * bytes[k] as f32;
-            }
-        }
-    }
-
-    /// The whole i8 row store: min/max pass, scale publish (before the
-    /// codes, so racing readers decode against the fresh range), then one
-    /// cell store per eight codes. `false` when the row needs the scalar
-    /// degenerate path.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (callers check
-    /// [`crate::simd::avx2_available`] first), and `cells` must hold at
-    /// least `ceil(row.len() / 8)` cells (the [`super::QuantizedMatrix`]
-    /// row layout).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn store_i8_cells(cells: &[AtomicU64], meta: &AtomicU64, row: &[f32]) -> bool {
-        let Some((lo, hi)) = minmax_finite(row) else {
-            return false;
-        };
-        if lo >= hi {
-            return false;
-        }
-        let inv = 255.0 / (hi - lo);
-        meta.store(pack_pair((hi - lo) / 255.0, lo), Ordering::Relaxed);
-        let vlo = _mm256_set1_ps(lo);
-        let vinv = _mm256_set1_ps(inv);
-        let full = row.len() / 8;
-        for (g, cell) in cells.iter().enumerate().take(full) {
-            // SAFETY: `8 * g + 8 <= row.len()` bounds the 8-lane load.
-            let x = unsafe { _mm256_loadu_ps(row.as_ptr().add(8 * g)) };
-            cell.store(encode8(x, vlo, vinv), Ordering::Relaxed);
-        }
-        let tail = &row[8 * full..];
-        if !tail.is_empty() {
-            let mut bytes = [0u8; 8];
-            for (k, &x) in tail.iter().enumerate() {
-                bytes[k] = (((x - lo) * inv).round()).clamp(0.0, 255.0) as u8;
-            }
-            cells[full].store(u64::from_le_bytes(bytes), Ordering::Relaxed);
-        }
-        true
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-row affine 8-bit codes
+// Row codecs over 64-bit words
 // ---------------------------------------------------------------------------
 
 /// Decode parameters of one i8 row: `x = zero + scale · q`. Code 0
@@ -479,80 +190,315 @@ pub struct RowScale {
     pub zero: f32,
 }
 
-/// Quantize one row to byte codes, returning its decode parameters.
-/// Quantization is monotone (`x_i ≤ x_j ⇒ q_i ≤ q_j`) and never emits
-/// non-finite decode parameters: a degenerate row (constant, empty, or
-/// containing non-finite values) collapses to `scale = 0` with every
-/// element at code 0.
-pub fn quantize_row_i8(row: &[f32], codes: &mut [u8]) -> RowScale {
-    debug_assert_eq!(row.len(), codes.len());
+/// The min/max pass of an i8 row: its decode pair and the step
+/// `inv = 255 / (max − min)` that [`encode_i8`] multiplies by. Encoding
+/// is monotone (`x_i ≤ x_j ⇒ q_i ≤ q_j`) and never emits non-finite
+/// decode parameters: a row with no usable range collapses to
+/// `scale = 0`, `inv = 0`, every code 0 — decoding to its constant when
+/// the row is constant, to 0 when it is empty, holds a non-finite
+/// element, or spans more than `f32::MAX`.
+#[inline(always)]
+pub fn i8_scale(row: &[f32]) -> (RowScale, f32) {
+    let (zero, range) = match finite_min_max(row) {
+        Some((lo, hi)) if lo < hi && (hi - lo).is_finite() => (lo, hi - lo),
+        Some((lo, hi)) if lo == hi => (lo, 0.0),
+        _ => (0.0, 0.0),
+    };
+    let (scale, inv) = (range / 255.0, if range > 0.0 { 255.0 / range } else { 0.0 });
+    (RowScale { scale, zero }, inv)
+}
+
+/// `(min, max)` of `row`, or `None` if any element is non-finite.
+#[inline(always)]
+fn finite_min_max(row: &[f32]) -> Option<(f32, f32)> {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_available() {
         // SAFETY: AVX2 presence was just verified at runtime.
-        if let Some(rs) = unsafe { vecq::quantize_row_i8_avx2(row, codes) } {
-            return rs;
+        return unsafe { vecq::finite_min_max(row) };
+    }
+    row.iter()
+        .try_fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &x| {
+            x.is_finite().then(|| (lo.min(x), hi.max(x)))
+        })
+}
+
+/// Encode `row` as f16 words: `put(i, w)` once per word, `i` ascending.
+#[inline(always)]
+pub fn encode_f16(row: &[f32], put: impl FnMut(usize, u64)) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::f16c_available() {
+        // SAFETY: F16C presence was just verified at runtime.
+        return unsafe { vecq::encode_f16(row, put) };
+    }
+    encode_f16_scalar(row, put)
+}
+
+/// Decode f16 words `get(i)` into `out`, all `out.len()` elements.
+#[inline(always)]
+pub fn decode_f16(get: impl Fn(usize) -> u64, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::f16c_available() {
+        // SAFETY: F16C presence was just verified at runtime.
+        return unsafe { vecq::decode_f16(get, out) };
+    }
+    decode_f16_scalar(get, out)
+}
+
+/// Encode `row` as i8 code words against `(zero, inv)` from [`i8_scale`]:
+/// code `clamp(floor((x − zero) · inv + ½), 0, 255)`, `put(i, w)` once
+/// per word, `i` ascending.
+#[inline(always)]
+pub fn encode_i8(row: &[f32], zero: f32, inv: f32, put: impl FnMut(usize, u64)) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        return unsafe { vecq::encode_i8(row, zero, inv, put) };
+    }
+    encode_i8_scalar(row, zero, inv, put)
+}
+
+/// Decode i8 code words `get(i)` into `out` as `zero + scale · q`.
+#[inline(always)]
+pub fn decode_i8(get: impl Fn(usize) -> u64, rs: RowScale, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        return unsafe { vecq::decode_i8(get, rs, out) };
+    }
+    decode_i8_scalar(get, rs, out)
+}
+
+fn encode_f16_scalar(row: &[f32], mut put: impl FnMut(usize, u64)) {
+    for (i, chunk) in row.chunks(4).enumerate() {
+        let halves = chunk.iter().map(|&x| f32_to_f16_bits(x) as u64);
+        put(i, halves.rev().fold(0, |w, h| w << 16 | h));
+    }
+}
+
+fn decode_f16_scalar(get: impl Fn(usize) -> u64, out: &mut [f32]) {
+    for (i, chunk) in out.chunks_mut(4).enumerate() {
+        let w = get(i);
+        for (k, y) in chunk.iter_mut().enumerate() {
+            *y = f16_bits_to_f32((w >> (16 * k)) as u16);
         }
-        // Degenerate or non-finite row: the scalar path owns the collapse.
-    }
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for &x in row {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-        codes.fill(0);
-        let zero = if lo.is_finite() { lo } else { 0.0 };
-        return RowScale { scale: 0.0, zero };
-    }
-    let scale = (hi - lo) / 255.0;
-    let inv = 255.0 / (hi - lo);
-    for (c, &x) in codes.iter_mut().zip(row) {
-        *c = (((x - lo) * inv).round()).clamp(0.0, 255.0) as u8;
-    }
-    RowScale { scale, zero: lo }
-}
-
-/// Decode byte codes back to f32 lanes.
-pub fn dequantize_row_i8(codes: &[u8], rs: RowScale, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_available() {
-        // SAFETY: AVX2 presence was just verified at runtime.
-        unsafe { vecq::decode_i8_avx2(codes, rs, out) };
-        return;
-    }
-    for (y, &c) in out.iter_mut().zip(codes) {
-        *y = rs.zero + rs.scale * c as f32;
     }
 }
 
-/// Pass `data` (row-major, `dim`-wide rows) through one
-/// quantize→dequantize round trip in place. This is how the simulated
-/// GPU paths model quantized *storage*: transfers and allocations are
-/// priced at the true byte width, and the matrix values carry the
-/// precision loss of the storage format, while the kernel arithmetic
-/// stays f32 (mixed-precision style — f32 accumulate over narrow rows).
+fn encode_i8_scalar(row: &[f32], zero: f32, inv: f32, mut put: impl FnMut(usize, u64)) {
+    // `as u8` maps the NaN of a collapsed row's `∞ · 0` to code 0, as the
+    // vector kernel's `max` does.
+    let code = |&x: &f32| ((x - zero) * inv + 0.5).floor().clamp(0.0, 255.0) as u8 as u64;
+    for (i, chunk) in row.chunks(8).enumerate() {
+        put(i, chunk.iter().map(code).rev().fold(0, |w, c| w << 8 | c));
+    }
+}
+
+fn decode_i8_scalar(get: impl Fn(usize) -> u64, rs: RowScale, out: &mut [f32]) {
+    for (i, chunk) in out.chunks_mut(8).enumerate() {
+        for (y, c) in chunk.iter_mut().zip(get(i).to_le_bytes()) {
+            *y = rs.zero + rs.scale * c as f32;
+        }
+    }
+}
+
+/// Word `i` of a row stored as little-endian `bytes`, zero past the end.
+#[inline]
+pub fn le_word(bytes: &[u8], i: usize) -> u64 {
+    let rest = &bytes[8 * i..];
+    let mut w = [0u8; 8];
+    match rest.first_chunk::<8>() {
+        Some(full) => w = *full,
+        None => w[..rest.len()].copy_from_slice(rest),
+    }
+    u64::from_le_bytes(w)
+}
+
+/// Store word `i` into a row stored as little-endian `bytes`, dropping
+/// the bytes past the end.
+#[inline]
+pub fn put_le_word(bytes: &mut [u8], i: usize, w: u64) {
+    let rest = &mut bytes[8 * i..];
+    let n = rest.len().min(8);
+    rest[..n].copy_from_slice(&w.to_le_bytes()[..n]);
+}
+
+/// F16C / AVX2 kernels of the four codecs. Each equals its scalar
+/// fallback bit for bit on every non-NaN value, and maps a NaN to some
+/// NaN (F16C quiets signalling NaNs; the scalar converters keep them):
+///
+/// * f16 uses `vcvtps2ph`/`vcvtph2ps` with static round-to-nearest-even,
+///   the rounding of [`super::f32_to_f16_bits`];
+/// * the i8 encode is the scalar `floor(t + ½)` lane for lane, and its
+///   `max` sends the NaN of a collapsed row's `∞ · 0` to code 0;
+/// * the i8 decode is the scalar widen→mul→add (no fma contraction).
+///
+/// A short last group of eight lanes is zero-padded on the way in and
+/// truncated on the way out, so every element takes the vector path.
+/// Callers verify feature presence through
+/// [`crate::simd::avx2_available`] / [`crate::simd::f16c_available`].
+#[cfg(target_arch = "x86_64")]
+mod vecq {
+    use core::arch::x86_64::*;
+
+    use super::RowScale;
+
+    /// Eight lanes as one vector.
+    #[target_feature(enable = "avx")]
+    fn load8(x: &[f32; 8]) -> __m256 {
+        // SAFETY: `x` is exactly 8 floats — the width of one unaligned load.
+        unsafe { _mm256_loadu_ps(x.as_ptr()) }
+    }
+
+    /// One vector as eight lanes.
+    #[target_feature(enable = "avx")]
+    fn store8(y: &mut [f32; 8], v: __m256) {
+        // SAFETY: `y` is exactly 8 floats — the width of one unaligned store.
+        unsafe { _mm256_storeu_ps(y.as_mut_ptr(), v) }
+    }
+
+    /// `f(g, lanes, n)` for each group `g` of eight elements of `row`:
+    /// its `n` elements, zero-padded to eight lanes.
+    #[target_feature(enable = "avx")]
+    fn each_group(row: &[f32], mut f: impl FnMut(usize, __m256, usize)) {
+        let (full, tail) = row.as_chunks::<8>();
+        for (g, x) in full.iter().enumerate() {
+            f(g, load8(x), 8);
+        }
+        if !tail.is_empty() {
+            let mut x = [0.0; 8];
+            x[..tail.len()].copy_from_slice(tail);
+            f(full.len(), load8(&x), tail.len());
+        }
+    }
+
+    /// Group `g` of eight elements of `out` from the lanes of `f(g)`.
+    #[target_feature(enable = "avx")]
+    fn fill_groups(out: &mut [f32], mut f: impl FnMut(usize) -> __m256) {
+        let (full, tail) = out.as_chunks_mut::<8>();
+        let last = full.len();
+        for (g, y) in full.iter_mut().enumerate() {
+            store8(y, f(g));
+        }
+        if !tail.is_empty() {
+            let mut y = [0.0; 8];
+            store8(&mut y, f(last));
+            tail.copy_from_slice(&y[..tail.len()]);
+        }
+    }
+
+    /// Vector [`super::encode_f16`]: two words per conversion.
+    #[target_feature(enable = "f16c")]
+    pub fn encode_f16(row: &[f32], mut put: impl FnMut(usize, u64)) {
+        each_group(row, |g, x, n| {
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x);
+            put(2 * g, _mm_cvtsi128_si64(h) as u64);
+            if n > 4 {
+                put(2 * g + 1, _mm_extract_epi64::<1>(h) as u64);
+            }
+        })
+    }
+
+    /// Vector [`super::decode_f16`]: two words per conversion.
+    #[target_feature(enable = "f16c")]
+    pub fn decode_f16(get: impl Fn(usize) -> u64, out: &mut [f32]) {
+        let words = out.len().div_ceil(4);
+        fill_groups(out, |g| {
+            let hi = if 2 * g + 1 < words { get(2 * g + 1) } else { 0 };
+            _mm256_cvtph_ps(_mm_set_epi64x(hi as i64, get(2 * g) as i64))
+        })
+    }
+
+    /// Lanewise min/max with a finiteness check fused into the same pass:
+    /// `None` if any element is non-finite, else the exact `(lo, hi)`
+    /// (selection is order-independent for finite values).
+    #[target_feature(enable = "avx2")]
+    pub fn finite_min_max(row: &[f32]) -> Option<(f32, f32)> {
+        let (full, tail) = row.as_chunks::<8>();
+        let mut vlo = _mm256_set1_ps(f32::INFINITY);
+        let mut vhi = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut vok = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+        let zero = _mm256_setzero_ps();
+        for x in full {
+            let x = load8(x);
+            vlo = _mm256_min_ps(vlo, x);
+            vhi = _mm256_max_ps(vhi, x);
+            // x − x == 0 exactly iff x is finite (∞−∞ and NaN are NaN).
+            vok = _mm256_and_ps(vok, _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_sub_ps(x, x), zero));
+        }
+        if _mm256_movemask_ps(vok) != 0xff {
+            return None;
+        }
+        let (mut los, mut his) = ([0f32; 8], [0f32; 8]);
+        store8(&mut los, vlo);
+        store8(&mut his, vhi);
+        let mut lo = los.iter().copied().fold(f32::INFINITY, f32::min);
+        let mut hi = his.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for &x in tail {
+            if !x.is_finite() {
+                return None;
+            }
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        Some((lo, hi))
+    }
+
+    /// Vector [`super::encode_i8`]: one word per eight lanes.
+    #[target_feature(enable = "avx2")]
+    pub fn encode_i8(row: &[f32], zero: f32, inv: f32, mut put: impl FnMut(usize, u64)) {
+        let (vz, vinv) = (_mm256_set1_ps(zero), _mm256_set1_ps(inv));
+        each_group(row, |g, x, n| {
+            let t = _mm256_add_ps(
+                _mm256_mul_ps(_mm256_sub_ps(x, vz), vinv),
+                _mm256_set1_ps(0.5),
+            );
+            let r = _mm256_round_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(t);
+            let c = _mm256_min_ps(_mm256_max_ps(r, _mm256_setzero_ps()), _mm256_set1_ps(255.0));
+            let i = _mm256_cvtps_epi32(c);
+            let p16 = _mm_packus_epi32(_mm256_castsi256_si128(i), _mm256_extracti128_si256::<1>(i));
+            let w = _mm_cvtsi128_si64(_mm_packus_epi16(p16, p16)) as u64;
+            // Padding lanes are zero past the row end.
+            put(g, w & (u64::MAX >> (64 - 8 * n)));
+        })
+    }
+
+    /// Vector [`super::decode_i8`]: one word per eight lanes.
+    #[target_feature(enable = "avx2")]
+    pub fn decode_i8(get: impl Fn(usize) -> u64, rs: RowScale, out: &mut [f32]) {
+        let (vs, vz) = (_mm256_set1_ps(rs.scale), _mm256_set1_ps(rs.zero));
+        fill_groups(out, |g| {
+            let q = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(get(g) as i64));
+            _mm256_add_ps(vz, _mm256_mul_ps(vs, _mm256_cvtepi32_ps(q)))
+        })
+    }
+}
+
+/// Pass `data` (row-major, `dim`-wide rows) through one encode→decode
+/// round trip in place, a stack buffer of words at a time. This is how
+/// the simulated GPU paths model quantized *storage*: transfers and
+/// allocations are priced at the true byte width, and the matrix values
+/// carry the precision loss of the storage format, while the kernel
+/// arithmetic stays f32 (mixed-precision style — f32 accumulate over
+/// narrow rows).
 pub fn quantize_roundtrip(data: &mut [f32], dim: usize, precision: Precision) {
+    /// Elements per pass through the buffer, a whole number of words.
+    const SPAN: usize = 256;
+    let mut words = [0u64; SPAN / 4];
     match precision {
         Precision::F32 => {}
         Precision::F16 => {
-            #[cfg(target_arch = "x86_64")]
-            if crate::simd::f16c_available() {
-                // SAFETY: F16C presence was just verified at runtime.
-                unsafe { vecq::f16_roundtrip_f16c(data) };
-                return;
-            }
-            for x in data.iter_mut() {
-                *x = f16_bits_to_f32(f32_to_f16_bits(*x));
+            for part in data.chunks_mut(SPAN) {
+                encode_f16(part, |i, w| words[i] = w);
+                decode_f16(|i| words[i], part);
             }
         }
         Precision::I8 => {
-            let d = dim.max(1);
-            let mut codes = vec![0u8; d];
-            for row in data.chunks_mut(d) {
-                let cs = &mut codes[..row.len()];
-                let rs = quantize_row_i8(row, cs);
-                dequantize_row_i8(cs, rs, row);
+            for row in data.chunks_mut(dim.max(1)) {
+                let (rs, inv) = i8_scale(row);
+                for part in row.chunks_mut(SPAN) {
+                    encode_i8(part, rs.zero, inv, |i, w| words[i] = w);
+                    decode_i8(|i| words[i], rs, part);
+                }
             }
         }
     }
@@ -567,8 +513,8 @@ pub fn quantize_roundtrip(data: &mut [f32], dim: usize, precision: Precision) {
 /// Hogwild engine's second row store. Updates are whole-row: the engine
 /// loads a row into f32 lanes, updates it there and stores it back.
 ///
-/// Codes pack into `AtomicU64` cells (four f16 or eight i8 codes per
-/// cell); an i8 row additionally carries one atomic metadata cell holding
+/// Each cell is one `AtomicU64` row word (four f16 or eight i8 codes); an
+/// i8 row additionally carries one atomic metadata cell holding
 /// its `(scale, zero)` pair, so the two decode parameters are always
 /// mutually consistent. Row stores are cell-granular and relaxed, exactly
 /// the HOGWILD! discipline of the f32 row store: concurrent writers may
@@ -585,28 +531,19 @@ pub struct QuantizedMatrix {
     cells_per_row: usize,
 }
 
-/// f16 codes per atomic cell.
-const F16_PER_CELL: usize = 4;
-/// i8 codes per atomic cell.
-const I8_PER_CELL: usize = 8;
-
 impl QuantizedMatrix {
-    /// Codes per cell for a precision.
-    fn codes_per_cell(precision: Precision) -> usize {
-        match precision {
-            Precision::F16 => F16_PER_CELL,
-            Precision::I8 => I8_PER_CELL,
-            Precision::F32 => panic!("f32 rows live in SharedMatrix, not QuantizedMatrix"),
-        }
-    }
-
     /// Quantize `m` into shared storage. Panics on `Precision::F32` —
     /// f32 rows live in `SharedMatrix`.
     pub fn from_embedding(m: &Embedding, precision: Precision) -> Self {
-        let per_cell = Self::codes_per_cell(precision);
+        assert_ne!(
+            precision,
+            Precision::F32,
+            "f32 rows live in SharedMatrix, not QuantizedMatrix"
+        );
         let dim = m.dim();
         let n = m.num_vertices();
-        let cells_per_row = dim.div_ceil(per_cell).max(1);
+        // One cell per row word: four f16 or eight i8 codes.
+        let cells_per_row = (dim * precision.bytes_per_element()).div_ceil(8).max(1);
         let cells: Box<[AtomicU64]> = (0..n * cells_per_row).map(|_| AtomicU64::new(0)).collect();
         let meta: Box<[AtomicU64]> = match precision {
             Precision::I8 => (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -653,92 +590,33 @@ impl QuantizedMatrix {
     pub fn load_row(&self, v: u32, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.dim);
         let cells = self.row_cells(v);
+        let get = |i: usize| cells[i].load(Ordering::Relaxed);
         match self.precision {
-            Precision::F16 => {
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::f16c_available() {
-                    // SAFETY: F16C presence was just verified at runtime.
-                    unsafe { vecq::load_f16_cells(cells, out) };
-                    return;
-                }
-                for (c, chunk) in cells.iter().zip(out.chunks_mut(F16_PER_CELL)) {
-                    let bits = c.load(Ordering::Relaxed);
-                    for (k, y) in chunk.iter_mut().enumerate() {
-                        *y = f16_bits_to_f32((bits >> (16 * k)) as u16);
-                    }
-                }
-            }
+            Precision::F16 => decode_f16(get, out),
             Precision::I8 => {
                 let (scale, zero) = unpack_pair(self.meta[v as usize].load(Ordering::Relaxed));
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::avx2_available() {
-                    // SAFETY: AVX2 presence was just verified at runtime.
-                    unsafe { vecq::decode_i8_cells(cells, RowScale { scale, zero }, out) };
-                    return;
-                }
-                for (c, chunk) in cells.iter().zip(out.chunks_mut(I8_PER_CELL)) {
-                    let codes = c.load(Ordering::Relaxed).to_le_bytes();
-                    // The affine decode is lanewise mul-add over the
-                    // widened codes — autovectorizes like an axpy.
-                    for (k, y) in chunk.iter_mut().enumerate() {
-                        *y = zero + scale * codes[k] as f32;
-                    }
-                }
+                decode_i8(get, RowScale { scale, zero }, out);
             }
             Precision::F32 => unreachable!(),
         }
     }
 
-    /// [`Self::store_row`] with a caller-owned code scratch (`scratch.len()
-    /// == dim`) so the Hogwild hot loop never allocates.
-    pub fn store_row_scratch(&self, v: u32, row: &[f32], scratch: &mut [u8]) {
+    /// Requantize `row` into row `v`'s cells, one relaxed cell store per
+    /// 4–8 elements. An i8 row publishes its fresh scale pair first, so
+    /// racing readers decode new codes against the new row range.
+    pub fn store_row(&self, v: u32, row: &[f32]) {
         debug_assert_eq!(row.len(), self.dim);
         let cells = self.row_cells(v);
+        let put = |i: usize, w: u64| cells[i].store(w, Ordering::Relaxed);
         match self.precision {
-            Precision::F16 => {
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::f16c_available() {
-                    // SAFETY: F16C presence was just verified at runtime.
-                    unsafe { vecq::store_f16_cells(cells, row) };
-                    return;
-                }
-                for (c, chunk) in cells.iter().zip(row.chunks(F16_PER_CELL)) {
-                    let mut bits = 0u64;
-                    for (k, &x) in chunk.iter().enumerate() {
-                        bits |= (f32_to_f16_bits(x) as u64) << (16 * k);
-                    }
-                    c.store(bits, Ordering::Relaxed);
-                }
-            }
+            Precision::F16 => encode_f16(row, put),
             Precision::I8 => {
-                debug_assert_eq!(scratch.len(), self.dim);
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::avx2_available()
-                    // SAFETY: AVX2 presence was just verified at runtime.
-                    && unsafe { vecq::store_i8_cells(cells, &self.meta[v as usize], row) }
-                {
-                    return;
-                }
-                let mut codes = [0u8; I8_PER_CELL];
-                let rs = quantize_row_i8(row, scratch);
-                // Publish the fresh scale pair first so racing readers
-                // decode new codes against the new row range.
+                let (rs, inv) = i8_scale(row);
                 self.meta[v as usize].store(pack_pair(rs.scale, rs.zero), Ordering::Relaxed);
-                for (c, chunk) in cells.iter().zip(scratch.chunks(I8_PER_CELL)) {
-                    codes.fill(0);
-                    codes[..chunk.len()].copy_from_slice(chunk);
-                    c.store(u64::from_le_bytes(codes), Ordering::Relaxed);
-                }
+                encode_i8(row, rs.zero, inv, put);
             }
             Precision::F32 => unreachable!(),
         }
-    }
-
-    /// Requantize `row` into row `v`'s cells (and its scale metadata for
-    /// i8). Cell stores are relaxed.
-    pub fn store_row(&self, v: u32, row: &[f32]) {
-        let mut scratch = vec![0u8; self.dim];
-        self.store_row_scratch(v, row, &mut scratch);
     }
 
     /// Decode the whole matrix back to an f32 embedding.
@@ -832,15 +710,22 @@ mod tests {
         assert_eq!(f32_to_f16_bits(2.0f32.powi(-26)), 0x0000);
     }
 
+    /// One row through the i8 codec: its scale, its codes, its decode.
+    fn i8_trip(row: &[f32]) -> (RowScale, Vec<u8>, Vec<f32>) {
+        let (rs, inv) = i8_scale(row);
+        let mut codes = vec![0u8; row.len()];
+        encode_i8(row, rs.zero, inv, |i, w| put_le_word(&mut codes, i, w));
+        let mut out = vec![0f32; row.len()];
+        decode_i8(|i| le_word(&codes, i), rs, &mut out);
+        (rs, codes, out)
+    }
+
     #[test]
     fn i8_row_codes_hit_endpoints_exactly() {
         let row = [-0.3f32, 0.1, 0.7, 0.0];
-        let mut codes = [0u8; 4];
-        let rs = quantize_row_i8(&row, &mut codes);
+        let (rs, codes, out) = i8_trip(&row);
         assert_eq!(codes[0], 0); // min → code 0
         assert_eq!(codes[2], 255); // max → code 255
-        let mut out = [0f32; 4];
-        dequantize_row_i8(&codes, rs, &mut out);
         assert_eq!(out[0], -0.3); // zero-point: min decodes exactly
         assert!((out[2] - 0.7).abs() < 1e-6);
         for (y, x) in out.iter().zip(&row) {
@@ -850,17 +735,230 @@ mod tests {
 
     #[test]
     fn degenerate_rows_quantize_safely() {
-        let mut codes = [0u8; 3];
         // Constant row.
-        let rs = quantize_row_i8(&[0.25; 3], &mut codes);
-        let mut out = [0f32; 3];
-        dequantize_row_i8(&codes, rs, &mut out);
+        let (_, _, out) = i8_trip(&[0.25; 3]);
         assert_eq!(out, [0.25; 3]);
-        // Non-finite contamination must not escape as NaN/Inf.
-        let rs = quantize_row_i8(&[f32::NAN, 1.0, f32::INFINITY], &mut codes);
-        dequantize_row_i8(&codes, rs, &mut out);
-        assert!(out.iter().all(|y| y.is_finite()));
-        assert!(rs.scale.is_finite() && rs.zero.is_finite());
+        // Non-finite contamination must not escape as NaN/Inf. A NaN
+        // collapses the row like ±inf does: `f32::min`/`max` skip NaN, so
+        // a min/max fold alone would encode `[1, 2, NaN]` as `[0, 255, 0]`.
+        for row in [[f32::NAN, 1.0, f32::INFINITY], [1.0, 2.0, f32::NAN]] {
+            let (rs, codes, out) = i8_trip(&row);
+            assert_eq!((rs.scale, codes), (0.0, vec![0; 3]), "{row:?}");
+            assert!(rs.zero.is_finite(), "{row:?}");
+            assert!(out.iter().all(|y| y.is_finite()), "{row:?}");
+        }
+        // A range wider than f32::MAX has no finite scale either.
+        assert_eq!(i8_trip(&[-f32::MAX, f32::MAX]).0.scale, 0.0);
+    }
+
+    /// Bits equal, or both NaN: what the codec promises against the
+    /// scalar converters.
+    fn same_or_both_nan(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// The f16 halves of two word rows agree, up to which NaN a NaN is.
+    fn same_f16_words(a: &[u64], b: &[u64]) -> bool {
+        let halves = |&w: &u64| (0..4).map(move |k| f16_bits_to_f32((w >> (16 * k)) as u16));
+        a.len() == b.len()
+            && a.iter()
+                .flat_map(halves)
+                .zip(b.iter().flat_map(halves))
+                .all(|(x, y)| same_or_both_nan(x, y))
+    }
+
+    /// f32s at every edge of the f16 conversion: signed zeros, the f16
+    /// subnormal and overflow boundaries and their neighbours, exact
+    /// rounding ties, f32 subnormals, infinities, quiet and signalling
+    /// NaNs, plus a sweep of bit patterns.
+    fn f16_edge_f32s() -> Vec<f32> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+        ];
+        xs.extend(
+            [
+                0x7fc0_0000u32,
+                0x7f80_0001,
+                0xffa0_0000,
+                0x7f80_2000,
+                0x7fff_ffff,
+                1,
+                0x807f_ffff,
+            ]
+            .map(f32::from_bits),
+        );
+        for edge in [
+            65504.0f32,
+            65520.0,
+            2f32.powi(-14),
+            2f32.powi(-24),
+            2f32.powi(-25),
+            1.0 + 2f32.powi(-11),
+        ] {
+            for d in -2i32..=2 {
+                let x = f32::from_bits(edge.to_bits().wrapping_add_signed(d));
+                xs.extend([x, -x]);
+            }
+        }
+        let mut bits = 0x9e37_79b9u32;
+        for _ in 0..4096 {
+            bits = bits
+                .wrapping_mul(0x0101_0101)
+                .wrapping_add(0x6d2b_79f5)
+                .rotate_left(7);
+            xs.push(f32::from_bits(bits));
+        }
+        xs
+    }
+
+    #[test]
+    fn f16_codec_matches_the_scalar_converters() {
+        // Decode: every one of the 65 536 patterns, four to a word.
+        let halves: Vec<u16> = (0..=u16::MAX).collect();
+        let words: Vec<u64> = halves
+            .chunks(4)
+            .map(|c| c.iter().rev().fold(0, |w, &h| w << 16 | h as u64))
+            .collect();
+        let mut out = vec![0f32; halves.len()];
+        decode_f16(|i| words[i], &mut out);
+        for (&h, &y) in halves.iter().zip(&out) {
+            assert!(same_or_both_nan(y, f16_bits_to_f32(h)), "h={h:#06x}: {y}");
+        }
+        // Encode: the f32 edge cases.
+        let xs = f16_edge_f32s();
+        let mut got = vec![0u64; xs.len().div_ceil(4)];
+        encode_f16(&xs, |i, w| got[i] = w);
+        for (&x, i) in xs.iter().zip(0..) {
+            let h = (got[i / 4] >> (16 * (i % 4))) as u16;
+            let want = f32_to_f16_bits(x);
+            assert!(
+                h == want || (x.is_nan() && f16_bits_to_f32(h).is_nan()),
+                "x={:#010x}: {h:#06x} vs {want:#06x}",
+                x.to_bits()
+            );
+        }
+    }
+
+    /// Rows for the kernel pairs: random, wide, constant, signed zeros,
+    /// and f16/i8 edge values, at every partial last word.
+    fn kernel_rows() -> Vec<Vec<f32>> {
+        let mut rng = gosh_graph::rng::Xorshift128Plus::new(21);
+        let mut rows: Vec<Vec<f32>> = vec![
+            vec![0.25; 19],
+            vec![0.0, -0.0, 0.0, -0.0, 1e-40, -1e-40, 5.0],
+            // i8 ties at scale 1: `floor(t + ½)`, where `t + ½` itself
+            // rounds for the first (half away from zero would give 0).
+            vec![
+                0.5 - 2f32.powi(-25),
+                0.5,
+                1.5,
+                2.5,
+                254.5,
+                255.5,
+                256.0,
+                -0.5,
+                127.49999,
+            ],
+            f16_edge_f32s()
+                .into_iter()
+                .filter(|x| x.is_finite())
+                .take(41)
+                .collect(),
+        ];
+        for len in 0..=40 {
+            rows.push((0..len).map(|_| (rng.next_f32() - 0.5) * 1e3).collect());
+        }
+        rows
+    }
+
+    #[test]
+    fn f16_kernels_match_the_scalar_fallbacks() {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::f16c_available() {
+            let xs = f16_edge_f32s();
+            for row in kernel_rows().iter().map(|r| &r[..]).chain([&xs[..]]) {
+                let words = row.len().div_ceil(4);
+                let (mut want, mut got) = (vec![0u64; words], vec![0u64; words]);
+                encode_f16_scalar(row, |i, w| want[i] = w);
+                // SAFETY: F16C presence was just verified at runtime.
+                unsafe { vecq::encode_f16(row, |i, w| got[i] = w) };
+                assert!(same_f16_words(&got, &want), "encode, len {}", row.len());
+
+                let (mut want, mut got) = (vec![0f32; row.len()], vec![0f32; row.len()]);
+                let words: Vec<u64> = (1..=words as u64)
+                    .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                    .collect();
+                decode_f16_scalar(|i| words[i], &mut want);
+                // SAFETY: F16C presence was just verified at runtime.
+                unsafe { vecq::decode_f16(|i| words[i], &mut got) };
+                for (y, x) in got.iter().zip(&want) {
+                    assert!(
+                        same_or_both_nan(*y, *x),
+                        "decode, len {}: {y} vs {x}",
+                        row.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn i8_kernels_match_the_scalar_fallbacks() {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2_available() {
+            let poisoned = vec![
+                1.0,
+                f32::NAN,
+                -2.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.5,
+                3.0,
+                4.0,
+                f32::NAN,
+            ];
+            for row in kernel_rows().iter().chain([&poisoned]) {
+                let words = row.len().div_ceil(8);
+                let (rs, inv) = i8_scale(row);
+                // The row's own scale, scale 1, a collapsed one, and one
+                // whose step overflows to infinity.
+                let scales = [
+                    (rs.zero, inv),
+                    (0.0, 1.0),
+                    (0.0, 0.0),
+                    (-1e-40, f32::INFINITY),
+                ];
+                for (zero, inv) in scales {
+                    let (mut want, mut got) = (vec![0u64; words], vec![0u64; words]);
+                    encode_i8_scalar(row, zero, inv, |i, w| want[i] = w);
+                    // SAFETY: AVX2 presence was just verified at runtime.
+                    unsafe { vecq::encode_i8(row, zero, inv, |i, w| got[i] = w) };
+                    assert_eq!(got, want, "encode, len {}, inv {inv}", row.len());
+                }
+                let words: Vec<u64> = (1..=words as u64)
+                    .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                    .collect();
+                for rs in [
+                    rs,
+                    RowScale {
+                        scale: 1.0,
+                        zero: 0.0,
+                    },
+                ] {
+                    let (mut want, mut got) = (vec![0f32; row.len()], vec![0f32; row.len()]);
+                    decode_i8_scalar(|i| words[i], rs, &mut want);
+                    // SAFETY: AVX2 presence was just verified at runtime.
+                    unsafe { vecq::decode_i8(|i| words[i], rs, &mut got) };
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "decode, len {}", row.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use gosh_runtime::transport::{FramedConn, TransportError};
 
-use crate::quant::{f16_bits_to_f32, Precision};
+use crate::quant::{decode_f16, decode_i8, le_word, Precision, RowScale};
 use crate::simd::{QueryLanes, LANES};
 use crate::store::{canonical_nan, EmbeddingStore};
 
@@ -219,13 +219,10 @@ fn scan_exact(store: &EmbeddingStore, queries: &[f32], k: usize, threads: usize)
                 crate::simd::dot8_rows(store.rows_f32(rows.start, rows.len()), &ql, out);
             }),
             Precision::F16 => select(nq, &ql, k, span, |rows, out| {
+                // f16 rows lie back to back: the tile is one run of words.
                 let staged = &mut staged[..rows.len() * dim];
-                for (x, &h) in staged
-                    .iter_mut()
-                    .zip(store.rows_f16(rows.start, rows.len()))
-                {
-                    *x = f16_bits_to_f32(h);
-                }
+                let raw = store.rows_raw(rows.start, rows.len());
+                decode_f16(|i| le_word(raw, i), staged);
                 crate::simd::chain_lanes(staged, &ql, out);
             }),
             Precision::I8 => select(nq, &ql, k, span, |rows, out| {
@@ -238,9 +235,15 @@ fn scan_exact(store: &EmbeddingStore, queries: &[f32], k: usize, threads: usize)
                     .zip(&mut scales)
                     .zip(views)
                 {
-                    for (x, &c) in x.iter_mut().zip(codes) {
-                        *x = c as f32;
-                    }
+                    // Scale 1, zero 0: the codes themselves, exactly.
+                    decode_i8(
+                        |i| le_word(codes, i),
+                        RowScale {
+                            scale: 1.0,
+                            zero: 0.0,
+                        },
+                        x,
+                    );
                     (*zero, *scale) = (rs.zero, rs.scale);
                 }
                 crate::simd::chain_lanes(staged, &ql, out);

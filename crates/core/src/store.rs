@@ -22,14 +22,18 @@
 //!     40     —  payload: num_vertices rows of `precision.row_bytes(dim)`
 //! ```
 //!
-//! Row encodings match the trainer's in-memory quantized layout:
-//! f32 → `dim × f32`; f16 → `dim × u16` ([`crate::quant::f32_to_f16_bits`]);
-//! i8 → `scale f32, zero f32, dim × u8` ([`crate::quant::quantize_row_i8`]).
-//! The 40-byte header is 8-byte aligned, so with an aligned base (mmap
-//! returns page-aligned; the heap fallback allocates `u64`s) every f32/f16
-//! row is naturally aligned and [`EmbeddingStore`] hands out zero-copy
-//! typed row views. An i8 store is read *directly* — rows are scored
-//! without decoding to f32, so serving holds 4x the vectors in RAM.
+//! Row encodings are the trainer's words ([`crate::quant`]): f32 →
+//! `dim × f32`; f16 → the words of [`crate::quant::encode_f16`], cut to
+//! `2·dim` bytes; i8 → `scale f32, zero f32`, then the code words of
+//! [`crate::quant::encode_i8`] cut to `dim` bytes. Rows are encoded and
+//! decoded by the codecs of [`crate::quant`] through [`le_word`] /
+//! [`put_le_word`]; only [`EmbeddingStore::dot`], the scoring oracle,
+//! reads elements itself. The 40-byte header is 8-byte aligned, so with
+//! an aligned base (mmap returns page-aligned; the heap fallback
+//! allocates `u64`s) every f32 row is naturally aligned and
+//! [`EmbeddingStore`] hands out zero-copy f32 row views. An i8 store is
+//! read *directly* — rows are scored without decoding to f32, so serving
+//! holds 4x the vectors in RAM.
 //!
 //! The reader treats the file as untrusted, with the same discipline as
 //! `gosh_graph::io::read_binary`: checked header arithmetic, exact
@@ -43,7 +47,8 @@ use std::path::Path;
 
 use crate::model::Embedding;
 use crate::quant::{
-    dequantize_row_i8, f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8, Precision, RowScale,
+    decode_f16, decode_i8, encode_f16, encode_i8, i8_scale, le_word, put_le_word, Precision,
+    RowScale,
 };
 
 /// Magic bytes opening every `.embin` file (sibling of `GOSHCSR1`).
@@ -118,28 +123,23 @@ fn bad(msg: impl Into<String>) -> io::Error {
 
 /// Encode `m` as an `.embin` payload at `precision` (header excluded).
 fn encode_payload(m: &Embedding, precision: Precision) -> Vec<u8> {
-    let n = m.num_vertices();
-    let dim = m.dim();
-    let mut payload = Vec::with_capacity(n * precision.row_bytes(dim));
-    let mut codes = vec![0u8; dim];
-    for v in 0..n as u32 {
+    let row_bytes = precision.row_bytes(m.dim());
+    let mut payload = vec![0u8; m.num_vertices() * row_bytes];
+    for (v, dst) in (0..).zip(payload.chunks_exact_mut(row_bytes)) {
         let row = m.row(v);
         match precision {
             Precision::F32 => {
-                for &x in row {
-                    payload.extend_from_slice(&x.to_le_bytes());
+                for (d, x) in dst.chunks_exact_mut(4).zip(row) {
+                    d.copy_from_slice(&x.to_le_bytes());
                 }
             }
-            Precision::F16 => {
-                for &x in row {
-                    payload.extend_from_slice(&f32_to_f16_bits(x).to_le_bytes());
-                }
-            }
+            Precision::F16 => encode_f16(row, |i, w| put_le_word(dst, i, w)),
             Precision::I8 => {
-                let rs = quantize_row_i8(row, &mut codes);
-                payload.extend_from_slice(&rs.scale.to_le_bytes());
-                payload.extend_from_slice(&rs.zero.to_le_bytes());
-                payload.extend_from_slice(&codes);
+                let (rs, inv) = i8_scale(row);
+                let (head, codes) = dst.split_at_mut(8);
+                head[..4].copy_from_slice(&rs.scale.to_le_bytes());
+                head[4..].copy_from_slice(&rs.zero.to_le_bytes());
+                encode_i8(row, rs.zero, inv, |i, w| put_le_word(codes, i, w));
             }
         }
     }
@@ -148,16 +148,24 @@ fn encode_payload(m: &Embedding, precision: Precision) -> Vec<u8> {
 
 /// Write `m` to `path` as a versioned, checksummed `.embin` store. The
 /// file is replaced whole ([`gosh_runtime::replace_file`]), so a server
-/// that has the old store mapped keeps reading the old rows.
+/// that has the old store mapped keeps reading the old rows. A matrix
+/// [`EmbeddingStore::open`] would reject — dim outside `1..=MAX_DIM`,
+/// more than `u32::MAX` rows — is [`io::ErrorKind::InvalidInput`], and
+/// `path` is left untouched.
 pub fn write_store(path: impl AsRef<Path>, m: &Embedding, precision: Precision) -> io::Result<()> {
+    let (n, dim) = (m.num_vertices(), m.dim());
+    if !(1..=MAX_DIM).contains(&dim) || n > u32::MAX as usize {
+        let msg = format!("{n} x {dim}: a store holds dim 1..={MAX_DIM} and u32-indexed rows");
+        return Err(io::Error::new(ErrorKind::InvalidInput, msg));
+    }
     let payload = encode_payload(m, precision);
     let mut header = [0u8; EMBIN_HEADER_BYTES];
     header[..8].copy_from_slice(EMBIN_MAGIC);
     header[8..12].copy_from_slice(&EMBIN_VERSION.to_le_bytes());
     header[12] = precision_code(precision);
     // bytes 13..16 reserved, zero
-    header[16..24].copy_from_slice(&(m.num_vertices() as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&(m.dim() as u64).to_le_bytes());
+    header[16..24].copy_from_slice(&(n as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&(dim as u64).to_le_bytes());
     header[32..40].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
 
     gosh_runtime::replace_file(path, |w| {
@@ -418,7 +426,7 @@ impl EmbeddingStore {
 
     /// The bytes of `count` rows from row `first` on.
     #[inline]
-    fn rows_raw(&self, first: u32, count: usize) -> &[u8] {
+    pub(crate) fn rows_raw(&self, first: u32, count: usize) -> &[u8] {
         let o = EMBIN_HEADER_BYTES + first as usize * self.row_bytes;
         &self.backing.bytes()[o..o + count * self.row_bytes]
     }
@@ -437,22 +445,6 @@ impl EmbeddingStore {
         // f32 rows start at multiples of 4 bytes from it, so the
         // reinterpretation is aligned; any f32 bit pattern is valid.
         let (pre, mid, post) = unsafe { self.rows_raw(first, count).align_to::<f32>() };
-        debug_assert!(pre.is_empty() && post.is_empty());
-        mid
-    }
-
-    /// Zero-copy f16 row view (raw binary16 bits).
-    pub fn row_f16(&self, v: u32) -> &[u16] {
-        self.rows_f16(v, 1)
-    }
-
-    /// Zero-copy view of `count` f16 rows from row `first` on, back to back.
-    #[inline]
-    pub(crate) fn rows_f16(&self, first: u32, count: usize) -> &[u16] {
-        assert_eq!(self.precision, Precision::F16, "row_f16 on a non-f16 store");
-        // SAFETY: as in `rows_f32` — u16 rows start 2-aligned from an
-        // 8-aligned base; any u16 bit pattern is valid.
-        let (pre, mid, post) = unsafe { self.rows_raw(first, count).align_to::<u16>() };
         debug_assert!(pre.is_empty() && post.is_empty());
         mid
     }
@@ -482,13 +474,12 @@ impl EmbeddingStore {
         match self.precision {
             Precision::F32 => out.copy_from_slice(self.row_f32(v)),
             Precision::F16 => {
-                for (o, &h) in out.iter_mut().zip(self.row_f16(v)) {
-                    *o = f16_bits_to_f32(h);
-                }
+                let raw = self.rows_raw(v, 1);
+                decode_f16(|i| le_word(raw, i), out);
             }
             Precision::I8 => {
                 let (rs, codes) = self.row_i8(v);
-                dequantize_row_i8(codes, rs, out);
+                decode_i8(|i| le_word(codes, i), rs, out);
             }
         }
     }
@@ -514,8 +505,9 @@ impl EmbeddingStore {
             Precision::F32 => crate::simd::dot8(self.row_f32(v), q),
             Precision::F16 => {
                 let mut acc = 0.0f32;
-                for (&h, &x) in self.row_f16(v).iter().zip(q) {
-                    acc += f16_bits_to_f32(h) * x;
+                for (h, &x) in self.rows_raw(v, 1).chunks_exact(2).zip(q) {
+                    let h = u16::from_le_bytes([h[0], h[1]]);
+                    acc += crate::quant::f16_bits_to_f32(h) * x;
                 }
                 acc
             }

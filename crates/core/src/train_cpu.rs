@@ -207,29 +207,28 @@ impl RowStore for SharedMatrix {
 }
 
 impl RowStore for QuantizedMatrix {
-    /// The staged source row, a sample row and an i8 code buffer.
-    type Scratch = (Vec<f32>, Vec<f32>, Vec<u8>);
+    /// The staged source row and a sample row.
+    type Scratch = (Vec<f32>, Vec<f32>);
     fn scratch(&self) -> Self::Scratch {
-        let d = self.dim();
-        (vec![0f32; d], vec![0f32; d], vec![0u8; d])
+        (vec![0f32; self.dim()], vec![0f32; self.dim()])
     }
     #[inline]
     fn prefetch(&self, v: u32) {
         prefetch_row(self.row_cells(v));
     }
     #[inline]
-    fn load_src(&self, v: u32, (src, _, _): &mut Self::Scratch) {
+    fn load_src(&self, v: u32, (src, _): &mut Self::Scratch) {
         self.load_row(v, src);
     }
     #[inline]
-    fn update_sample(&self, u: u32, b: f32, lr: f32, (src, smp, codes): &mut Self::Scratch) {
+    fn update_sample(&self, u: u32, b: f32, lr: f32, (src, smp): &mut Self::Scratch) {
         self.load_row(u, smp);
         update_embedding(src, smp, b, lr);
-        self.store_row_scratch(u, smp, codes);
+        self.store_row(u, smp);
     }
     #[inline]
-    fn store_src(&self, v: u32, (src, _, codes): &mut Self::Scratch) {
-        self.store_row_scratch(v, src, codes);
+    fn store_src(&self, v: u32, (src, _): &mut Self::Scratch) {
+        self.store_row(v, src);
     }
 }
 

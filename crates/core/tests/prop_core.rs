@@ -10,8 +10,8 @@ use gosh_core::large::pools::NO_SAMPLE;
 use gosh_core::large::{farthest_future_victim, generate_pool, inside_out_pairs, Partition};
 use gosh_core::model::{pack_pair, unpack_pair, Embedding};
 use gosh_core::quant::{
-    dequantize_row_i8, f16_bits_to_f32, f32_to_f16_bits, quantize_roundtrip, quantize_row_i8,
-    Precision,
+    decode_i8, encode_i8, f16_bits_to_f32, f32_to_f16_bits, i8_scale, le_word, put_le_word,
+    quantize_roundtrip, Precision, RowScale,
 };
 use gosh_core::schedule::{decayed_lr, epoch_distribution};
 use gosh_core::simd::{
@@ -412,13 +412,22 @@ proptest! {
 // Quantized storage round trips — `gosh_core::quant`
 // ---------------------------------------------------------------------------
 
+/// One row through the i8 codec: its scale, its codes, its decode.
+fn i8_trip(row: &[f32]) -> (RowScale, Vec<u8>, Vec<f32>) {
+    let (rs, inv) = i8_scale(row);
+    let mut codes = vec![0u8; row.len()];
+    encode_i8(row, rs.zero, inv, |i, w| put_le_word(&mut codes, i, w));
+    let mut out = vec![0f32; row.len()];
+    decode_i8(|i| le_word(&codes, i), rs, &mut out);
+    (rs, codes, out)
+}
+
 proptest! {
     #[test]
     fn i8_quantization_is_monotone_with_exact_zero_point(
         vals in prop::collection::vec(-1000.0f32..1000.0, 1..=64),
     ) {
-        let mut codes = vec![0u8; vals.len()];
-        let rs = quantize_row_i8(&vals, &mut codes);
+        let (rs, codes, out) = i8_trip(&vals);
         prop_assert!(rs.scale.is_finite() && rs.scale >= 0.0);
         prop_assert!(rs.zero.is_finite());
 
@@ -433,8 +442,6 @@ proptest! {
             }
         }
 
-        let mut out = vec![0f32; vals.len()];
-        dequantize_row_i8(&codes, rs, &mut out);
         let lo = vals.iter().copied().fold(f32::INFINITY, f32::min);
         for (k, (&y, &x)) in out.iter().zip(&vals).enumerate() {
             prop_assert!(y.is_finite(), "lane {k} decoded non-finite");
@@ -465,11 +472,8 @@ proptest! {
         // Rows contaminated with NaN/Inf must still produce finite decode
         // parameters and finite decoded lanes — a poisoned vertex cannot
         // poison the whole shared matrix through its scale pair.
-        let mut codes = vec![0u8; vals.len()];
-        let rs = quantize_row_i8(&vals, &mut codes);
+        let (rs, _, out) = i8_trip(&vals);
         prop_assert!(rs.scale.is_finite() && rs.zero.is_finite());
-        let mut out = vec![0f32; vals.len()];
-        dequantize_row_i8(&codes, rs, &mut out);
         prop_assert!(out.iter().all(|y| y.is_finite()), "{out:?}");
     }
 

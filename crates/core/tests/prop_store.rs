@@ -6,13 +6,18 @@
 //! flip of a valid store must be rejected, not just "usually caught".
 //!
 //! The text `.emb` writer's coordinate formatter is pinned here too: its
-//! bytes equal `format!("{x:.6}")` for every kind of f32 it can meet.
+//! bytes equal `format!("{x:.6}")` for every kind of f32 it can meet. So
+//! is the one row codec: an f16 or i8 row decodes to the same bits in
+//! every container that holds it.
 
 use std::io::Write;
 
 use gosh_core::model::Embedding;
-use gosh_core::quant::{quantize_roundtrip, Precision};
-use gosh_core::store::{push_coord, write_store, EmbeddingStore, EMBIN_HEADER_BYTES, EMBIN_MAGIC};
+use gosh_core::quant::{quantize_roundtrip, Precision, QuantizedMatrix};
+use gosh_core::serve::search_exact;
+use gosh_core::store::{
+    push_coord, write_store, EmbeddingStore, EMBIN_HEADER_BYTES, EMBIN_MAGIC, MAX_DIM,
+};
 use gosh_runtime::TempDir;
 use proptest::prelude::*;
 
@@ -243,6 +248,114 @@ proptest! {
                 "unexpected error kind {:?}",
                 e.kind()
             ),
+        }
+    }
+}
+
+/// A matrix `open` would reject is refused before the path is touched:
+/// the store already there keeps its bytes and still opens.
+#[test]
+fn unopenable_matrices_are_refused_and_the_old_store_survives() {
+    let dir = TempDir::new("prop-store").unwrap();
+    let path = dir.join("kept.embin");
+    let old = Embedding::random(5, 3, 1);
+    write_store(&path, &old, Precision::F32).unwrap();
+    let before = std::fs::read(&path).unwrap();
+    for m in [Embedding::zeros(4, 0), Embedding::zeros(0, MAX_DIM + 1)] {
+        for precision in [Precision::F32, Precision::F16, Precision::I8] {
+            let err = write_store(&path, &m, precision).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), before);
+            let kept = EmbeddingStore::open(&path).unwrap().to_embedding();
+            assert_eq!(kept.as_slice(), old.as_slice());
+        }
+    }
+}
+
+/// One row element from a draw: an ordinary value, ±0, an f32 or f16
+/// subnormal, f16 overflow, a wide magnitude, ±inf, or any bit pattern.
+fn codec_value(kind: u8, r: u32) -> f32 {
+    const EDGES: [f32; 14] = [
+        0.0,
+        -0.0,
+        1e-40,
+        -1e-40,
+        6e-8,
+        -6e-8,
+        3e-5,
+        65504.0,
+        65520.0,
+        -1e30,
+        -3e38,
+        3e38,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    match kind {
+        0..=3 => r as f32 / u32::MAX as f32 * 2.0 - 1.0,
+        4 | 5 => EDGES[r as usize % EDGES.len()],
+        _ => f32::from_bits(r),
+    }
+}
+
+/// One `dim`-wide row: mixed elements, or one value throughout.
+fn codec_row(dim: usize) -> impl Strategy<Value = Vec<f32>> {
+    (
+        0u8..4,
+        prop::collection::vec((0u8..7, 0u32..=u32::MAX), dim),
+    )
+        .prop_map(move |(shape, draws)| {
+            let xs: Vec<f32> = draws.iter().map(|&(k, r)| codec_value(k, r)).collect();
+            if shape == 0 {
+                vec![xs[0]; dim]
+            } else {
+                xs
+            }
+        })
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The trainer's cells, the `.embin` payload and `quantize_roundtrip`
+    /// give a row the same bits, at every dim and so every partial last
+    /// word; and the exact scan scores every row as `EmbeddingStore::dot`.
+    #[test]
+    fn a_row_decodes_to_the_same_bits_in_every_container(
+        (dim, rows, q) in (1usize..=40).prop_flat_map(|dim| (
+            Just(dim),
+            prop::collection::vec(codec_row(dim), 1..6),
+            prop::collection::vec(-1.0f32..1.0, dim),
+        )),
+        i8 in prop::bool::ANY,
+    ) {
+        let precision = if i8 { Precision::I8 } else { Precision::F16 };
+        let n = rows.len();
+        let m = Embedding::from_vec(rows.concat(), n, dim);
+
+        let cells = QuantizedMatrix::from_embedding(&m, precision).to_embedding();
+        let dir = TempDir::new("prop-store").unwrap();
+        let path = dir.join("codec.embin");
+        write_store(&path, &m, precision).unwrap();
+        let store = EmbeddingStore::open(&path).unwrap();
+        let mut decoded = vec![0f32; n * dim];
+        for (v, row) in (0..).zip(decoded.chunks_exact_mut(dim)) {
+            store.decode_row(v, row);
+        }
+        let mut trip = m.as_slice().to_vec();
+        quantize_roundtrip(&mut trip, dim, precision);
+        prop_assert_eq!(bits(cells.as_slice()), bits(&decoded));
+        prop_assert_eq!(bits(&trip), bits(&decoded));
+
+        let q_sum: f32 = q.iter().sum();
+        let hits = search_exact(&store, &q, n);
+        prop_assert_eq!(hits.len(), n);
+        for h in hits {
+            prop_assert_eq!(h.score.to_bits(), store.dot(h.id, &q, q_sum).to_bits(), "row {}", h.id);
         }
     }
 }
