@@ -7,22 +7,28 @@
 //!   with `nprobe == 0`) and [`IvfIndex`] (an inverted-file coarse
 //!   quantizer: ~√n Lloyd-iterated centroids, rows bucketed by nearest
 //!   centroid, queries probing only the `nprobe` most promising lists).
-//!   The exact scan makes one pass over the rows per request: a tile of
-//!   rows at a time, scored against the whole batch at once, with the bits
-//!   [`EmbeddingStore::dot`] gives each (row, query) pair — f16/i8 rows
-//!   one lane per query ([`crate::simd::chain_lanes`]), f32 rows eight at
-//!   a time through [`crate::simd::dot8`]'s own accumulators
+//!   Every score has the bits [`EmbeddingStore::dot`] gives its (row,
+//!   query) pair. The exact scan makes one pass over the rows per request:
+//!   a tile of rows at a time, scored against the whole batch at once —
+//!   f16/i8 rows one lane per query ([`crate::simd::chain_lanes`]), f32
+//!   rows eight at a time through [`crate::simd::dot8`]'s own accumulators
 //!   ([`crate::simd::dot8_rows`]) — and an exact floor test keeps almost
-//!   every score away from the heaps. IVF lists are scored row by row with
-//!   `dot` itself. Rows are read straight off the mapped store bytes; i8
-//!   rows are scored from their codes and never dequantized.
+//!   every score away from the heaps. Rows are read straight off the
+//!   mapped store bytes; i8 rows are scored from their codes and never
+//!   dequantized. The IVF index keeps a list-major copy of the rows, in
+//!   the store's encoding, so a probed list is one contiguous run: f32
+//!   rows back to back, scored by `dot8_rows`; f16 and i8 codes in blocks
+//!   of eight rows, dimension-major, scored one lane per *row*
+//!   ([`crate::simd::chain_rows`], four blocks in flight), i8 then closing
+//!   with its row's `(scale, zero)`, kept in list order. The copy costs
+//!   one more store payload of heap (1.3 MB for 32 768 i8 rows of 32
+//!   dimensions, 6.3 MB for 98 304 f32 rows of 16).
 //! * **Batching** — [`search_batch`] runs a batch across the worker team.
 //!   The exact scan shards *rows*: each job scans its contiguous span for
 //!   the whole batch, and the per-span lists merge under [`cmp_best`]. IVF
-//!   shards *queries*: each job stages its query row into a private
-//!   buffer (the way `train_cpu` stages source rows) and `map_jobs`
-//!   restores job order. Either way batched results are bit-identical to
-//!   one-at-a-time at any thread count.
+//!   shards *queries*: each job searches one query row in place, and
+//!   `map_jobs` restores job order. Either way batched results are
+//!   bit-identical to one-at-a-time at any thread count.
 //! * **Wire** — a tagged request/response protocol over the runtime's
 //!   frame format, carried on one
 //!   [`gosh_runtime::transport::FramedConn`] per client. [`Server`]
@@ -54,7 +60,11 @@
 //! workspace: all selection runs under a *total* order — score by
 //! `total_cmp`, ties to the smaller vertex id — so the top-k of a set
 //! of hits does not depend on scan order, thread count, or which probe
-//! list produced a hit first.
+//! list produced a hit first. Every score, a row's or a centroid's, is
+//! ranked with any NaN replaced by `f32::NAN` (`canonical_nan`): Rust
+//! leaves a NaN result's sign unspecified, `total_cmp` ranks +NaN first
+//! and −NaN last, and without the rule the lists a query holding NaN or
+//! `±∞` probes would depend on the kernel that scored the centroids.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -69,7 +79,7 @@ use std::time::{Duration, Instant};
 use gosh_runtime::transport::{FramedConn, TransportError};
 
 use crate::quant::{decode_f16, decode_i8, le_word, Precision, RowScale};
-use crate::simd::{QueryLanes, LANES};
+use crate::simd::{chain_rows, QueryLanes, RowBlocks, LANES};
 use crate::store::{canonical_nan, EmbeddingStore};
 
 /// Frame tag: a top-k query batch, client → server.
@@ -141,7 +151,6 @@ impl TopK {
         }
     }
 
-    // Inlined so the IVF row loop keeps its fast reject in line.
     #[inline]
     fn push(&mut self, h: Hit) {
         if self.k == 0 {
@@ -149,9 +158,12 @@ impl TopK {
         }
         if self.heap.len() < self.k {
             self.heap.push(WorstFirst(h));
-        } else if cmp_best(&h, &self.heap.peek().expect("nonempty").0) == Ordering::Less {
-            self.heap.pop();
-            self.heap.push(WorstFirst(h));
+        } else {
+            let mut worst = self.heap.peek_mut().expect("nonempty");
+            if cmp_best(&h, &worst.0) == Ordering::Less {
+                // One sift-down in place of a pop and a push.
+                *worst = WorstFirst(h);
+            }
         }
     }
 
@@ -351,6 +363,13 @@ fn above(score: f32, floor: i32) -> bool {
     order_key(score) > floor
 }
 
+/// The floor test of [`offer`]: `score` is at or above the worst retained
+/// score whose order key is `floor`.
+#[inline(always)]
+fn at_or_above(score: f32, floor: i32) -> bool {
+    order_key(score) >= floor
+}
+
 /// An inverted-file (IVF) coarse quantizer over a store: ~√n centroids
 /// refined by a few Lloyd iterations, each row filed under its nearest
 /// centroid. A query scores all centroids, probes the `nprobe` best
@@ -369,6 +388,24 @@ pub struct IvfIndex {
     offsets: Vec<usize>,
     /// Row ids, grouped by list, ascending inside each list.
     members: Vec<u32>,
+    /// First [`RowBlocks`] block of each list in `rows` (f16 and i8 lists
+    /// start on a whole block), length `nlist + 1`.
+    blocks: Vec<usize>,
+    /// The members' rows again, list by list: what a probe scores.
+    rows: ListRows,
+}
+
+/// A list-major copy of a store's rows, in the store's own encoding, laid
+/// out for the kernel that scores it: a probed list is one contiguous run.
+enum ListRows {
+    /// f32 rows back to back, for [`crate::simd::dot8_rows`].
+    F32(Vec<f32>),
+    /// f16 bit patterns in [`RowBlocks`] blocks of eight rows, for
+    /// [`crate::simd::chain_rows`].
+    F16(Vec<u16>),
+    /// i8 codes in [`RowBlocks`] blocks of eight rows, and each row's
+    /// decode pair in list order.
+    I8(Vec<u8>, Vec<RowScale>),
 }
 
 impl IvfIndex {
@@ -384,12 +421,7 @@ impl IvfIndex {
         let dim = store.dim();
         let nlist = Self::default_nlist(n);
         if n == 0 || nlist == 0 {
-            return Self {
-                dim,
-                centroids: Vec::new(),
-                offsets: vec![0],
-                members: Vec::new(),
-            };
+            return Self::with_rows(store, Vec::new(), vec![0], Vec::new());
         }
 
         // Evenly spaced rows seed the centroids: deterministic, spread
@@ -451,12 +483,51 @@ impl IvfIndex {
             members[cursor[c as usize]] = v as u32;
             cursor[c as usize] += 1;
         }
+        Self::with_rows(store, centroids, offsets, members)
+    }
 
+    /// The index over these lists, with the list-major copy of their rows.
+    fn with_rows(
+        store: &EmbeddingStore,
+        centroids: Vec<f32>,
+        offsets: Vec<usize>,
+        members: Vec<u32>,
+    ) -> Self {
+        let dim = store.dim();
+        let mut blocks = vec![0usize; offsets.len()];
+        for (c, list) in offsets.windows(2).enumerate() {
+            blocks[c + 1] = blocks[c] + (list[1] - list[0]).div_ceil(LANES);
+        }
+        let rows = match store.precision() {
+            Precision::F32 => {
+                let mut rows = Vec::with_capacity(members.len() * dim);
+                for &v in &members {
+                    rows.extend_from_slice(store.row_f32(v));
+                }
+                ListRows::F32(rows)
+            }
+            Precision::F16 => {
+                ListRows::F16(list_blocks(&offsets, &members, &blocks, dim, |v, row| {
+                    for (h, x) in store.rows_raw(v, 1).chunks_exact(2).zip(row) {
+                        *x = u16::from_le_bytes([h[0], h[1]]);
+                    }
+                }))
+            }
+            Precision::I8 => ListRows::I8(
+                list_blocks(&offsets, &members, &blocks, dim, |v, row| {
+                    let (_, codes) = store.row_i8(v);
+                    row.copy_from_slice(&codes[..dim]);
+                }),
+                members.iter().map(|&v| store.row_i8(v).0).collect(),
+            ),
+        };
         Self {
             dim,
             centroids,
             offsets,
             members,
+            blocks,
+            rows,
         }
     }
 
@@ -467,36 +538,118 @@ impl IvfIndex {
 
     /// Top-k via the `nprobe` most promising lists. `nprobe >= nlist`
     /// degenerates to exact search (every row is in some list).
+    ///
+    /// Every score has the bits of [`EmbeddingStore::dot`]: the probed
+    /// lists are read from the index's list-major copy of the rows, a tile
+    /// at a time, f32 rows through [`crate::simd::dot8_rows`] and f16 and
+    /// i8 rows through [`crate::simd::chain_rows`] (then, for i8, `dot`'s
+    /// affine close).
     pub fn search(&self, store: &EmbeddingStore, q: &[f32], k: usize, nprobe: usize) -> Vec<Hit> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
         let nlist = self.nlist();
-        if nlist == 0 {
+        // A client's `k` must not size the heap past the rows it can hold.
+        let k = k.min(store.num_vertices());
+        if nlist == 0 || k == 0 {
             return Vec::new();
         }
-        // Rank lists by centroid inner product under the same total
-        // order as row selection (centroid id standing in for row id).
+        let dim = self.dim;
+        let ql = QueryLanes::dot8(q, dim);
+        let mut scores = vec![0.0f32; nlist.next_multiple_of(LANES).max(TILE)];
+        // Rank lists by centroid inner product under the same total order
+        // and NaN rule as row selection (centroid id standing in for row id).
+        crate::simd::dot8_rows(&self.centroids, &ql, &mut scores);
         let mut ranked = TopK::new(nprobe.clamp(1, nlist));
-        for c in 0..nlist {
-            let score = crate::simd::dot8(&self.centroids[c * self.dim..(c + 1) * self.dim], q);
+        for (c, &score) in scores[..nlist].iter().enumerate() {
             ranked.push(Hit {
                 id: c as u32,
-                score,
+                score: canonical_nan(score),
             });
         }
         let q_sum: f32 = q.iter().sum();
-        // A client's `k` must not size the heap past the rows it can hold.
-        let mut top = TopK::new(k.min(store.num_vertices()));
+        let mut top = TopK::new(k);
         for probe in ranked.finish() {
             let c = probe.id as usize;
-            for &v in &self.members[self.offsets[c]..self.offsets[c + 1]] {
-                top.push(Hit {
-                    id: v,
-                    score: store.dot(v, q, q_sum),
-                });
+            let list = self.offsets[c]..self.offsets[c + 1];
+            for first in list.clone().step_by(TILE) {
+                let n = TILE.min(list.end - first);
+                let out = &mut scores[..n.next_multiple_of(LANES)];
+                // The tile's first block: lists start on whole blocks.
+                let b = self.blocks[c] + (first - list.start) / LANES;
+                let blocks = b * dim * LANES..(b * LANES + out.len()) * dim;
+                match &self.rows {
+                    ListRows::F32(rows) => {
+                        crate::simd::dot8_rows(&rows[first * dim..(first + n) * dim], &ql, out)
+                    }
+                    ListRows::F16(blk) => chain_rows(RowBlocks::F16(&blk[blocks]), q, out),
+                    ListRows::I8(blk, scales) => {
+                        chain_rows(RowBlocks::I8(&blk[blocks]), q, out);
+                        // The affine close of `EmbeddingStore::dot`'s i8 arm.
+                        for (s, rs) in out.iter_mut().zip(&scales[first..first + n]) {
+                            *s = rs.zero * q_sum + rs.scale * *s;
+                        }
+                    }
+                }
+                offer(&mut top, &self.members[first..first + n], &mut out[..n]);
             }
         }
         top.finish()
     }
+}
+
+/// Offer rows `ids` with `scores` to `top`, whose retained hits may come
+/// from rows of any id: lists arrive in probe order, not id order. Once
+/// `top` is full a score can belong in it only if its order key is at or
+/// above the floor — an equal score may still win on a smaller id — and
+/// [`TopK::push`] settles that under [`cmp_best`].
+fn offer(top: &mut TopK, ids: &[u32], scores: &mut [f32]) {
+    // The one NaN `EmbeddingStore::dot` returns.
+    for x in scores.iter_mut() {
+        *x = canonical_nan(*x);
+    }
+    let fill = (top.k - top.heap.len()).min(ids.len());
+    for (&id, &score) in ids[..fill].iter().zip(&scores[..fill]) {
+        top.push(Hit { id, score });
+    }
+    if fill == ids.len() {
+        return;
+    }
+    let mut floor = top.floor();
+    for (ids, s) in ids[fill..].chunks(LANES).zip(scores[fill..].chunks(LANES)) {
+        // Eight rows are ruled out with one vector test.
+        if !s.iter().fold(false, |any, &x| any | at_or_above(x, floor)) {
+            continue;
+        }
+        for (&id, &score) in ids.iter().zip(s) {
+            if at_or_above(score, floor) {
+                top.push(Hit { id, score });
+                floor = top.floor();
+            }
+        }
+    }
+}
+
+/// The rows of `members`, list by list (`offsets`), as [`RowBlocks`]
+/// codes: row `i` of list `c` is lane `i % 8` of block `blocks[c] + i / 8`,
+/// and padding lanes hold 0. `codes(v, row)` writes row `v`'s `dim` codes.
+fn list_blocks<T: Copy + Default>(
+    offsets: &[usize],
+    members: &[u32],
+    blocks: &[usize],
+    dim: usize,
+    mut codes: impl FnMut(u32, &mut [T]),
+) -> Vec<T> {
+    let mut blk = vec![T::default(); blocks[blocks.len() - 1] * dim * LANES];
+    let mut row = vec![T::default(); dim];
+    for (c, list) in offsets.windows(2).enumerate() {
+        for (i, &v) in members[list[0]..list[1]].iter().enumerate() {
+            codes(v, &mut row);
+            let at = (blocks[c] + i / LANES) * dim * LANES + i % LANES;
+            for (j, &x) in row.iter().enumerate() {
+                blk[at + j * LANES] = x;
+            }
+        }
+    }
+    blk
 }
 
 /// Parallel nearest-centroid assignment (squared L2, ties to the
@@ -528,9 +681,8 @@ fn assign_rows(store: &EmbeddingStore, centroids: &[f32], threads: usize, assign
 /// Run a query batch across the worker team. `queries` is `nq` rows of
 /// `store.dim()` packed densely; `nprobe == 0` (or no `index`) means
 /// exact search: one pass over the rows for the whole batch, sharded by
-/// row. IVF queries are one job each: the job stages its query row into a
-/// private buffer and computes a pure function of it, and `map_jobs`
-/// restores job order. Either way results are bit-identical to calling
+/// row. IVF queries are one job each, a pure function of the query row,
+/// and `map_jobs` restores job order. Either way results are bit-identical to calling
 /// [`search_exact`]/[`IvfIndex::search`] per query, at any `threads`.
 pub fn search_batch(
     store: &EmbeddingStore,
@@ -548,10 +700,7 @@ pub fn search_batch(
         (_, Some(ivf)) => ivf,
     };
     gosh_runtime::map_jobs(threads.max(1), queries.len() / dim, |i| {
-        // Stage: private copy of the query row, the way the trainer
-        // stages source rows before the update loop.
-        let q: Vec<f32> = queries[i * dim..(i + 1) * dim].to_vec();
-        ivf.search(store, &q, k, nprobe)
+        ivf.search(store, &queries[i * dim..(i + 1) * dim], k, nprobe)
     })
 }
 
@@ -1063,7 +1212,9 @@ impl ServeClient {
         })
     }
 
-    /// Run one query batch. `queries` is `nq` packed rows of `dim`.
+    /// Run one query batch. `queries` is `nq` packed rows of `dim`. A `k`
+    /// or `nprobe` past `u32::MAX` is sent as `u32::MAX`: the server clamps
+    /// both to what there is, so "more than there are" still means "all".
     pub fn query(
         &mut self,
         queries: &[f32],
@@ -1071,9 +1222,10 @@ impl ServeClient {
         k: usize,
         nprobe: usize,
     ) -> Result<Vec<Vec<Hit>>, TransportError> {
+        let saturate = |x: usize| u32::try_from(x).unwrap_or(u32::MAX);
         let req = QueryRequest {
-            k: k as u32,
-            nprobe: nprobe as u32,
+            k: saturate(k),
+            nprobe: saturate(nprobe),
             dim: dim as u32,
             queries: queries.to_vec(),
         };
@@ -1125,6 +1277,7 @@ mod tests {
     use crate::quant::Precision;
     use crate::store::write_store;
     use gosh_runtime::TempDir;
+    use proptest::prelude::*;
     use std::io::{Read, Write};
     use std::sync::{Barrier, Weak};
 
@@ -1270,11 +1423,107 @@ mod tests {
             members.extend((0..n as u32).filter(|&v| assign[v as usize] == c));
             offsets[c as usize + 1] = members.len();
         }
-        IvfIndex {
-            dim,
-            centroids,
-            offsets,
-            members,
+        IvfIndex::with_rows(store, centroids, offsets, members)
+    }
+
+    /// `IvfIndex::search` as it stood before the list-major copy: lists
+    /// ranked by `dot8` (with the rows' NaN rule), then every member of
+    /// each probed list scored on its own by `EmbeddingStore::dot` and
+    /// pushed to the heap — the oracle the list-major search is held to.
+    fn reference_search(
+        ivf: &IvfIndex,
+        store: &EmbeddingStore,
+        q: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> Vec<Hit> {
+        let nlist = ivf.nlist();
+        if nlist == 0 {
+            return Vec::new();
+        }
+        let mut ranked = TopK::new(nprobe.clamp(1, nlist));
+        for (c, centroid) in ivf.centroids.chunks_exact(ivf.dim).enumerate() {
+            ranked.push(Hit {
+                id: c as u32,
+                score: canonical_nan(crate::simd::dot8(centroid, q)),
+            });
+        }
+        let q_sum: f32 = q.iter().sum();
+        let mut top = TopK::new(k.min(store.num_vertices()));
+        for probe in ranked.finish() {
+            let c = probe.id as usize;
+            for &v in &ivf.members[ivf.offsets[c]..ivf.offsets[c + 1]] {
+                top.push(Hit {
+                    id: v,
+                    score: store.dot(v, q, q_sum),
+                });
+            }
+        }
+        top.finish()
+    }
+
+    /// A query entry: mostly a plain value, sometimes `-0.0`, NaN or `±∞`.
+    fn query_entry() -> impl Strategy<Value = f32> {
+        (0u8..16, -1.0f32..1.0).prop_map(|(pick, x)| match pick {
+            0 => -0.0,
+            1 => f32::NAN,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The list-major search gives every query the ids and score bits
+        /// of the per-row reference: all three precisions, dims around
+        /// every lane boundary, lists of every length mod 8 and past one
+        /// 64-row tile (four in five rows copy one of `dups` rows, so a
+        /// few lists are long), two equal rows, `k` and `nprobe` at both
+        /// ends, and queries holding `-0.0`, NaN and `±∞` (the first is
+        /// all `-0.0`: it ties rows across lists, which arrive out of id
+        /// order).
+        #[test]
+        fn ivf_search_equals_the_per_row_reference(
+            (n, dim, queries) in (1usize..700, 1usize..=70, 1usize..=5).prop_flat_map(|(n, dim, nq)| (
+                Just(n),
+                Just(dim),
+                prop::collection::vec(query_entry(), nq * dim..=nq * dim),
+            )),
+            dups in 0usize..4,
+            twins in (0usize..700, 0usize..700),
+            kpick in 0usize..5,
+            mid in 2usize..12,
+            probe in 0usize..1000,
+            seed in 0u64..u64::MAX,
+            pidx in 0usize..3,
+        ) {
+            let mut m = Embedding::random(n, dim, seed);
+            for v in (0..n).filter(|v| dups > 0 && v % 5 != 0) {
+                let base = m.row((v % dups) as u32).to_vec();
+                m.row_mut(v as u32).copy_from_slice(&base);
+            }
+            let twin = m.row((twins.0 % n) as u32).to_vec();
+            m.row_mut((twins.1 % n) as u32).copy_from_slice(&twin);
+            let precision = [Precision::F32, Precision::F16, Precision::I8][pidx];
+            let store = store_from(&m, precision, "ivf-prop");
+            let ivf = IvfIndex::build(&store, 2);
+            let mut queries = queries;
+            queries[..dim].fill(-0.0);
+            let k = [0, 1, mid, n, n + 3][kpick];
+            let nprobe = 1 + probe % (ivf.nlist() + 3);
+            let want: Vec<Vec<Hit>> = queries
+                .chunks_exact(dim)
+                .map(|q| reference_search(&ivf, &store, q, k, nprobe))
+                .collect();
+            for threads in [1usize, 3] {
+                let got = search_batch(&store, Some(&ivf), &queries, k, nprobe, threads);
+                prop_assert_eq!(&got, &want, "{} x{} k {} nprobe {}", precision, threads, k, nprobe);
+            }
+            for (q, want) in queries.chunks_exact(dim).zip(&want) {
+                prop_assert_eq!(&ivf.search(&store, q, k, nprobe), want);
+            }
         }
     }
 
@@ -1392,6 +1641,40 @@ mod tests {
         assert_eq!(client.query(&q, 8, 3, 0).unwrap()[0], exact[..3]);
         client.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    /// `k` and `nprobe` past `u32::MAX` saturate on the wire instead of
+    /// wrapping: 2³² + 1 probes every list (not one) and returns every row
+    /// (not one), and `nprobe` 2³² stays an IVF request (not 0, exact) —
+    /// which a server without an index refuses.
+    #[test]
+    fn a_client_k_or_nprobe_past_u32_saturates_instead_of_wrapping() {
+        let m = Embedding::random(90, 8, 4);
+        let store = store_from(&m, Precision::F32, "wide-args");
+        let n = store.num_vertices();
+        let q: Vec<f32> = m.row(5).to_vec();
+        let ivf = IvfIndex::build(&store, 1);
+        let full = ivf.search(&store, &q, 5, ivf.nlist());
+        let every = search_exact(&store, &q, n);
+        let (addr, _, server) = spawn_server(store, ServeConfig::default());
+        let mut client = ServeClient::connect(addr).unwrap();
+        let past = u32::MAX as usize + 2;
+        assert_eq!(client.query(&q, 8, 5, past).unwrap(), vec![full]);
+        assert_eq!(client.query(&q, 8, past, 0).unwrap(), vec![every]);
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+
+        let store = store_from(&m, Precision::F32, "wide-args-exact");
+        let cfg = ServeConfig {
+            build_ivf: false,
+            ..Default::default()
+        };
+        let (addr, _, server) = spawn_server(store, cfg);
+        let mut client = ServeClient::connect(addr).unwrap();
+        let err = client.query(&q, 8, 5, u32::MAX as usize + 1).unwrap_err();
+        assert!(err.detail.contains("no IVF index"), "{err}");
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //! So does [`chain_lanes`] (the exact scan in [`crate::serve`]): one lane
 //! per *query*, each the chain [`crate::store::EmbeddingStore::dot`] runs
 //! for that query; [`dot8_rows`] closes eight rows' [`dot8`] accumulators
-//! at once into one lane per *row*.
+//! at once into one lane per *row*. [`chain_rows`] (the IVF lists) runs
+//! that chain one lane per *row*, over f16 or i8 codes stored eight rows
+//! to a block, dimension-major.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -583,6 +585,143 @@ fn hsum8_rows(v: [core::arch::x86_64::__m256; LANES]) -> core::arch::x86_64::__m
 }
 
 // ---------------------------------------------------------------------------
+// Row-per-lane chains (the IVF lists)
+// ---------------------------------------------------------------------------
+
+/// Quantized rows stored in blocks of [`LANES`] rows, dimension-major:
+/// element `(b·dim + j)·8 + r` is dimension `j` of row `8b + r`, so one
+/// lane group holds a block's eight codes for one dimension.
+#[derive(Clone, Copy, Debug)]
+pub enum RowBlocks<'a> {
+    /// f16 bit patterns.
+    F16(&'a [u16]),
+    /// i8 codes, `0..=255`.
+    I8(&'a [u8]),
+}
+
+/// Score every row of `blocks` against the query `q` (`dim = q.len()`)
+/// into `out`, row `r` of block `b` at `out[8b + r]`. Each score is the
+/// serial chain `acc = 0.0; for j ascending { acc += row[j] * q[j] }` of
+/// [`crate::store::EmbeddingStore::dot`]'s f16 and i8 arms (the i8 arm's
+/// affine close is the caller's), with no fused multiply-add, so every
+/// score that is not NaN has that chain's bits. One lane per *row*: an
+/// 8-lane `mul` + `add` advances a whole block's chains, and four blocks
+/// are in flight at once so the adds do not wait on each other.
+#[inline]
+pub fn chain_rows(blocks: RowBlocks, q: &[f32], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() && f16c_available() {
+        // SAFETY: AVX2 and F16C presence were just verified at runtime.
+        return unsafe { chain_rows_avx2(blocks, q, out) };
+    }
+    chain_rows_scalar(blocks, q, out)
+}
+
+/// Scalar core of [`chain_rows`]: one block at a time, one lane per row
+/// — the semantic reference of the AVX2 path and the path on other
+/// targets.
+#[inline]
+pub fn chain_rows_scalar(blocks: RowBlocks, q: &[f32], out: &mut [f32]) {
+    match blocks {
+        RowBlocks::F16(blk) => chain_rows_core(blk, q, out, crate::quant::f16_bits_to_f32),
+        RowBlocks::I8(blk) => chain_rows_core(blk, q, out, f32::from),
+    }
+}
+
+#[inline(always)]
+fn chain_rows_core<T: Copy>(blk: &[T], q: &[f32], out: &mut [f32], widen: impl Fn(T) -> f32) {
+    for (block, o) in blk
+        .chunks_exact(q.len() * LANES)
+        .zip(out.chunks_exact_mut(LANES))
+    {
+        let mut acc = [0.0f32; LANES];
+        for (codes, &y) in block.chunks_exact(LANES).zip(q) {
+            for r in 0..LANES {
+                acc[r] += widen(codes[r]) * y;
+            }
+        }
+        o.copy_from_slice(&acc);
+    }
+}
+
+/// AVX2 path of [`chain_rows`]: codes widen to eight f32 lanes in
+/// registers (`vcvtph2ps` for f16, `vpmovzxbd` + `vcvtdq2ps` for i8),
+/// which both give exactly the scalar widening of every non-NaN code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+fn chain_rows_avx2(blocks: RowBlocks, q: &[f32], out: &mut [f32]) {
+    use core::arch::x86_64::*;
+    match blocks {
+        RowBlocks::F16(blk) => chain_blocks(blk.as_chunks().0, q, out, |h: &[u16; LANES]| {
+            let [h0, h1, h2, h3, h4, h5, h6, h7] = h.map(|h| h as i16);
+            _mm256_cvtph_ps(_mm_set_epi16(h7, h6, h5, h4, h3, h2, h1, h0))
+        }),
+        RowBlocks::I8(blk) => chain_blocks(blk.as_chunks().0, q, out, |c: &[u8; LANES]| {
+            let codes = _mm_cvtsi64_si128(i64::from_le_bytes(*c));
+            _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(codes))
+        }),
+    }
+}
+
+/// The blocks of [`chain_rows_avx2`] (each `q.len()` lane groups), four
+/// at a time, then the last one to three one at a time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+fn chain_blocks<T>(
+    groups: &[[T; LANES]],
+    q: &[f32],
+    out: &mut [f32],
+    widen: impl Fn(&[T; LANES]) -> core::arch::x86_64::__m256,
+) {
+    let dim = q.len();
+    let mut quads = groups.chunks_exact(4 * dim);
+    let mut outs = out.chunks_exact_mut(4 * LANES);
+    for (quad, o) in (&mut quads).zip(&mut outs) {
+        // Sliced here, not by a closure: a closure here would take this
+        // function's target features and not inline into `array::from_fn`.
+        let blocks = [
+            &quad[..dim],
+            &quad[dim..2 * dim],
+            &quad[2 * dim..3 * dim],
+            &quad[3 * dim..],
+        ];
+        for (acc, o) in chain_group(blocks, q, &widen)
+            .into_iter()
+            .zip(o.chunks_exact_mut(LANES))
+        {
+            store8(o, acc);
+        }
+    }
+    let rest = outs.into_remainder().chunks_exact_mut(LANES);
+    for (block, o) in quads.remainder().chunks_exact(dim).zip(rest) {
+        let [acc] = chain_group([block], q, &widen);
+        store8(o, acc);
+    }
+}
+
+/// `N` blocks' chains side by side: per dimension, one `mul` + `add` per
+/// block against the broadcast query entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+fn chain_group<T, const N: usize>(
+    blocks: [&[[T; LANES]]; N],
+    q: &[f32],
+    widen: &impl Fn(&[T; LANES]) -> core::arch::x86_64::__m256,
+) -> [core::arch::x86_64::__m256; N] {
+    use core::arch::x86_64::*;
+    // Restated so the loop below indexes the blocks without bounds checks.
+    assert!(blocks.iter().all(|b| b.len() == q.len()));
+    let mut acc = [_mm256_setzero_ps(); N];
+    for (j, &y) in q.iter().enumerate() {
+        let y = _mm256_set1_ps(y);
+        for (a, b) in acc.iter_mut().zip(&blocks) {
+            *a = _mm256_add_ps(*a, _mm256_mul_ps(widen(&b[j]), y));
+        }
+    }
+    acc
+}
+
+// ---------------------------------------------------------------------------
 // Lanewise sigmoid
 // ---------------------------------------------------------------------------
 
@@ -1019,6 +1158,49 @@ mod tests {
                             assert!(same(out[1][at], dot), "dot8 {case}");
                             assert!(same(core[1][at], dot), "dot8 core {case}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chain_rows_match_the_one_row_at_a_time_chain() {
+        use crate::quant::{f16_bits_to_f32, f32_to_f16_bits};
+        let mut rng = Xorshift128Plus::new(15);
+        // Block counts 1..=9 end the four-block unroll on every tail.
+        for dim in 1usize..=70 {
+            for nb in 1usize..=9 {
+                let n = nb * LANES;
+                let mut q = random_vec(&mut rng, dim);
+                q[dim / 2] = -0.0;
+                let i8s: Vec<u8> = (0..n * dim).map(|_| rng.next_u64() as u8).collect();
+                let mut f16s: Vec<u16> = (0..n * dim)
+                    .map(|_| f32_to_f16_bits(4.0 * rng.next_f32() - 2.0))
+                    .collect();
+                // A subnormal, -0, the largest finite value and +∞.
+                for (i, special) in [0x0001, 0x8000, 0x7bff, 0x7c00].into_iter().enumerate() {
+                    f16s[(i * 37 + 5) % (n * dim)] = special;
+                }
+                for blocks in [RowBlocks::F16(&f16s), RowBlocks::I8(&i8s)] {
+                    let (name, widen): (_, &dyn Fn(usize) -> f32) = match blocks {
+                        RowBlocks::F16(h) => ("f16", &|i| f16_bits_to_f32(h[i])),
+                        RowBlocks::I8(c) => ("i8", &|i| c[i] as f32),
+                    };
+                    let (mut out, mut core) = (vec![0.0f32; n], vec![0.0f32; n]);
+                    chain_rows(blocks, &q, &mut out);
+                    chain_rows_scalar(blocks, &q, &mut core);
+                    for r in 0..n {
+                        let mut chain = 0.0f32;
+                        for (j, &y) in q.iter().enumerate() {
+                            chain += widen(((r / LANES) * dim + j) * LANES + r % LANES) * y;
+                        }
+                        // Bits, except that Rust leaves a NaN result's sign
+                        // and payload unspecified.
+                        let same =
+                            |a: f32| a.to_bits() == chain.to_bits() || a.is_nan() && chain.is_nan();
+                        assert!(same(out[r]), "{name} dim={dim} nb={nb} row {r}");
+                        assert!(same(core[r]), "{name} core dim={dim} nb={nb} row {r}");
                     }
                 }
             }

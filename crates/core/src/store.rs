@@ -490,9 +490,8 @@ impl EmbeddingStore {
     /// `dot(q, zero + scale·c) = zero·Σq + scale·Σ q_j·c_j`
     /// and never materialize an f32 row.
     ///
-    /// This is the per-row scorer of the IVF lists and the oracle of the
-    /// exact scan, which scores a whole query batch in one pass over the
-    /// rows and must give every (row, query) pair these bits: f32 is
+    /// This is the oracle of both query engines, which score rows a tile
+    /// at a time and must give every (row, query) pair these bits: f32 is
     /// [`crate::simd::dot8`]; f16 and i8 are the serial chain `acc +=
     /// row_j · q_j`, `j` ascending, i8 then closing with
     /// `zero·Σq + scale·acc`. Any NaN score is returned as `f32::NAN`:
