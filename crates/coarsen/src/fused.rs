@@ -150,7 +150,7 @@ pub fn build_fused(g: &Csr, mapping: &Mapping, threads: usize, ws: &mut CoarsenW
     }
     let members = &ws.arena[..n];
     let fill_cursor = AtomicUsize::new(0);
-    gosh_runtime::global().run(threads, |_ctx| loop {
+    gosh_runtime::run(threads, |_ctx| loop {
         let start = fill_cursor.fetch_add(VERTEX_BATCH, Ordering::Relaxed);
         if start >= n {
             break;
@@ -190,7 +190,7 @@ pub fn build_fused(g: &Csr, mapping: &Mapping, threads: usize, ws: &mut CoarsenW
         .iter_mut()
         .map(|s| std::sync::Mutex::new(Some(s)))
         .collect();
-    gosh_runtime::global().run(threads, |ctx| {
+    gosh_runtime::run(threads, |ctx| {
         let t = ctx.index();
         let mut slot = scratch_slots[t].lock().unwrap_or_else(|e| e.into_inner());
         let scratch = slot.take().expect("scratch slot claimed once");

@@ -61,7 +61,7 @@ fn fill_side(
     let workers = threads.max(1).min(num_chunks.max(1));
     let src_start = src_range.start;
     let tgt = tgt_range.clone();
-    gosh_runtime::global().run(workers, |_ctx| loop {
+    gosh_runtime::run(workers, |_ctx| loop {
         let c = cursor.fetch_add(1, Ordering::Relaxed);
         if c >= num_chunks {
             break;

@@ -24,11 +24,12 @@
 //!   requantizes; the staged source requantizes once at write-back.
 //!
 //! Each epoch's sources are split into one contiguous shard per thread
-//! ([`shard_ranges`]); the persistent [`gosh_runtime`] worker team holds at
-//! a poisonable epoch barrier ([`gosh_runtime::WorkerCtx::barrier`]), so
-//! threads never touch a shared cursor or pay a per-epoch spawn, and a
-//! worker panic unwinds the team instead of deadlocking it. Sample rows
-//! are prefetched as soon as their ids are drawn.
+//! ([`shard_ranges`]); one [`gosh_runtime::run`] team task spans every
+//! epoch and holds at a poisonable epoch barrier
+//! ([`gosh_runtime::WorkerCtx::barrier`]), so threads never touch a
+//! shared cursor or pay a per-epoch spawn, and a worker panic unwinds the
+//! team instead of deadlocking it. Sample rows are prefetched as soon as
+//! their ids are drawn.
 //!
 //! [`HogwildPlan::train`] is the one entry: [`train_cpu`] trains every
 //! source, the warm-start trainer (`crate::warm`) a restricted source
@@ -125,7 +126,7 @@ impl HogwildPlan {
         // No thread should sit on an empty shard *and* a barrier slot.
         let threads = params.threads.min(self.sources);
         let shards = shard_ranges(self.sources, threads);
-        gosh_runtime::global().run(threads, |ctx| {
+        gosh_runtime::run(threads, |ctx| {
             let t = ctx.index();
             let shard = shards[t].clone();
             let mut scratch = rows.scratch();

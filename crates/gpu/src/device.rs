@@ -16,10 +16,6 @@ pub struct DeviceShared {
     pub(crate) allocated: AtomicUsize,
     pub(crate) counters: CostCounters,
     kernel_ids: AtomicU64,
-    /// Private runtime: each device executes kernels concurrently with
-    /// other devices (and with the CPU-side teams on the global
-    /// runtime), so it owns its own worker set.
-    pool: gosh_runtime::Runtime,
     host_threads: usize,
 }
 
@@ -98,8 +94,7 @@ impl LaunchConfig {
 }
 
 impl Device {
-    /// Create a device with the given configuration. Spawns the persistent
-    /// host worker pool that executes warps.
+    /// Create a device with the given configuration.
     pub fn new(cfg: DeviceConfig) -> Self {
         Self {
             shared: Arc::new(DeviceShared {
@@ -107,7 +102,6 @@ impl Device {
                 allocated: AtomicUsize::new(0),
                 counters: CostCounters::default(),
                 kernel_ids: AtomicU64::new(0),
-                pool: gosh_runtime::Runtime::new(cfg.resolved_host_threads()),
                 host_threads: cfg.resolved_host_threads(),
             }),
         }
@@ -197,9 +191,10 @@ impl Device {
     }
 
     /// Launch a kernel: `kernel(warp, scratch)` runs once per warp, with
-    /// warps distributed over host worker threads in dynamic batches. The
-    /// call blocks until the grid completes (one launch per epoch gives the
-    /// epoch synchronization of §3.1).
+    /// warps distributed over a team of host threads in dynamic batches
+    /// (no more members than batches; the calling thread is one of
+    /// them). The call blocks until the grid completes (one launch per
+    /// epoch gives the epoch synchronization of §3.1).
     pub fn launch<F>(&self, cfg: LaunchConfig, kernel: F)
     where
         F: Fn(&Warp, &mut [f32]) + Sync,
@@ -214,7 +209,8 @@ impl Device {
         let batch = cfg.batch.max(1);
         let cursor = AtomicUsize::new(0);
 
-        self.shared.pool.run(self.shared.host_threads, |_ctx| {
+        let team = self.shared.host_threads.min(n.div_ceil(batch));
+        gosh_runtime::run(team, |_ctx| {
             let warp = Warp::new();
             let mut scratch = vec![0f32; cfg.scratch_floats];
             loop {
@@ -270,6 +266,19 @@ mod tests {
         dev.launch(LaunchConfig::new(0, 16), |_, _| panic!("no warps"));
         assert_eq!(dev.snapshot().warps, 0);
         assert_eq!(dev.snapshot().kernels, 1);
+    }
+
+    #[test]
+    fn one_batch_launch_runs_on_the_calling_thread() {
+        let dev = Device::new(DeviceConfig {
+            host_threads: 4,
+            ..DeviceConfig::titan_x()
+        });
+        let caller = std::thread::current().id();
+        let cfg = LaunchConfig::new(100, 0);
+        assert!(cfg.num_warps <= cfg.batch);
+        dev.launch(cfg, |_, _| assert_eq!(std::thread::current().id(), caller));
+        assert_eq!(dev.snapshot().warps, 100);
     }
 
     #[test]

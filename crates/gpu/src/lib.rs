@@ -3,7 +3,7 @@
 //! A software SIMT device: the substrate GOSH's CUDA kernels run on in
 //! this reproduction. Rust CUDA bindings are immature, so instead of
 //! binding a real GPU we execute the *same* warp-structured kernels on a
-//! host thread pool while modelling the architectural effects the paper
+//! team of host threads while modelling the architectural effects the paper
 //! measures:
 //!
 //! * **Device memory capacity** — allocations are accounted against a

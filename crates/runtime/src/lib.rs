@@ -2,16 +2,17 @@
 //!
 //! Before this crate existed the workspace carried four hand-rolled
 //! copies of the same spawn/shard/barrier discipline: the warp executor's
-//! kernel pool (`gosh-gpu`), the persistent Hogwild team
-//! (`gosh-core::train_cpu`), the fused coarsening team
-//! (`gosh-coarsen::fused`), and the ingestion team
-//! (`gosh-graph::ingest`). Each one re-derived the same three facts:
+//! kernel pool (`gosh-gpu`), the Hogwild team (`gosh-core::train_cpu`),
+//! the fused coarsening team (`gosh-coarsen::fused`), and the ingestion
+//! team (`gosh-graph::ingest`). Each one re-derived the same three facts:
 //!
-//! 1. **Workers must persist.** Spawning OS threads costs ~10 ms on this
-//!    class of machine and GOSH dispatches tens of thousands of team
-//!    tasks per run (one per epoch / per level / per chunk), so teams
-//!    must reuse threads — [`Runtime`] keeps one persistent, growable
-//!    worker set and publishes borrowed jobs to it.
+//! 1. **Teams live for one task.** Every parallel pass (a Hogwild epoch
+//!    loop, a coarsening level, a device launch) needs its workers only
+//!    for the call, so [`run`] spawns them in a [`std::thread::scope`]:
+//!    the closure borrows from the caller's stack, and the caller is
+//!    worker 0. A 2-thread scoped spawn + join costs about 25 µs on a
+//!    2-core x86-64 VM, against about 280 team tasks of about 4.6 ms
+//!    each per embed on the busiest benchmark workload.
 //! 2. **Shards must be deterministic.** Byte-identical output at every
 //!    thread count is the contract all the proptests enforce, so shard
 //!    assignment is a pure function of `(items, team)` — [`shard_ranges`]
@@ -19,7 +20,7 @@
 //! 3. **Panics must propagate.** A panicking worker parked its siblings
 //!    on a `std::sync::Barrier` forever; the runtime's [`WorkerCtx::barrier`]
 //!    is poisonable, so one panic unwinds the whole team and re-raises
-//!    the original payload on the submitting thread.
+//!    the original payload on the calling thread.
 //!
 //! Beside the teams, [`transport`] carries typed frames over one TCP
 //! connection (the `gosh serve` wire), and every file the workspace
@@ -27,30 +28,25 @@
 //! half-written.
 //!
 //! Task model:
-//! - [`Runtime::run`] — a *team task*: the closure runs once on every
-//!   worker index `0..team`, typically looping an atomic cursor or its
+//! - [`run`] — a *team task*: the closure runs once on every worker
+//!   index `0..team`, typically looping an atomic cursor or its
 //!   [`shard_ranges`] shard, synchronizing on [`WorkerCtx::barrier`].
-//! - [`Runtime::map_jobs`] — *typed task submission*: `jobs` independent
-//!   indexed tasks, claimed by a work cursor, results restored to job
-//!   order (byte-identical for any team size).
+//! - [`map_jobs`] — *typed task submission*: `jobs` independent indexed
+//!   tasks, claimed by a work cursor, results restored to job order
+//!   (byte-identical for any team size).
 
-// This crate contains audited `unsafe` (see docs/SAFETY.md and the
-// `gosh audit` gate): every unsafe operation must sit in an explicit
-// block with its own `// SAFETY:` invariant, even inside `unsafe fn`.
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 mod pool;
 mod replace;
 mod tempdir;
 pub mod transport;
 
-pub use pool::{Runtime, WorkerCtx};
+pub use pool::{map_jobs, run, WorkerCtx};
 pub use replace::replace_file;
 pub use tempdir::TempDir;
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Deterministic contiguous shard assignment: shard `t` of `team` owns
 /// `items * t / team .. items * (t + 1) / team`. Shards tile `0..items`
@@ -62,27 +58,6 @@ pub fn shard_ranges(items: usize, team: usize) -> Vec<Range<usize>> {
     (0..team)
         .map(|t| (t * items / team)..((t + 1) * items / team))
         .collect()
-}
-
-static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-
-/// The process-wide runtime shared by the CPU-side teams (training,
-/// coarsening, ingestion, expansion, eval). Workers are spawned lazily
-/// up to the largest team ever requested. Simulated devices own
-/// *private* [`Runtime`]s instead: they train concurrently with each
-/// other, and one shared launch lock would serialize them.
-pub fn global() -> &'static Runtime {
-    GLOBAL.get_or_init(Runtime::empty)
-}
-
-/// Run `jobs` independent indexed tasks on the global runtime; see
-/// [`Runtime::map_jobs`].
-pub fn map_jobs<T, F>(team: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    global().map_jobs(team, jobs, f)
 }
 
 #[cfg(test)]
@@ -114,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn global_runtime_is_shared_and_usable() {
+    fn map_jobs_is_usable_from_the_crate_root() {
         let out = map_jobs(4, 10, |i| i * i);
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }

@@ -1,35 +1,35 @@
-//! The one worker-pool implementation in the workspace.
+//! Team tasks on scoped threads: the one worker-team implementation in
+//! the workspace.
 //!
-//! Spawning OS threads per task costs ~10 ms on this class of machine;
-//! GOSH dispatches tens of thousands of team tasks per run (one per
-//! epoch / per level / per chunk), so tasks must reuse workers. This is
-//! a minimal rayon-style scoped pool: [`Runtime::run`] publishes a
-//! borrowed job, wakes every worker, and blocks until all of them have
-//! finished it — which is what makes handing a non-`'static` closure to
-//! long-lived threads sound.
+//! [`run`] executes a closure once per worker index of a team. The
+//! calling thread is worker 0 and `team - 1` threads spawned in a
+//! [`std::thread::scope`] are the rest, so the closure borrows from the
+//! caller's stack with no lifetime erasure, and every member has
+//! finished when `run` returns. A team of one runs inline.
 //!
-//! Two things the four hand-rolled predecessors did not have:
+//! No team outlives its task. On a 2-core x86-64 VM a 2-thread scoped
+//! spawn + join costs about 25 µs (190 µs for 8 threads), and the
+//! busiest benchmark workload dispatches about 280 team tasks per
+//! embed, each about 4.6 ms of kernel, so spawning per task costs under
+//! 1 % there.
+//! On a host with many cores the simulated device's warp team and a
+//! `gosh serve --threads N` batch pay one spawn per extra member on
+//! every task.
 //!
-//! - **A growable worker set.** Workers spawn lazily up to the largest
-//!   team ever requested; a job for a smaller team simply leaves the
-//!   higher-indexed workers idle (they acknowledge the sequence number
-//!   and go back to sleep), so one process-wide runtime serves every
-//!   team size without respawning.
-//! - **Panic propagation.** Each worker runs the job under
-//!   `catch_unwind`; a panic poisons the job's [`JobBarrier`] (waking
-//!   and unwinding any sibling parked on it — the deadlock the old
-//!   `std::sync::Barrier` teams had), and the first real payload is
-//!   re-raised on the submitting thread by `resume_unwind` once the
-//!   whole team has drained. The pool itself survives: workers are
-//!   reused for the next job.
+//! Each member runs under `catch_unwind`; a panic poisons the task's
+//! [`JobBarrier`] (waking and unwinding any sibling parked on it — the
+//! deadlock a `std::sync::Barrier` team has), and the first real payload
+//! is re-raised on the calling thread by `resume_unwind` once the whole
+//! team has drained. Nothing is shared between tasks, so team tasks
+//! started from different host threads run concurrently.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Marker payload for workers unwound *because a sibling panicked*.
-/// Never propagated to the submitter — only the original panic is.
+/// Never propagated to the caller — only the original panic is.
 struct SiblingAbort;
 
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -40,12 +40,12 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A poisonable, reusable epoch barrier scoped to one job.
+/// A poisonable, reusable epoch barrier scoped to one team task.
 ///
 /// `wait` parks until all `team` members arrive, then releases the
 /// generation together — same contract as `std::sync::Barrier`, plus:
 /// when any team member panics the barrier is poisoned, every current
-/// and future waiter unwinds (with a [`SiblingAbort`] payload the pool
+/// and future waiter unwinds (with a [`SiblingAbort`] payload [`run`]
 /// swallows), and the team drains instead of deadlocking.
 struct JobBarrier {
     team: usize,
@@ -103,21 +103,21 @@ impl JobBarrier {
 }
 
 /// Per-worker view of the running team task: the worker's stable index,
-/// the team size, and the job's epoch barrier.
-pub struct WorkerCtx {
+/// the team size, and the task's epoch barrier.
+pub struct WorkerCtx<'a> {
     index: usize,
     team: usize,
-    barrier: Arc<JobBarrier>,
+    barrier: &'a JobBarrier,
 }
 
-impl WorkerCtx {
-    /// This worker's index in `0..team()`. Stable for the whole job —
+impl WorkerCtx<'_> {
+    /// This worker's index in `0..team()`. Stable for the whole task —
     /// the deterministic shard identity.
     pub fn index(&self) -> usize {
         self.index
     }
 
-    /// Number of workers running this job.
+    /// Number of workers running this task.
     pub fn team(&self) -> usize {
         self.team
     }
@@ -126,305 +126,118 @@ impl WorkerCtx {
     ///
     /// # Panics
     /// Unwinds if any team member panicked — the runtime converts what
-    /// used to be a deadlock on `std::sync::Barrier` into a panic that
-    /// reaches the submitting thread.
+    /// would be a deadlock on `std::sync::Barrier` into a panic that
+    /// reaches the calling thread.
     pub fn barrier(&self) {
         self.barrier.wait();
     }
 }
 
-/// A borrowed job erased to a raw pointer. The pointer is only
-/// dereferenced between publication and the final `pending` decrement,
-/// and `run` does not return before `pending` reaches zero, so the
-/// borrow is live for every dereference.
-#[derive(Clone, Copy)]
-struct ErasedFn {
-    ptr: *const (dyn Fn(&WorkerCtx) + Sync),
-}
-// SAFETY: the pointee is `Sync` (asserted at construction) and the pool
-// guarantees it outlives all uses (see `run`).
-unsafe impl Send for ErasedFn {}
-// SAFETY: as for `Send` — shared references only expose the `Sync` pointee.
-unsafe impl Sync for ErasedFn {}
-
-struct Job {
-    seq: u64,
-    team: usize,
-    f: ErasedFn,
-    /// Team members that have not finished this job yet.
-    pending: Arc<AtomicUsize>,
-    done: Arc<(Mutex<()>, Condvar)>,
-    barrier: Arc<JobBarrier>,
-    /// First *real* panic payload raised by a team member.
-    panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
-}
-
-impl Clone for Job {
-    fn clone(&self) -> Self {
-        Self {
-            seq: self.seq,
-            team: self.team,
-            f: self.f,
-            pending: self.pending.clone(),
-            done: self.done.clone(),
-            barrier: self.barrier.clone(),
-            panic: self.panic.clone(),
-        }
-    }
-}
-
-struct Slot {
-    job: Option<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    slot: Mutex<Slot>,
-    job_cv: Condvar,
-}
-
-/// A persistent, growable pool of workers that execute one team task at
-/// a time. See the [crate docs](crate) for the task model.
-pub struct Runtime {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Serializes `run` calls from different host threads, and holds the
-    /// job sequence number.
-    launch: Mutex<u64>,
-}
-
-impl Runtime {
-    /// A runtime with no workers yet; they spawn lazily per `run`.
-    pub fn empty() -> Self {
-        Self {
-            shared: Arc::new(Shared {
-                slot: Mutex::new(Slot {
-                    job: None,
-                    shutdown: false,
-                }),
-                job_cv: Condvar::new(),
-            }),
-            workers: Mutex::new(Vec::new()),
-            launch: Mutex::new(0),
-        }
-    }
-
-    /// A runtime with `threads` workers pre-spawned (it still grows if a
-    /// larger team is ever requested).
-    pub fn new(threads: usize) -> Self {
-        let rt = Self::empty();
-        if threads > 1 {
-            let seq = lock_ignore_poison(&rt.launch);
-            rt.ensure_workers(threads, *seq);
-        }
-        rt
-    }
-
-    /// Number of workers currently spawned.
-    pub fn spawned_workers(&self) -> usize {
-        lock_ignore_poison(&self.workers).len()
-    }
-
-    // Caller must hold the launch lock (passes its sequence value), so a
-    // freshly spawned worker can never pick up an already-drained job.
-    fn ensure_workers(&self, team: usize, current_seq: u64) {
-        let mut workers = lock_ignore_poison(&self.workers);
-        while workers.len() < team {
-            let index = workers.len();
-            let shared = self.shared.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("gosh-runtime-{index}"))
-                .spawn(move || worker_loop(&shared, index, current_seq))
-                .expect("failed to spawn runtime worker");
-            workers.push(handle);
-        }
-    }
-
-    /// Run `f` once on every worker index `0..team`; returns when all
-    /// finish. `f` typically loops over an atomic work cursor or over
-    /// its [`crate::shard_ranges`] shard, synchronizing epochs with
-    /// [`WorkerCtx::barrier`].
-    ///
-    /// `team == 1` runs inline on the calling thread (no workers, no
-    /// synchronization) — the sequential reference path.
-    ///
-    /// # Panics
-    /// Re-raises the first panic any team member raised, after the whole
-    /// team has drained. The pool survives and is reusable.
-    pub fn run<F: Fn(&WorkerCtx) + Sync>(&self, team: usize, f: F) {
-        let team = team.max(1);
-        if team == 1 {
-            let ctx = WorkerCtx {
-                index: 0,
-                team: 1,
-                barrier: Arc::new(JobBarrier::new(1)),
-            };
-            f(&ctx);
-            return;
-        }
-
-        let mut seq_guard = lock_ignore_poison(&self.launch);
-        self.ensure_workers(team, *seq_guard);
-        *seq_guard += 1;
-        let pending = Arc::new(AtomicUsize::new(team));
-        let done = Arc::new((Mutex::new(()), Condvar::new()));
-        let panic_slot: Arc<Mutex<Option<Box<dyn Any + Send>>>> = Arc::new(Mutex::new(None));
-        {
-            let fref: &(dyn Fn(&WorkerCtx) + Sync) = &f;
-            // SAFETY: we erase the lifetime, but we block below until
-            // `pending == 0`, i.e. until no worker will touch `f` again,
-            // before `f` can be dropped.
-            // audit:allow(transmute): lifetime erasure only, same type
-            let fref: *const (dyn Fn(&WorkerCtx) + Sync) = unsafe { std::mem::transmute(fref) };
-            let mut slot = lock_ignore_poison(&self.shared.slot);
-            slot.job = Some(Job {
-                seq: *seq_guard,
-                team,
-                f: ErasedFn { ptr: fref },
-                pending: pending.clone(),
-                done: done.clone(),
-                barrier: Arc::new(JobBarrier::new(team)),
-                panic: panic_slot.clone(),
-            });
-            self.shared.job_cv.notify_all();
-        }
-        {
-            let (lock, cv) = &*done;
-            let mut g = lock_ignore_poison(lock);
-            while pending.load(Ordering::Acquire) != 0 {
-                g = cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        let first_panic = lock_ignore_poison(&panic_slot).take();
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Typed task submission: run `jobs` independent indexed tasks and
-    /// collect their results *in job order*. Jobs are claimed by an
-    /// atomic cursor, so wall-clock balances dynamically, while the
-    /// returned `Vec` is byte-identical for any team size. A team of one
-    /// (or one job) runs sequentially inline.
-    pub fn map_jobs<T, F>(&self, team: usize, jobs: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if jobs == 0 {
-            return Vec::new();
-        }
-        let team = team.max(1).min(jobs);
-        if team == 1 {
-            return (0..jobs).map(f).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Vec<(usize, T)>>> =
-            (0..team).map(|_| Mutex::new(Vec::new())).collect();
-        self.run(team, |ctx| {
-            let mut mine: Vec<(usize, T)> = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                mine.push((i, f(i)));
-            }
-            *lock_ignore_poison(&slots[ctx.index()]) = mine;
+/// Run `f` once on every worker index `0..team`; returns when all
+/// finish. `f` typically loops over an atomic work cursor or over its
+/// [`crate::shard_ranges`] shard, synchronizing epochs with
+/// [`WorkerCtx::barrier`].
+///
+/// The calling thread is worker 0; `team == 1` runs inline with no
+/// other thread — the sequential reference path.
+///
+/// # Panics
+/// Re-raises the first panic any team member raised, after the whole
+/// team has drained.
+pub fn run<F: Fn(&WorkerCtx) + Sync>(team: usize, f: F) {
+    let team = team.max(1);
+    let barrier = JobBarrier::new(team);
+    if team == 1 {
+        f(&WorkerCtx {
+            index: 0,
+            team,
+            barrier: &barrier,
         });
-        // Job-order restore: which worker computed a result is
-        // scheduling-dependent; where it lands is not.
-        let mut out: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-        for slot in slots {
-            for (i, v) in slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                out[i] = Some(v);
-            }
-        }
-        out.into_iter()
-            .map(|v| v.expect("every job index produced exactly once"))
-            .collect()
+        return;
     }
-}
-
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        {
-            let mut slot = lock_ignore_poison(&self.shared.slot);
-            slot.shutdown = true;
-            self.shared.job_cv.notify_all();
-        }
-        for h in lock_ignore_poison(&self.workers).drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, index: usize, start_seq: u64) {
-    // Jobs published at or before spawn time are already drained (the
-    // spawner holds the launch lock) — never pick them up.
-    let mut seen = start_seq;
-    loop {
-        let job = {
-            let mut slot = lock_ignore_poison(&shared.slot);
-            loop {
-                if slot.shutdown {
-                    return;
-                }
-                match &slot.job {
-                    Some(j) if j.seq > seen => {
-                        seen = j.seq;
-                        break j.clone();
-                    }
-                    _ => slot = shared.job_cv.wait(slot).unwrap_or_else(|e| e.into_inner()),
-                }
-            }
-        };
-        if index >= job.team {
-            // Not on this team: acknowledge the sequence and sleep.
-            continue;
-        }
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let member = |index: usize| {
         let ctx = WorkerCtx {
             index,
-            team: job.team,
-            barrier: job.barrier.clone(),
+            team,
+            barrier: &barrier,
         };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: `run` keeps the closure alive until `pending` hits
-            // zero; we are strictly before our decrement.
-            let f = unsafe { &*job.f.ptr };
-            f(&ctx);
-        }));
-        if let Err(payload) = result {
-            // Unwind any sibling parked on the epoch barrier, then
-            // record the payload — first real panic wins; sibling-abort
-            // markers are bookkeeping, not errors.
-            job.barrier.poison();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+            // Unwind any sibling parked on the epoch barrier, then record
+            // the payload — first real panic wins; sibling-abort markers
+            // are bookkeeping, not errors.
+            barrier.poison();
             if !payload.is::<SiblingAbort>() {
-                let mut first = lock_ignore_poison(&job.panic);
-                if first.is_none() {
-                    *first = Some(payload);
-                }
+                lock_ignore_poison(&first_panic).get_or_insert(payload);
             }
         }
-        // Final touch of the job: decrement, then notify under the lock.
-        if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let (lock, cv) = &*job.done;
-            let _g = lock_ignore_poison(lock);
-            cv.notify_all();
+    };
+    std::thread::scope(|s| {
+        for index in 1..team {
+            let member = &member;
+            std::thread::Builder::new()
+                .name(format!("gosh-team-{index}"))
+                .spawn_scoped(s, move || member(index))
+                .unwrap_or_else(|e| {
+                    // Members already running may be parked on the
+                    // barrier waiting for this one: release them.
+                    barrier.poison();
+                    panic!("failed to spawn team member: {e}")
+                });
         }
+        member(0);
+    });
+    if let Some(payload) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        resume_unwind(payload);
     }
+}
+
+/// Typed task submission: run `jobs` independent indexed tasks and
+/// collect their results *in job order*. Jobs are claimed by an atomic
+/// cursor, so wall-clock balances dynamically, while the returned `Vec`
+/// is byte-identical for any team size. A team of one (or one job) runs
+/// sequentially inline.
+pub fn map_jobs<T, F>(team: usize, jobs: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let team = team.min(jobs);
+    if team <= 1 {
+        return (0..jobs).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    // One slot per job: which worker computed a result is
+    // scheduling-dependent; where it lands is not.
+    let out: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    run(team, |_| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs {
+            break;
+        }
+        *lock_ignore_poison(&out[i]) = Some(f(i));
+    });
+    out.into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every job index produced exactly once")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread::current;
+    use std::time::Duration;
 
     #[test]
     fn runs_borrowed_work_to_completion() {
-        let rt = Runtime::new(4);
         let counter = AtomicUsize::new(0);
         let cursor = AtomicUsize::new(0);
-        rt.run(4, |_| {
+        run(4, |_| {
             while cursor.fetch_add(1, Ordering::Relaxed) < 1000 {
                 counter.fetch_add(1, Ordering::Relaxed);
             }
@@ -434,10 +247,9 @@ mod tests {
 
     #[test]
     fn sequential_jobs_do_not_interleave() {
-        let rt = Runtime::new(4);
         let log = Mutex::new(Vec::new());
         for round in 0..50 {
-            rt.run(4, |_| {
+            run(4, |_| {
                 lock_ignore_poison(&log).push(round);
             });
         }
@@ -451,10 +263,9 @@ mod tests {
 
     #[test]
     fn many_tiny_jobs_are_fast() {
-        let rt = Runtime::new(8);
         let t0 = std::time::Instant::now();
         for _ in 0..2000 {
-            rt.run(8, |_| {});
+            run(8, |_| {});
         }
         let dt = t0.elapsed().as_secs_f64();
         assert!(dt < 2.0, "2000 empty jobs took {dt}s");
@@ -462,44 +273,76 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline() {
-        let rt = Runtime::empty();
+        let caller = current().id();
         let x = AtomicUsize::new(0);
-        rt.run(1, |ctx| {
+        run(1, |ctx| {
             assert_eq!(ctx.index(), 0);
             assert_eq!(ctx.team(), 1);
+            assert_eq!(current().id(), caller);
             ctx.barrier(); // team of one: no-op, must not park
             x.fetch_add(7, Ordering::Relaxed);
         });
         assert_eq!(x.load(Ordering::Relaxed), 7);
-        assert_eq!(rt.spawned_workers(), 0);
     }
 
     #[test]
-    fn pool_grows_to_largest_team() {
-        let rt = Runtime::empty();
-        rt.run(2, |_| {});
-        assert_eq!(rt.spawned_workers(), 2);
-        rt.run(5, |_| {});
-        assert_eq!(rt.spawned_workers(), 5);
-        // Smaller team reuses the existing workers.
-        let hits = AtomicUsize::new(0);
-        rt.run(3, |ctx| {
-            assert!(ctx.index() < 3);
-            hits.fetch_add(1, Ordering::Relaxed);
+    fn caller_is_worker_zero() {
+        let caller = current().id();
+        run(3, |ctx| {
+            assert_eq!(ctx.index() == 0, current().id() == caller);
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-        assert_eq!(rt.spawned_workers(), 5);
+    }
+
+    #[test]
+    fn every_team_size_runs_each_index_once() {
+        for team in [2, 5, 3] {
+            let hits: Vec<AtomicUsize> = (0..team).map(|_| AtomicUsize::new(0)).collect();
+            run(team, |ctx| {
+                assert!(ctx.index() < team);
+                assert_eq!(ctx.team(), team);
+                hits[ctx.index()].fetch_add(1, Ordering::Relaxed);
+            });
+            for h in &hits {
+                assert_eq!(h.load(Ordering::Relaxed), 1);
+            }
+        }
+    }
+
+    /// Regression: a team task used to hold a runtime-wide launch lock,
+    /// so a task started from a second host thread waited for the first
+    /// to finish. Team A waits inside its task for a message only team
+    /// B's task sends; serialized teams would time out here.
+    #[test]
+    fn concurrent_team_tasks_do_not_serialize() {
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        std::thread::scope(|s| {
+            run(2, |ctx| {
+                if ctx.index() != 0 {
+                    return;
+                }
+                let tx = tx.clone();
+                s.spawn(move || {
+                    run(2, |ctx| {
+                        if ctx.index() == 0 {
+                            let _ = tx.send(());
+                        }
+                    })
+                });
+                let got = lock_ignore_poison(&rx).recv_timeout(Duration::from_secs(10));
+                assert!(got.is_ok(), "team B never ran while team A was running");
+            });
+        });
     }
 
     #[test]
     fn barrier_separates_epochs() {
-        let rt = Runtime::new(4);
         let arrived = [
             AtomicUsize::new(0),
             AtomicUsize::new(0),
             AtomicUsize::new(0),
         ];
-        rt.run(4, |ctx| {
+        run(4, |ctx| {
             for (e, slot) in arrived.iter().enumerate() {
                 slot.fetch_add(1, Ordering::SeqCst);
                 ctx.barrier();
@@ -514,13 +357,12 @@ mod tests {
 
     /// Regression: a panicking worker used to park its siblings on a
     /// `std::sync::Barrier` forever. The runtime must unwind the whole
-    /// team and re-raise the original payload on the submitting thread —
-    /// and the pool must survive for the next job.
+    /// team and re-raise the original payload on the calling thread —
+    /// and the next `run` must work.
     #[test]
     fn mid_epoch_panic_propagates_and_pool_survives() {
-        let rt = Runtime::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            rt.run(4, |ctx| {
+            run(4, |ctx| {
                 ctx.barrier(); // epoch 0 completes normally
                 if ctx.index() == 2 {
                     panic!("injected mid-epoch failure");
@@ -530,16 +372,15 @@ mod tests {
                 ctx.barrier();
             });
         }));
-        let payload = result.expect_err("panic must reach the submitter");
+        let payload = result.expect_err("panic must reach the caller");
         let msg = payload
             .downcast_ref::<&str>()
             .copied()
             .expect("original payload, not a sibling marker");
         assert_eq!(msg, "injected mid-epoch failure");
 
-        // The team drained; workers are reusable.
         let x = AtomicUsize::new(0);
-        rt.run(4, |_| {
+        run(4, |_| {
             x.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(x.load(Ordering::Relaxed), 4);
@@ -547,40 +388,47 @@ mod tests {
 
     #[test]
     fn panic_before_any_barrier_still_propagates() {
-        let rt = Runtime::new(3);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            rt.run(3, |ctx| {
+            run(3, |ctx| {
                 if ctx.index() == 0 {
                     panic!("early failure");
                 }
                 // Siblings that never touch a barrier just finish.
             });
         }));
-        assert!(result.is_err());
+        let payload = result.expect_err("panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("early failure")
+        );
+        run(3, |_| {});
     }
 
     #[test]
     fn inline_panic_propagates_naturally() {
-        let rt = Runtime::empty();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            rt.run(1, |_| panic!("inline"));
+            run(1, |_| panic!("inline"));
         }));
-        assert!(result.is_err());
+        let payload = result.expect_err("panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("inline"));
+        run(1, |_| {});
     }
 
     #[test]
     fn map_jobs_restores_job_order() {
-        let rt = Runtime::new(4);
-        let out = rt.map_jobs(4, 100, |i| i as u64 * 3);
+        let out = map_jobs(4, 100, |i| i as u64 * 3);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<u64>>());
     }
 
     #[test]
     fn map_jobs_sequential_paths() {
-        let rt = Runtime::empty();
-        assert_eq!(rt.map_jobs(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(rt.map_jobs(1, 5, |i| i), vec![0, 1, 2, 3, 4]);
-        assert_eq!(rt.map_jobs(8, 1, |i| i + 10), vec![10]);
-        assert_eq!(rt.spawned_workers(), 0);
+        let caller = current().id();
+        let on_caller = |i: usize| {
+            assert_eq!(current().id(), caller);
+            i
+        };
+        assert_eq!(map_jobs(4, 0, on_caller), Vec::<usize>::new());
+        assert_eq!(map_jobs(1, 5, on_caller), vec![0, 1, 2, 3, 4]);
+        assert_eq!(map_jobs(8, 1, |i| on_caller(i) + 10), vec![10]);
     }
 }

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use gosh_runtime::{global, map_jobs, shard_ranges};
+use gosh_runtime::{map_jobs, run, shard_ranges};
 use proptest::prelude::*;
 
 /// The team sizes every contract is checked across: inline execution
@@ -88,12 +88,12 @@ proptest! {
         jobs in 0usize..200,
         team in 1usize..=8,
     ) {
-        // `Runtime::run` with an atomic work cursor (the Hogwild /
+        // `run` with an atomic work cursor (the Hogwild /
         // coarsen / ingest pattern): every job index must be claimed by
         // exactly one worker regardless of scheduling.
         let cursor = AtomicUsize::new(0);
         let claimed: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
-        global().run(team, |_ctx| loop {
+        run(team, |_ctx| loop {
             let j = cursor.fetch_add(1, Ordering::Relaxed);
             if j >= jobs {
                 break;
