@@ -44,7 +44,7 @@ use crate::backend::{PartitionedOpts, TrainParams};
 use crate::model::Embedding;
 use crate::quant::{quantize_roundtrip, Precision};
 use crate::schedule::decayed_lr;
-use crate::train_gpu::sample_update;
+use crate::train_gpu::sample_pass;
 
 /// What happened during a [`train_large`] run.
 #[derive(Clone, Copy, Debug)]
@@ -488,20 +488,21 @@ fn kernel_pair(
         } else {
             (w.id() - len_a, bin_b, bin_a, len_a, range_a.start, rev)
         };
-        w.global_read_row(src_bin, src_local * d, src_row, Access::Coalesced);
+        let src_off = [src_local * d];
+        w.global_read_rows(src_bin, &src_off, d, src_row, Access::Coalesced);
         w.shared_store(d);
         for i in 0..bb {
             let t = samples[src_local * bb + i];
             if t != NO_SAMPLE {
-                let t_local = (t - other_start) as usize;
-                sample_update(w, other_bin, t_local, d, src_row, tmp, 1.0, lr);
+                let t_off = [(t - other_start) as usize * d];
+                sample_pass(w, other_bin, &t_off, d, src_row, tmp, &mut [1.0], 1.0, lr);
             }
             for _ in 0..ns {
-                let u = w.rand_below(other_len as u32) as usize;
-                sample_update(w, other_bin, u, d, src_row, tmp, 0.0, lr);
+                let u_off = [w.rand_below(other_len as u32) as usize * d];
+                sample_pass(w, other_bin, &u_off, d, src_row, tmp, &mut [1.0], 0.0, lr);
             }
         }
-        w.global_write_row(src_bin, src_local * d, src_row, Access::Coalesced);
+        w.global_write_rows(src_bin, &src_off, d, src_row, Access::Coalesced);
     });
 }
 

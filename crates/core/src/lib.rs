@@ -22,8 +22,9 @@
 //! * [`schedule`] — the smoothing-ratio epoch distribution across levels
 //!   and the per-epoch learning-rate decay.
 //! * [`expand`] — projecting `M_i` to `M_{i-1}` through a coarsening map.
-//! * [`train_gpu`] — `TrainInGPU` (Algorithm 3) on the simulated device,
-//!   in naive, optimized and packed small-dimension variants.
+//! * [`train_gpu`] — `TrainInGPU` (Algorithm 3) on the simulated device:
+//!   a naive kernel and the staged §3.1 kernel, which packs 2 or 4
+//!   sources per warp at small dimensions (§3.1.1).
 //! * [`train_cpu`] — the multi-threaded Hogwild CPU trainer used as the
 //!   §4.8 speedup reference: one epoch loop over an f32 or an f16/i8 row
 //!   store, for full and restricted-source training.

@@ -1,24 +1,25 @@
 //! `TrainInGPU` — Algorithm 3 on the simulated device.
 //!
-//! One source vertex is assigned per warp (per sub-warp in the packed
-//! small-dimension variant). Sources are drawn from the arc list so that
-//! one epoch performs |E| positive samples — the epoch definition of §4.3
-//! — weighting hubs by degree exactly as edge sampling does. Three kernel
-//! variants reproduce the §4.8 speedup-breakdown stages:
+//! Sources are drawn from the arc list so that one epoch performs |E|
+//! positive samples — the epoch definition of §4.3 — weighting hubs by
+//! degree exactly as edge sampling does. There are two kernels, which
+//! reproduce the §4.8 speedup-breakdown stages:
 //!
-//! * [`KernelVariant::Naive`] — no shared-memory staging, strided global
-//!   accesses; the "Naive GPU" bar of Figure 4.
-//! * [`KernelVariant::Optimized`] — the §3.1 kernel: source row staged in
-//!   shared memory once per source, coalesced round-robin access to sample
-//!   rows.
-//! * The packed small-dimension kernel (§3.1.1) — selected automatically
-//!   by [`KernelVariant::Auto`] when `d ≤ 16`: 8 or 16 lanes per source,
-//!   so 4 or 2 sources share each warp's instruction stream.
+//! * the naive kernel ([`KernelVariant::Naive`]) — one source per warp, no
+//!   shared-memory staging, strided global accesses; the "Naive GPU" bar
+//!   of Figure 4;
+//! * the staged kernel — `pack` sources per warp, each source row staged
+//!   in shared memory once, coalesced access to sample rows.
+//!   [`KernelVariant::Optimized`] runs it at `pack = 1`: the §3.1 kernel.
+//!   [`KernelVariant::Auto`] runs it at `32 / lanes_for_dim(d)`: `pack = 4`
+//!   for `d ≤ 8` and 2 for `d ≤ 16`, the small-dimension kernel of
+//!   §3.1.1, and 1 above.
 //!
 //! Epochs are synchronized: each is one blocking kernel launch, so no two
 //! epochs overlap (§3.1), while updates within an epoch stay lock-free.
 
-use gosh_gpu::{Access, Device, DeviceError, FloatBuffer, LaunchConfig, PlainBuffer};
+use gosh_gpu::warp::{sigmoid, WARP_SIZE};
+use gosh_gpu::{Access, Device, DeviceError, FloatBuffer, LaunchConfig, PlainBuffer, Warp};
 use gosh_graph::csr::Csr;
 
 use crate::backend::{Similarity, TrainParams};
@@ -33,7 +34,7 @@ pub enum KernelVariant {
     Naive,
     /// Shared-memory staging + coalesced accesses (§3.1).
     Optimized,
-    /// `Optimized`, but switch to the packed small-`d` kernel when `d ≤ 16`.
+    /// `Optimized`, but with 2 or 4 sources per warp when `d ≤ 16` (§3.1.1).
     Auto,
 }
 
@@ -42,7 +43,7 @@ pub enum KernelVariant {
 /// sources with no outgoing edges.
 #[inline]
 pub(crate) fn device_positive_sample(
-    w: &gosh_gpu::Warp,
+    w: &Warp,
     xadj: &[u64],
     adj: &[u32],
     src: usize,
@@ -156,22 +157,17 @@ pub fn train_in_gpu(
     if graph.num_arcs() == 0 {
         return;
     }
+    // Sources per warp of the staged kernel; the naive kernel has none.
+    let pack = match variant {
+        KernelVariant::Naive => None,
+        KernelVariant::Optimized => Some(1),
+        KernelVariant::Auto => Some(WARP_SIZE / lanes_for_dim(params.dim)),
+    };
     for epoch in 0..params.epochs {
-        let lr_now = decayed_lr(params.lr, epoch, params.epochs);
-        match variant {
-            KernelVariant::Naive => {
-                epoch_naive(device, graph, matrix, params, lr_now, epoch);
-            }
-            KernelVariant::Optimized => {
-                epoch_optimized(device, graph, matrix, params, lr_now, epoch);
-            }
-            KernelVariant::Auto => {
-                if lanes_for_dim(params.dim) < 32 {
-                    epoch_packed(device, graph, matrix, params, lr_now, epoch);
-                } else {
-                    epoch_optimized(device, graph, matrix, params, lr_now, epoch);
-                }
-            }
+        let lr = decayed_lr(params.lr, epoch, params.epochs);
+        match pack {
+            None => epoch_naive(device, graph, matrix, params, lr, epoch),
+            Some(pack) => epoch_staged(device, graph, matrix, params, lr, epoch, pack),
         }
     }
 }
@@ -183,13 +179,20 @@ fn arc_for(w: usize, epoch: u32, num_arcs: usize) -> usize {
     (2 * w + epoch as usize) % num_arcs
 }
 
-fn epoch_optimized(
+/// Most sources one warp can hold: 8 lanes each (§3.1.1).
+const MAX_PACK: usize = WARP_SIZE / 8;
+
+/// The staged kernel: each warp stages `pack` source rows in shared
+/// memory (§3.1), runs Algorithm 1 against every sample, and writes the
+/// sources back once. `pack` is 1, or 2 or 4 for §3.1.1's sub-warps.
+fn epoch_staged(
     device: &Device,
     graph: &DeviceGraph,
     matrix: &FloatBuffer,
     params: &TrainParams,
     lr: f32,
     epoch: u32,
+    pack: usize,
 ) {
     let d = params.dim;
     let ns = params.negative_samples;
@@ -200,51 +203,83 @@ fn epoch_optimized(
     let adj = graph.adj.as_slice();
     let arc_src = graph.arc_src.as_slice();
 
-    device.launch(LaunchConfig::new(sources, 2 * d), |w, scratch| {
-        let (src_row, tmp) = scratch.split_at_mut(d);
-        let src = arc_src[arc_for(w.id(), epoch, num_arcs)] as usize;
-        // Stage M[src] in shared memory (§3.1).
-        w.global_read_row(matrix, src * d, src_row, Access::Coalesced);
-        w.shared_store(d);
+    // Scratch: k source rows + k sample rows.
+    let config = LaunchConfig::new(sources.div_ceil(pack), 2 * pack * d);
+    device.launch(config, |w, scratch| {
+        let first = w.id() * pack;
+        let k = pack.min(sources - first);
+        let (src_rows, tmp) = scratch.split_at_mut(pack * d);
+        let (src_rows, tmp) = (&mut src_rows[..k * d], &mut tmp[..k * d]);
 
-        // Positive sample from the similarity distribution Q.
-        if let Some(u) = device_positive_sample(w, xadj, adj, src, params.similarity) {
-            sample_update(w, matrix, u, d, src_row, tmp, 1.0, lr);
+        let mut srcs = [0usize; MAX_PACK];
+        let mut src_offsets = [0usize; MAX_PACK];
+        for i in 0..k {
+            srcs[i] = arc_src[arc_for(first + i, epoch, num_arcs)] as usize;
+            src_offsets[i] = srcs[i] * d;
         }
-        // ns negatives, uniform over V (the noise distribution).
+        let src_offsets = &src_offsets[..k];
+        w.global_read_rows(matrix, src_offsets, d, src_rows, Access::Coalesced);
+        w.shared_store(k * d);
+
+        // Positive pass: each sub-warp samples its own neighbour from the
+        // similarity distribution Q. A source with none gets an inert slot.
+        let (mut offsets, mut scores) = ([0usize; MAX_PACK], [0f32; MAX_PACK]);
+        let (offsets, scores) = (&mut offsets[..k], &mut scores[..k]);
+        for i in 0..k {
+            let sample = device_positive_sample(w, xadj, adj, srcs[i], params.similarity);
+            (offsets[i], scores[i]) = match sample {
+                Some(u) => (u * d, 1.0),
+                None => (src_offsets[i], 0.0),
+            };
+        }
+        sample_pass(w, matrix, offsets, d, src_rows, tmp, scores, 1.0, lr);
+        // ns negatives per source, uniform over V (the noise distribution).
         for _ in 0..ns {
-            let u = w.rand_below(n) as usize;
-            sample_update(w, matrix, u, d, src_row, tmp, 0.0, lr);
+            for (off, score) in offsets.iter_mut().zip(scores.iter_mut()) {
+                *off = w.rand_below(n) as usize * d;
+                *score = 1.0;
+            }
+            sample_pass(w, matrix, offsets, d, src_rows, tmp, scores, 0.0, lr);
         }
-        // Write the staged source row back once.
-        w.global_write_row(matrix, src * d, src_row, Access::Coalesced);
+        w.global_write_rows(matrix, src_offsets, d, src_rows, Access::Coalesced);
     });
 }
 
-/// One positive/negative update with the source row staged on chip
-/// (Algorithm 1 with pre-update semantics; see `update.rs`). Row `u` of
-/// `matrix` is the sample; the partitioned kernel passes a sub-matrix bin
-/// and a bin-local row.
+/// One Algorithm 1 step (pre-update semantics; see `update.rs`) for k
+/// source rows staged on chip, each against the sample row of `matrix` at
+/// `offsets[i]`. The partitioned kernel passes a sub-matrix bin and
+/// bin-local offsets. `scores[i]` enters nonzero for an active slot and
+/// `0.0` for an inert one, whose update is a no-op.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_update(
-    w: &gosh_gpu::Warp,
+pub(crate) fn sample_pass(
+    w: &Warp,
     matrix: &FloatBuffer,
-    u: usize,
+    offsets: &[usize],
     d: usize,
-    src_row: &mut [f32],
+    src_rows: &mut [f32],
     tmp: &mut [f32],
+    scores: &mut [f32],
     b: f32,
     lr: f32,
 ) {
-    w.global_read_row(matrix, u * d, tmp, Access::Coalesced);
-    let dot = w.dot(src_row, tmp);
-    let score = (b - w.sigmoid(dot)) * lr;
-    // Sample row first (uses the pre-update source), then the source.
-    w.global_axpy_row(matrix, u * d, score, src_row, Access::Coalesced);
-    w.shared_axpy(score, tmp, src_row);
+    let k = offsets.len();
+    let mut dots = [0f32; MAX_PACK];
+    w.global_read_rows(matrix, offsets, d, tmp, Access::Coalesced);
+    w.dot_rows(src_rows, tmp, d, &mut dots[..k]);
+    w.alu(8); // one warp-wide sigmoid burst serves all sub-warps
+    for (score, &dot) in scores.iter_mut().zip(&dots) {
+        if *score != 0.0 {
+            *score = (b - sigmoid(dot)) * lr;
+        }
+    }
+    // Sample rows first (they use the pre-update sources), then sources.
+    w.global_axpy_rows(matrix, offsets, d, scores, src_rows, Access::Coalesced);
+    w.shared_axpy_rows(scores, tmp, src_rows, d);
 }
 
+/// Figure 4's "before" kernel: no staging, the source row re-read from
+/// global memory for every sample, all accesses strided (§4.8).
 fn epoch_naive(
     device: &Device,
     graph: &DeviceGraph,
@@ -265,15 +300,17 @@ fn epoch_naive(
     device.launch(LaunchConfig::new(sources, 2 * d), |w, scratch| {
         let (src_row, tmp) = scratch.split_at_mut(d);
         let src = arc_src[arc_for(w.id(), epoch, num_arcs)] as usize;
+        let src_off = [src * d];
         let mut one = |u: usize, b: f32| {
-            // Re-read the source row from global memory for every sample,
-            // all accesses strided: the pre-optimization kernel of §4.8.
-            w.global_read_row(matrix, src * d, src_row, Access::Strided);
-            w.global_read_row(matrix, u * d, tmp, Access::Strided);
-            let dot = w.dot(src_row, tmp);
-            let score = (b - w.sigmoid(dot)) * lr;
-            w.global_axpy_row(matrix, u * d, score, src_row, Access::Strided);
-            w.global_axpy_row(matrix, src * d, score, tmp, Access::Strided);
+            let u_off = [u * d];
+            w.global_read_rows(matrix, &src_off, d, src_row, Access::Strided);
+            w.global_read_rows(matrix, &u_off, d, tmp, Access::Strided);
+            let mut dot = [0f32];
+            w.dot_rows(src_row, tmp, d, &mut dot);
+            w.alu(8); // sigmoid
+            let score = [(b - sigmoid(dot[0])) * lr];
+            w.global_axpy_rows(matrix, &u_off, d, &score, src_row, Access::Strided);
+            w.global_axpy_rows(matrix, &src_off, d, &score, tmp, Access::Strided);
         };
         if let Some(u) = device_positive_sample(w, xadj, adj, src, params.similarity) {
             one(u, 1.0);
@@ -281,94 +318,6 @@ fn epoch_naive(
         for _ in 0..ns {
             one(w.rand_below(n) as usize, 0.0);
         }
-    });
-}
-
-fn epoch_packed(
-    device: &Device,
-    graph: &DeviceGraph,
-    matrix: &FloatBuffer,
-    params: &TrainParams,
-    lr: f32,
-    epoch: u32,
-) {
-    let d = params.dim;
-    let ns = params.negative_samples;
-    let n = graph.num_vertices() as u32;
-    let num_arcs = graph.num_arcs();
-    let sources = graph.sources_per_epoch();
-    let lanes = lanes_for_dim(d);
-    let pack = 32 / lanes; // sources per warp: 4 (d ≤ 8) or 2 (d ≤ 16)
-    let num_warps = sources.div_ceil(pack);
-    let xadj = graph.xadj.as_slice();
-    let adj = graph.adj.as_slice();
-    let arc_src = graph.arc_src.as_slice();
-
-    // Scratch: k source rows + k sample rows.
-    device.launch(LaunchConfig::new(num_warps, 2 * pack * d), |w, scratch| {
-        let first = w.id() * pack;
-        let k = pack.min(sources - first);
-        let (src_rows, tmp) = scratch.split_at_mut(pack * d);
-        let src_rows = &mut src_rows[..k * d];
-        let tmp = &mut tmp[..k * d];
-
-        let mut srcs = [0usize; 4];
-        let mut src_offsets = [0usize; 4];
-        for i in 0..k {
-            let s = arc_src[arc_for(first + i, epoch, num_arcs)] as usize;
-            srcs[i] = s;
-            src_offsets[i] = s * d;
-        }
-        w.global_read_rows(matrix, &src_offsets[..k], d, src_rows, Access::Coalesced);
-        w.shared_store(k * d);
-
-        let mut sample_offsets = [0usize; 4];
-        let mut scores = [0f32; 4];
-        let mut dots = [0f32; 4];
-
-        // Positive pass: each sub-warp samples its own neighbour. Sources
-        // with no neighbours keep a zero score (self-target, no-op update).
-        let mut do_pass = |w: &gosh_gpu::Warp, tmp: &mut [f32], src_rows: &mut [f32], b: f32| {
-            for i in 0..k {
-                let u = if b == 1.0 {
-                    match device_positive_sample(w, xadj, adj, srcs[i], params.similarity) {
-                        Some(u) => u,
-                        None => {
-                            sample_offsets[i] = srcs[i] * d; // inert slot
-                            scores[i] = 0.0;
-                            continue;
-                        }
-                    }
-                } else {
-                    w.rand_below(n) as usize
-                };
-                sample_offsets[i] = u * d;
-                scores[i] = 1.0; // mark active; filled after the dot pass
-            }
-            w.global_read_rows(matrix, &sample_offsets[..k], d, tmp, Access::Coalesced);
-            w.dot_rows(src_rows, tmp, d, &mut dots[..k]);
-            w.alu(8); // one warp-wide sigmoid burst serves all sub-warps
-            for i in 0..k {
-                if scores[i] != 0.0 {
-                    scores[i] = (b - gosh_gpu::warp::sigmoid(dots[i])) * lr;
-                }
-            }
-            w.global_axpy_rows(
-                matrix,
-                &sample_offsets[..k],
-                d,
-                &scores[..k],
-                src_rows,
-                Access::Coalesced,
-            );
-            w.shared_axpy_rows(&scores[..k], tmp, src_rows, d);
-        };
-
-        do_pass(w, tmp, src_rows, 1.0);
-        for _ in 0..ns {
-            do_pass(w, tmp, src_rows, 0.0);
-        }
-        w.global_write_rows(matrix, &src_offsets[..k], d, src_rows, Access::Coalesced);
     });
 }
 
@@ -631,6 +580,101 @@ mod tests {
             let (i, o) = (mean_cos(&m, &intra), mean_cos(&m, &inter));
             assert!(i > o + 0.25, "{precision}: intra {i} vs inter {o}");
             assert_eq!(device.allocated_bytes(), 0);
+        }
+    }
+
+    /// The per-source §3.1 kernel as it stood before the staged kernel
+    /// absorbed it, frozen as an oracle: stage one source row, run
+    /// Algorithm 1 per sample with its own sigmoid, skip a missing
+    /// positive, write the source back once.
+    fn oracle_epoch(
+        device: &Device,
+        graph: &DeviceGraph,
+        matrix: &FloatBuffer,
+        params: &TrainParams,
+        lr: f32,
+        epoch: u32,
+    ) {
+        let d = params.dim;
+        let n = graph.num_vertices() as u32;
+        let arc_src = graph.arc_src.as_slice();
+        let launch = LaunchConfig::new(graph.sources_per_epoch(), 2 * d);
+        device.launch(launch, |w, scratch| {
+            let (src_row, tmp) = scratch.split_at_mut(d);
+            let src = arc_src[arc_for(w.id(), epoch, graph.num_arcs())] as usize;
+            w.global_read_rows(matrix, &[src * d], d, src_row, Access::Coalesced);
+            w.shared_store(d);
+            let update = |u: usize, b: f32, src_row: &mut [f32], tmp: &mut [f32]| {
+                w.global_read_rows(matrix, &[u * d], d, tmp, Access::Coalesced);
+                let mut dot = [0f32];
+                w.dot_rows(src_row, tmp, d, &mut dot);
+                w.alu(8); // sigmoid
+                let score = [(b - sigmoid(dot[0])) * lr];
+                w.global_axpy_rows(matrix, &[u * d], d, &score, src_row, Access::Coalesced);
+                w.shared_axpy_rows(&score, tmp, src_row, d);
+            };
+            let (xadj, adj) = (graph.xadj_slice(), graph.adj_slice());
+            if let Some(u) = device_positive_sample(w, xadj, adj, src, params.similarity) {
+                update(u, 1.0, src_row, tmp);
+            }
+            for _ in 0..params.negative_samples {
+                update(w.rand_below(n) as usize, 0.0, src_row, tmp);
+            }
+            w.global_write_rows(matrix, &[src * d], d, src_row, Access::Coalesced);
+        });
+    }
+
+    /// Matrix bits and kernel counters of 3 epochs on one host thread;
+    /// `None` runs the oracle.
+    fn run_kernel(
+        d: usize,
+        similarity: Similarity,
+        variant: Option<KernelVariant>,
+    ) -> (Vec<u32>, gosh_gpu::CostSnapshot) {
+        let g = erdos_renyi(96, 400, 9);
+        let device = Device::new(DeviceConfig {
+            host_threads: 1,
+            ..DeviceConfig::titan_x()
+        });
+        let graph = DeviceGraph::upload(&device, &g).unwrap();
+        let m = Embedding::random(96, d, 5);
+        let matrix = device.upload_floats(m.as_slice()).unwrap();
+        let p = TrainParams {
+            similarity,
+            ..params(d, 3)
+        };
+        device.reset_counters();
+        match variant {
+            Some(v) => train_in_gpu(&device, &graph, &matrix, &p, v),
+            None => {
+                for epoch in 0..p.epochs {
+                    let lr = decayed_lr(p.lr, epoch, p.epochs);
+                    oracle_epoch(&device, &graph, &matrix, &p, lr, epoch);
+                }
+            }
+        }
+        let snap = device.snapshot();
+        let bits = matrix.to_host_vec().iter().map(|x| x.to_bits()).collect();
+        (bits, snap)
+    }
+
+    #[test]
+    fn staged_kernel_at_one_source_per_warp_matches_the_oracle() {
+        let sims = [Similarity::Adjacency, Similarity::Ppr { alpha: 0.85 }];
+        for d in [1, 7, 8, 16, 17, 32, 33, 64, 128] {
+            for similarity in sims {
+                let oracle = run_kernel(d, similarity, None);
+                let opt = run_kernel(d, similarity, Some(KernelVariant::Optimized));
+                assert!(opt.0 == oracle.0, "Optimized bits, d={d} {similarity:?}");
+                assert_eq!(opt.1, oracle.1, "Optimized cost, d={d} {similarity:?}");
+                // Auto packs 2 or 4 sources per warp up to d = 16, which
+                // reorders the warps' RNG streams; above, it is one per warp.
+                if lanes_for_dim(d) == WARP_SIZE {
+                    let auto = run_kernel(d, similarity, Some(KernelVariant::Auto));
+                    assert!(auto.0 == oracle.0, "Auto bits, d={d} {similarity:?}");
+                    assert_eq!(auto.1, oracle.1, "Auto cost, d={d} {similarity:?}");
+                }
+            }
         }
     }
 

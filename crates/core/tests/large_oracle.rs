@@ -266,7 +266,7 @@ fn kernel_pair_sync(
         } else {
             (w.id() - len_a, bin_b, bin_a, len_a, range_a.start, rev)
         };
-        w.global_read_row(src_bin, src_local * d, src_row, Access::Coalesced);
+        w.global_read_rows(src_bin, &[src_local * d], d, src_row, Access::Coalesced);
         w.shared_store(d);
         for i in 0..bb {
             let t = samples[src_local * bb + i];
@@ -279,7 +279,7 @@ fn kernel_pair_sync(
                 sync_sample_update(w, other_bin, u, d, src_row, tmp, 0.0, lr);
             }
         }
-        w.global_write_row(src_bin, src_local * d, src_row, Access::Coalesced);
+        w.global_write_rows(src_bin, &[src_local * d], d, src_row, Access::Coalesced);
     });
 }
 
@@ -295,11 +295,14 @@ fn sync_sample_update(
     b: f32,
     lr: f32,
 ) {
-    w.global_read_row(buf, local * d, tmp, Access::Coalesced);
-    let dot = w.dot(src_row, tmp);
-    let score = (b - w.sigmoid(dot)) * lr;
-    w.global_axpy_row(buf, local * d, score, src_row, Access::Coalesced);
-    w.shared_axpy(score, tmp, src_row);
+    let off = [local * d];
+    w.global_read_rows(buf, &off, d, tmp, Access::Coalesced);
+    let mut dot = [0f32];
+    w.dot_rows(src_row, tmp, d, &mut dot);
+    w.alu(8); // sigmoid
+    let score = [(b - gosh_gpu::warp::sigmoid(dot[0])) * lr];
+    w.global_axpy_rows(buf, &off, d, &score, src_row, Access::Coalesced);
+    w.shared_axpy_rows(&score, tmp, src_row, d);
 }
 
 #[test]

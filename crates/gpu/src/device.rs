@@ -303,7 +303,7 @@ mod tests {
         let buf = dev.alloc_floats(32).unwrap();
         for _ in 0..3 {
             dev.launch(LaunchConfig::new(4, 32), |w, scratch| {
-                w.global_read_row(&buf, 0, &mut scratch[..32], Access::Coalesced);
+                w.global_read_rows(&buf, &[0], 32, &mut scratch[..32], Access::Coalesced);
             });
         }
         let s = dev.snapshot();
@@ -319,11 +319,11 @@ mod tests {
         let dev = Device::new(DeviceConfig::titan_x());
         let buf = dev.alloc_floats(128).unwrap();
         dev.launch(LaunchConfig::new(100, 32), |w, s| {
-            w.global_read_row(&buf, 0, &mut s[..32], Access::Coalesced);
+            w.global_read_rows(&buf, &[0], 32, &mut s[..32], Access::Coalesced);
         });
         let t1 = dev.cost_model().kernel_seconds(&dev.snapshot());
         dev.launch(LaunchConfig::new(100, 32), |w, s| {
-            w.global_read_row(&buf, 0, &mut s[..32], Access::Strided);
+            w.global_read_rows(&buf, &[0], 32, &mut s[..32], Access::Strided);
         });
         let t2 = dev.cost_model().kernel_seconds(&dev.snapshot());
         assert!(t1 > 0.0);

@@ -7,14 +7,19 @@
 //! operations; the wrappers perform the *functional* work on the spot and
 //! tally the *architectural* cost for the [`crate::cost::CostModel`].
 //!
+//! Every row operation takes k rows of `row_len` floats, concatenated —
+//! one per sub-warp. The §3.1 kernel passes k = 1; the §3.1.1 small-`d`
+//! kernel packs k = 2 or 4 sources into one warp.
+//!
 //! Counting conventions (see `cost.rs` for the cycle weights):
-//! * a vector op over `len` lanes is `ceil(len/32)` warp instructions,
-//!   minimum 1 — a warp busy with an 8-float row still issues one
-//!   instruction, which is exactly the small-`d` underutilization of
-//!   §3.1.1;
-//! * a coalesced global row of `len` floats moves `ceil(4·len/32)`
-//!   32-byte transactions in one memory instruction;
-//! * a strided access moves one transaction per element.
+//! * a vector op over `len` lanes (all k rows together) is `ceil(len/32)`
+//!   warp instructions, minimum 1 — a warp busy with one 8-float row
+//!   still issues one instruction, which is exactly the small-`d`
+//!   underutilization of §3.1.1;
+//! * a k-row global read or write is one memory instruction plus k rows
+//!   of transactions (an update is a read and a write);
+//! * a coalesced row of `len` floats moves `ceil(4·len/32)` 32-byte
+//!   transactions, a strided one moves one transaction per element.
 
 use std::cell::Cell;
 
@@ -119,10 +124,8 @@ impl Warp {
     }
 
     #[inline]
-    fn vector_instructions(len: usize, lanes_per_item: usize) -> u64 {
-        // `lanes_per_item` > 1 models packed small-d warps where one
-        // instruction serves several sources at once.
-        (len.div_ceil(WARP_SIZE / lanes_per_item.max(1))).max(1) as u64
+    fn vector_instructions(len: usize) -> u64 {
+        len.div_ceil(WARP_SIZE).max(1) as u64
     }
 
     #[inline]
@@ -133,97 +136,29 @@ impl Warp {
         }
     }
 
-    /// Read a global row into scratch ("registers"): one memory instruction.
+    /// Count one memory instruction that moves `rows` rows of `row_len`
+    /// floats (latencies overlap across sub-warps, §3.1.1).
     #[inline]
-    pub fn global_read_row(
-        &self,
-        buf: &FloatBuffer,
-        offset: usize,
-        out: &mut [f32],
-        access: Access,
-    ) {
-        buf.read_row(offset, out);
-        let tx = Self::row_transactions(out.len(), access);
+    fn count_rows(&self, rows: usize, row_len: usize, access: Access) {
+        let tx = rows as u64 * Self::row_transactions(row_len, access);
         self.bump(|c| {
             c.mem_instructions += 1;
             c.transactions += tx;
         });
     }
 
-    /// Write scratch back to a global row: one memory instruction.
-    #[inline]
-    pub fn global_write_row(&self, buf: &FloatBuffer, offset: usize, src: &[f32], access: Access) {
-        buf.write_row(offset, src);
-        let tx = Self::row_transactions(src.len(), access);
-        self.bump(|c| {
-            c.mem_instructions += 1;
-            c.transactions += tx;
-        });
-    }
-
-    /// Racy global update `buf[offset + k] += a * xs[k]` — read + write
-    /// memory instructions, the sample-row update of Algorithm 1.
-    #[inline]
-    pub fn global_axpy_row(
-        &self,
-        buf: &FloatBuffer,
-        offset: usize,
-        a: f32,
-        xs: &[f32],
-        access: Access,
-    ) {
-        for (k, &x) in xs.iter().enumerate() {
-            buf.add(offset + k, a * x);
-        }
-        let tx = 2 * Self::row_transactions(xs.len(), access);
-        self.bump(|c| {
-            c.mem_instructions += 2;
-            c.transactions += tx;
-            c.alu += Self::vector_instructions(xs.len(), 1);
-        });
-    }
-
-    /// Dot product of two rows already on chip (shared/registers).
-    #[inline]
-    pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
-        let mut acc = 0f32;
-        for (x, y) in a.iter().zip(b) {
-            acc += x * y;
-        }
-        // FMA chain + log2(32) shuffle-reduce steps.
-        let instr = Self::vector_instructions(a.len(), 1) + 5;
-        self.bump(|c| c.alu += instr);
-        acc
-    }
-
-    /// `ys[k] += a * xs[k]` with `ys` in shared memory (the source-row
-    /// update of Algorithm 1 under the §3.1 shared-memory staging).
-    #[inline]
-    pub fn shared_axpy(&self, a: f32, xs: &[f32], ys: &mut [f32]) {
-        debug_assert_eq!(xs.len(), ys.len());
-        for (y, &x) in ys.iter_mut().zip(xs) {
-            *y += a * x;
-        }
-        let instr = Self::vector_instructions(xs.len(), 1);
-        self.bump(|c| {
-            c.alu += instr;
-            c.shared += 2 * instr; // read + write
-        });
-    }
-
-    /// Count a shared-memory staging copy of `len` floats (e.g. moving a
-    /// global row into shared memory after `global_read_row`).
+    /// Count a shared-memory staging copy of `len` floats (e.g. moving
+    /// global rows into shared memory after [`Warp::global_read_rows`]).
     #[inline]
     pub fn shared_store(&self, len: usize) {
-        let instr = Self::vector_instructions(len, 1);
+        let instr = Self::vector_instructions(len);
         self.bump(|c| c.shared += instr);
     }
 
-    /// Packed read: `offsets.len()` sub-warps each read a `row_len` row in
-    /// the *same* instruction slot (small-`d` mode, §3.1.1). Rows land
-    /// concatenated in `out`. Costs one memory instruction (latencies
-    /// overlap across sub-warps) plus each row's transactions.
+    /// Read: sub-warp `k` loads the `row_len` row at `offsets[k]` into
+    /// `out[k·row_len..]`, all in the *same* instruction slot — one memory
+    /// instruction plus each row's transactions.
+    #[inline]
     pub fn global_read_rows(
         &self,
         buf: &FloatBuffer,
@@ -233,17 +168,14 @@ impl Warp {
         access: Access,
     ) {
         debug_assert_eq!(out.len(), offsets.len() * row_len);
-        for (k, &off) in offsets.iter().enumerate() {
-            buf.read_row(off, &mut out[k * row_len..(k + 1) * row_len]);
+        for (&off, row) in offsets.iter().zip(out.chunks_exact_mut(row_len)) {
+            buf.read_row(off, row);
         }
-        let tx = offsets.len() as u64 * Self::row_transactions(row_len, access);
-        self.bump(|c| {
-            c.mem_instructions += 1;
-            c.transactions += tx;
-        });
+        self.count_rows(offsets.len(), row_len, access);
     }
 
-    /// Packed write, the counterpart of [`Warp::global_read_rows`].
+    /// Write, the counterpart of [`Warp::global_read_rows`].
+    #[inline]
     pub fn global_write_rows(
         &self,
         buf: &FloatBuffer,
@@ -253,19 +185,16 @@ impl Warp {
         access: Access,
     ) {
         debug_assert_eq!(src.len(), offsets.len() * row_len);
-        for (k, &off) in offsets.iter().enumerate() {
-            buf.write_row(off, &src[k * row_len..(k + 1) * row_len]);
+        for (&off, row) in offsets.iter().zip(src.chunks_exact(row_len)) {
+            buf.write_row(off, row);
         }
-        let tx = offsets.len() as u64 * Self::row_transactions(row_len, access);
-        self.bump(|c| {
-            c.mem_instructions += 1;
-            c.transactions += tx;
-        });
+        self.count_rows(offsets.len(), row_len, access);
     }
 
-    /// Packed racy update: sub-warp `k` performs
-    /// `buf[offsets[k] + j] += a[k] * xs[k·row_len + j]` in one read + one
-    /// write instruction slot shared by all sub-warps.
+    /// Racy update: sub-warp `k` performs
+    /// `buf[offsets[k] + j] += a[k] * xs[k·row_len + j]` — the sample-row
+    /// update of Algorithm 1, in one read + one write instruction slot.
+    #[inline]
     pub fn global_axpy_rows(
         &self,
         buf: &FloatBuffer,
@@ -277,57 +206,63 @@ impl Warp {
     ) {
         debug_assert_eq!(xs.len(), offsets.len() * row_len);
         debug_assert_eq!(a.len(), offsets.len());
-        for (k, &off) in offsets.iter().enumerate() {
-            for j in 0..row_len {
-                buf.add(off + j, a[k] * xs[k * row_len + j]);
+        for ((&off, &a), xs) in offsets.iter().zip(a).zip(xs.chunks_exact(row_len)) {
+            for (j, &x) in xs.iter().enumerate() {
+                buf.add(off + j, a * x);
             }
         }
         let tx = 2 * offsets.len() as u64 * Self::row_transactions(row_len, access);
         self.bump(|c| {
             c.mem_instructions += 2;
             c.transactions += tx;
-            c.alu += Self::vector_instructions(offsets.len() * row_len, 1);
+            c.alu += Self::vector_instructions(xs.len());
         });
     }
 
-    /// Packed dot products: sub-warp `k` computes `a_k · b_k` where the
-    /// rows are concatenated; all sub-warps share the lane budget, so the
-    /// instruction count is `ceil(k·row_len/32) + reduce`, the §3.1.1 win.
+    /// Dot products of rows already on chip: `out[k] = a_k · b_k` over the
+    /// concatenated rows, each summed from `+0.0` in lane order. All
+    /// sub-warps share the lane budget, so the instruction count is
+    /// `ceil(k·row_len/32)` FMAs + log2(32) shuffle-reduce steps — the
+    /// §3.1.1 win.
+    #[inline]
     pub fn dot_rows(&self, a: &[f32], b: &[f32], row_len: usize, out: &mut [f32]) {
         debug_assert_eq!(a.len(), b.len());
-        debug_assert_eq!(a.len() % row_len, 0);
-        let k = a.len() / row_len;
-        debug_assert_eq!(out.len(), k);
-        for (i, o) in out.iter_mut().enumerate() {
-            let r = i * row_len..(i + 1) * row_len;
-            *o = a[r.clone()].iter().zip(&b[r]).map(|(x, y)| x * y).sum();
+        debug_assert_eq!(a.len(), out.len() * row_len);
+        for ((o, a), b) in out
+            .iter_mut()
+            .zip(a.chunks_exact(row_len))
+            .zip(b.chunks_exact(row_len))
+        {
+            let mut acc = 0f32;
+            for (x, y) in a.iter().zip(b) {
+                acc += x * y;
+            }
+            *o = acc;
         }
-        let instr = Self::vector_instructions(a.len(), 1) + 5;
+        let instr = Self::vector_instructions(a.len()) + 5;
         self.bump(|c| c.alu += instr);
     }
 
-    /// Packed shared-memory update: `ys[k·row_len + j] += a[k] · xs[k·row_len + j]`.
+    /// `ys[k·row_len + j] += a[k] · xs[k·row_len + j]` with `ys` in shared
+    /// memory (the source-row update of Algorithm 1 under the §3.1 staging).
+    #[inline]
     pub fn shared_axpy_rows(&self, a: &[f32], xs: &[f32], ys: &mut [f32], row_len: usize) {
         debug_assert_eq!(xs.len(), ys.len());
-        let k = xs.len() / row_len;
-        debug_assert_eq!(a.len(), k);
-        for i in 0..k {
-            for j in 0..row_len {
-                ys[i * row_len + j] += a[i] * xs[i * row_len + j];
+        debug_assert_eq!(xs.len(), a.len() * row_len);
+        for ((&a, xs), ys) in a
+            .iter()
+            .zip(xs.chunks_exact(row_len))
+            .zip(ys.chunks_exact_mut(row_len))
+        {
+            for (y, &x) in ys.iter_mut().zip(xs) {
+                *y += a * x;
             }
         }
-        let instr = Self::vector_instructions(xs.len(), 1);
+        let instr = Self::vector_instructions(xs.len());
         self.bump(|c| {
             c.alu += instr;
-            c.shared += 2 * instr;
+            c.shared += 2 * instr; // read + write
         });
-    }
-
-    /// Numerically-stable sigmoid, counted as a short ALU burst.
-    #[inline]
-    pub fn sigmoid(&self, x: f32) -> f32 {
-        self.bump(|c| c.alu += 8);
-        sigmoid(x)
     }
 
     /// Count `n` extra ALU warp instructions (scalar bookkeeping).
@@ -382,12 +317,12 @@ mod tests {
         let buf = dev.upload_floats(&vec![0f32; 64]).unwrap();
         dev.reset_counters();
         dev.launch(LaunchConfig::new(1, 64), |w, scratch| {
-            w.global_read_row(&buf, 0, &mut scratch[..32], Access::Coalesced);
+            w.global_read_rows(&buf, &[0], 32, &mut scratch[..32], Access::Coalesced);
         });
         let coalesced = dev.snapshot().transactions;
         dev.reset_counters();
         dev.launch(LaunchConfig::new(1, 64), |w, scratch| {
-            w.global_read_row(&buf, 0, &mut scratch[..32], Access::Strided);
+            w.global_read_rows(&buf, &[0], 32, &mut scratch[..32], Access::Strided);
         });
         let strided = dev.snapshot().transactions;
         assert_eq!(coalesced, 4); // 128 bytes / 32
@@ -400,9 +335,14 @@ mod tests {
         w.arm(0, 0, 0);
         let a = [1.0f32, 2.0, 3.0];
         let b = [4.0f32, 5.0, 6.0];
-        assert_eq!(w.dot(&a, &b), 32.0);
+        let mut dot = [0f32];
+        w.dot_rows(&a, &b, 3, &mut dot);
+        assert_eq!(dot, [32.0]);
+        // The chain starts from +0.0: a lone -0.0 product sums to +0.0.
+        w.dot_rows(&[-1.0], &[0.0], 1, &mut dot);
+        assert!(dot[0] == 0.0 && dot[0].is_sign_positive());
         let mut ys = [1.0f32, 1.0, 1.0];
-        w.shared_axpy(2.0, &a, &mut ys);
+        w.shared_axpy_rows(&[2.0], &a, &mut ys, 3);
         assert_eq!(ys, [3.0, 5.0, 7.0]);
         let c = w.take_counters();
         assert!(c.alu > 0 && c.shared > 0);
@@ -412,10 +352,10 @@ mod tests {
     fn min_one_instruction_for_small_rows() {
         // An 8-float vector op still costs a full warp instruction — the
         // §3.1.1 underutilization.
-        assert_eq!(Warp::vector_instructions(8, 1), 1);
-        assert_eq!(Warp::vector_instructions(32, 1), 1);
-        assert_eq!(Warp::vector_instructions(33, 1), 2);
-        assert_eq!(Warp::vector_instructions(128, 1), 4);
+        assert_eq!(Warp::vector_instructions(8), 1);
+        assert_eq!(Warp::vector_instructions(32), 1);
+        assert_eq!(Warp::vector_instructions(33), 2);
+        assert_eq!(Warp::vector_instructions(128), 4);
     }
 
     #[test]
@@ -440,9 +380,10 @@ mod tests {
         dev.reset_counters();
         dev.launch(LaunchConfig::new(1, 32), |w, scratch| {
             for k in 0..4usize {
-                w.global_read_row(
+                w.global_read_rows(
                     &buf,
-                    k * 8,
+                    &[k * 8],
+                    8,
                     &mut scratch[k * 8..(k + 1) * 8],
                     Access::Coalesced,
                 );
@@ -487,7 +428,7 @@ mod tests {
         let dev = Device::new(DeviceConfig::titan_x());
         let buf = dev.upload_floats(&[1.0, 1.0]).unwrap();
         dev.launch(LaunchConfig::new(1, 4), |w, _| {
-            w.global_axpy_row(&buf, 0, 3.0, &[1.0, 2.0], Access::Coalesced);
+            w.global_axpy_rows(&buf, &[0], 2, &[3.0], &[1.0, 2.0], Access::Coalesced);
         });
         assert_eq!(buf.to_host_vec(), vec![4.0, 7.0]);
     }

@@ -124,7 +124,7 @@ fn counters_are_exact_under_concurrency() {
             s.spawn(move || {
                 for _ in 0..16 {
                     dev.launch(LaunchConfig::new(10, 32), |w, scratch| {
-                        w.global_read_row(buf, 0, &mut scratch[..32], Access::Coalesced);
+                        w.global_read_rows(buf, &[0], 32, &mut scratch[..32], Access::Coalesced);
                     });
                 }
             });

@@ -17,40 +17,16 @@ use crate::csr::{Csr, VertexId};
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
-    symmetrize: bool,
-    dedup: bool,
-    drop_self_loops: bool,
 }
 
 impl GraphBuilder {
-    /// A builder for a graph with `n` vertices. By default the result is
-    /// symmetrized, deduplicated, and self-loop free.
+    /// A builder for a graph with `n` vertices. The result is symmetrized,
+    /// deduplicated, and self-loop free.
     pub fn new(n: usize) -> Self {
         Self {
             num_vertices: n,
             edges: Vec::new(),
-            symmetrize: true,
-            dedup: true,
-            drop_self_loops: true,
         }
-    }
-
-    /// Keep the graph directed (no reverse arcs added).
-    pub fn directed(mut self) -> Self {
-        self.symmetrize = false;
-        self
-    }
-
-    /// Keep duplicate arcs (multi-graph).
-    pub fn keep_duplicates(mut self) -> Self {
-        self.dedup = false;
-        self
-    }
-
-    /// Keep self loops.
-    pub fn keep_self_loops(mut self) -> Self {
-        self.drop_self_loops = false;
-        self
     }
 
     /// Number of vertices the builder was created with.
@@ -84,14 +60,10 @@ impl GraphBuilder {
     /// Finalize into a CSR graph.
     pub fn build(self) -> Csr {
         let n = self.num_vertices;
-        let mut arcs: Vec<(VertexId, VertexId)> =
-            Vec::with_capacity(self.edges.len() * if self.symmetrize { 2 } else { 1 });
+        let mut arcs: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.edges.len() * 2);
         for &(u, v) in &self.edges {
-            if self.drop_self_loops && u == v {
-                continue;
-            }
-            arcs.push((u, v));
-            if self.symmetrize && u != v {
+            if u != v {
+                arcs.push((u, v));
                 arcs.push((v, u));
             }
         }
@@ -112,44 +84,24 @@ impl GraphBuilder {
             cursor[u as usize] += 1;
         }
 
-        // Sort each neighbour list, then optionally dedup in place.
+        // Sort each neighbour list, then dedup it.
         let mut out_adj = Vec::with_capacity(adj.len());
         let mut out_xadj = Vec::with_capacity(n + 1);
         out_xadj.push(0usize);
         for v in 0..n {
-            let start = out_adj.len();
             let slice = &mut adj[xadj[v]..xadj[v + 1]];
             slice.sort_unstable();
-            if self.dedup {
-                let mut last: Option<VertexId> = None;
-                for &u in slice.iter() {
-                    if last != Some(u) {
-                        out_adj.push(u);
-                        last = Some(u);
-                    }
+            let mut last: Option<VertexId> = None;
+            for &u in slice.iter() {
+                if last != Some(u) {
+                    out_adj.push(u);
+                    last = Some(u);
                 }
-            } else {
-                out_adj.extend_from_slice(slice);
             }
-            let _ = start;
             out_xadj.push(out_adj.len());
         }
 
         Csr::from_raw(out_xadj, out_adj)
-    }
-}
-
-impl GraphBuilder {
-    /// Finalize into a [`Csr`] with a worker team. Byte-identical to
-    /// [`GraphBuilder::build`] for any thread count; only the default
-    /// configuration (symmetrized, deduplicated, loop-free) is
-    /// supported — the non-default modes keep the sequential path.
-    pub fn build_parallel(self, threads: usize) -> Csr {
-        assert!(
-            self.symmetrize && self.dedup && self.drop_self_loops,
-            "build_parallel supports the default (symmetric, dedup, loop-free) configuration"
-        );
-        build_csr_parallel(self.num_vertices, &[&self.edges], threads)
     }
 }
 
@@ -164,7 +116,7 @@ impl GraphBuilder {
 /// place* before a memcpy assembly pass.
 ///
 /// The result is byte-identical to the sequential
-/// [`GraphBuilder::build`] (default configuration) on the concatenation
+/// [`GraphBuilder::build`] on the concatenation
 /// of `chunks`, for any thread count: workers interleave differently in
 /// the arena, but every per-vertex slice holds the same multiset, and
 /// sort + dedup is order-insensitive.
@@ -456,37 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_self_loops_opt_in() {
-        let mut b = GraphBuilder::new(2).keep_self_loops();
-        b.add_edge(0, 0);
-        let g = b.build();
-        assert_eq!(g.neighbors(0), &[0]);
-        // Self loop is not doubled by symmetrization.
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn directed_preserves_orientation() {
-        let mut b = GraphBuilder::new(3).directed();
-        b.extend([(0, 1), (1, 2)]);
-        let g = b.build();
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(1), &[2]);
-        assert_eq!(g.neighbors(2), &[] as &[u32]);
-        assert!(!g.is_symmetric());
-    }
-
-    #[test]
-    fn multigraph_keeps_duplicates() {
-        let mut b = GraphBuilder::new(2).keep_duplicates();
-        b.extend([(0, 1), (0, 1)]);
-        let g = b.build();
-        // Two parallel edges, each symmetrized.
-        assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.neighbors(0), &[1, 1]);
-    }
-
-    #[test]
     fn empty_builder_builds_empty_graph() {
         let g = GraphBuilder::new(3).build();
         assert_eq!(g.num_vertices(), 3);
@@ -516,9 +437,8 @@ mod tests {
             .collect();
         let seq = csr_from_edges(n, &edges);
         for threads in [1, 2, 3, 4, 8] {
-            let mut b = GraphBuilder::new(n);
-            b.extend(edges.iter().copied());
-            assert_eq!(b.build_parallel(threads), seq, "threads = {threads}");
+            let par = build_csr_parallel(n, &[&edges], threads);
+            assert_eq!(par, seq, "threads = {threads}");
         }
         // The chunked entry point agrees too, for any chunking.
         let (a, bpart) = edges.split_at(1234);
@@ -527,15 +447,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "default")]
-    fn parallel_build_rejects_non_default_modes() {
-        GraphBuilder::new(2).directed().build_parallel(2);
-    }
-
-    #[test]
     fn parallel_build_empty_inputs() {
-        assert_eq!(GraphBuilder::new(0).build_parallel(4), Csr::empty(0));
-        let g = GraphBuilder::new(3).build_parallel(2);
+        assert_eq!(build_csr_parallel(0, &[&[]], 4), Csr::empty(0));
+        let g = build_csr_parallel(3, &[&[]], 2);
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 0);
     }

@@ -229,9 +229,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::hint::black_box;
     use std::sync::mpsc;
     use std::thread::current;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn runs_borrowed_work_to_completion() {
@@ -261,14 +263,69 @@ mod tests {
         }
     }
 
+    /// `run` costs little beyond the scoped spawns it is made of. Rounds
+    /// of an empty `run(8)` alternate with a bare scope that spawns and
+    /// joins 7 empty threads, so a loaded host slows both sides alike and
+    /// only their ratio is bounded. Each `run(8)` uses 8 distinct threads,
+    /// the caller among them.
     #[test]
     fn many_tiny_jobs_are_fast() {
-        let t0 = std::time::Instant::now();
-        for _ in 0..2000 {
+        let (mut in_run, mut bare) = (Duration::ZERO, Duration::ZERO);
+        for _ in 0..300 {
+            let t0 = Instant::now();
             run(8, |_| {});
+            in_run += t0.elapsed();
+            let t0 = Instant::now();
+            std::thread::scope(|s| {
+                for _ in 1..8 {
+                    s.spawn(|| {});
+                }
+            });
+            bare += t0.elapsed();
         }
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(dt < 2.0, "2000 empty jobs took {dt}s");
+        let ratio = in_run.as_secs_f64() / bare.as_secs_f64();
+        assert!(
+            ratio < 1.5,
+            "run(8) costs {ratio:.2}x a bare 7-thread spawn"
+        );
+
+        let caller = current().id();
+        for _ in 0..20 {
+            let ids = Mutex::new(HashSet::new());
+            run(8, |_| {
+                lock_ignore_poison(&ids).insert(current().id());
+            });
+            let ids = ids.into_inner().unwrap();
+            assert_eq!(ids.len(), 8);
+            assert!(ids.contains(&caller));
+        }
+    }
+
+    /// A team of one costs less than one small heap allocation, so a lock
+    /// or an allocation added to every task fails here. Batches alternate
+    /// and the fastest of each side is compared, which host load leaves
+    /// alone.
+    #[test]
+    fn inline_run_costs_less_than_an_allocation() {
+        let (mut inline, mut alloc) = (Duration::MAX, Duration::MAX);
+        for _ in 0..50 {
+            let t0 = Instant::now();
+            for _ in 0..10_000 {
+                run(black_box(1), |ctx| {
+                    black_box(ctx);
+                });
+            }
+            inline = inline.min(t0.elapsed());
+            let t0 = Instant::now();
+            for _ in 0..10_000 {
+                black_box(Box::new(black_box(7u64)));
+            }
+            alloc = alloc.min(t0.elapsed());
+        }
+        assert!(
+            inline < alloc,
+            "10k run(1): {inline:?}, 10k Box::new: {alloc:?}"
+        );
     }
 
     #[test]
