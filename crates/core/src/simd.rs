@@ -23,12 +23,14 @@
 //! on anything that also has AVX2. A proptest in `prop_core.rs` enforces
 //! scalar/intrinsic equality across lane counts and unaligned row lengths.
 //!
-//! The 8-lane accumulation order defined here is **the** dot-product
-//! order of the CPU trainer: [`crate::update::update_embedding`] (plain
-//! rows — also the f16/i8 row store's sample update) and
-//! [`crate::train_cpu::fused_update`] (staged source against an atomic
-//! pair row) use [`dot8`] / [`dot_pairs`], which keeps every path
-//! bit-identical to the scalar reference. Remainder elements land in
+//! The 8-lane accumulation order is **the** dot-product order of both
+//! trainers. Its scalar core ([`LANES`], [`hsum8`], [`dot8_scalar`])
+//! lives in `gosh_gpu::lanes`, below this crate, and is re-exported
+//! here: the device's `Warp::dot_rows` sums each row with it, and
+//! [`crate::update::update_embedding`] (plain rows — also the f16/i8
+//! row store's sample update) and [`crate::train_cpu::fused_update`]
+//! (staged source against an atomic pair row) use [`dot8`] /
+//! [`dot_pairs`], which keeps every path bit-identical to it. Remainder elements land in
 //! lanes `0..r`, so a row zero-padded to the paired-lane width produces
 //! exactly the same lane sums as the unpadded row.
 //!
@@ -46,20 +48,10 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use crate::model::{pack_pair, unpack_pair};
 use crate::update::{SIGMOID_BOUND, SIGMOID_TABLE};
 
-/// Lane width of the trainer's vector operations.
-pub const LANES: usize = 8;
+pub use gosh_gpu::lanes::{dot8_scalar, hsum8, LANES};
+
 /// Atomic pair cells per lane group (each cell holds two f32 lanes).
 const GROUP_PAIRS: usize = LANES / 2;
-
-/// The fixed horizontal-sum tree shared by every dot-product path.
-///
-/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — changing this order changes
-/// the bits of every trained embedding, so it exists exactly once.
-#[inline(always)]
-pub fn hsum8(lanes: &[f32; LANES]) -> f32 {
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-}
 
 /// Whether the intrinsic paths are available, detected once at runtime.
 #[inline(always)]
@@ -124,24 +116,6 @@ pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
         return unsafe { dot8_avx2(a, b) };
     }
     dot8_scalar(a, b)
-}
-
-/// Scalar core of [`dot8`]: chunked lane groups the autovectorizer turns
-/// into `vmulps`/`vaddps`, remainder elements into lanes `0..r`.
-#[inline]
-pub fn dot8_scalar(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        for k in 0..LANES {
-            acc[k] += xs[k] * ys[k];
-        }
-    }
-    for (k, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        acc[k] += x * y;
-    }
-    hsum8(&acc)
 }
 
 /// AVX2 path of [`dot8`]: one vector accumulator whose lanes mirror the

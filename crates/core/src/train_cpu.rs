@@ -719,4 +719,65 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn device_sample_step_matches_reference_update_bitwise() {
+        use gosh_gpu::{Device, DeviceConfig, LaunchConfig};
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Xorshift128Plus::new(22);
+        for d in [1usize, 2, 5, 7, 8, 16, 17, 31, 32, 33, 64, 128] {
+            for b in [0.0f32, 1.0] {
+                for k in [1usize, 2, 4] {
+                    let src: Vec<f32> = (0..k * d).map(|_| rng.next_f32() - 0.5).collect();
+                    let smp: Vec<f32> = (0..k * d).map(|_| rng.next_f32() - 0.5).collect();
+                    let (mut src_ref, mut smp_ref) = (src.clone(), smp.clone());
+                    for (s, m) in src_ref.chunks_exact_mut(d).zip(smp_ref.chunks_exact_mut(d)) {
+                        update_embedding(s, m, b, 0.025);
+                    }
+
+                    // k = 1: a one-row buffer. k > 1: sample i at row
+                    // k − i of k + 1 rows, so row 0 must stay untouched.
+                    let rows = if k == 1 { 1 } else { k + 1 };
+                    let row_of = |i: usize| rows - 1 - i;
+                    let mut host = vec![0.75f32; rows * d];
+                    for (i, m) in smp.chunks_exact(d).enumerate() {
+                        host[row_of(i) * d..][..d].copy_from_slice(m);
+                    }
+                    let device = Device::new(DeviceConfig {
+                        host_threads: 1,
+                        ..DeviceConfig::titan_x()
+                    });
+                    let buf = device.upload_floats(&host).unwrap();
+                    let offsets: Vec<usize> = (0..k).map(|i| row_of(i) * d).collect();
+                    let staged = parking_lot::Mutex::new(src.clone());
+                    device.launch(LaunchConfig::new(1, k * d), |w, tmp| {
+                        let mut scores = vec![1.0; k];
+                        let src_rows = &mut staged.lock()[..];
+                        crate::train_gpu::sample_pass(
+                            w,
+                            &buf,
+                            &offsets,
+                            d,
+                            src_rows,
+                            tmp,
+                            &mut scores,
+                            b,
+                            0.025,
+                        );
+                    });
+
+                    let case = format!("d={d} b={b} k={k}");
+                    assert_eq!(bits(&staged.into_inner()), bits(&src_ref), "{case} src");
+                    let out = buf.to_host_vec();
+                    for (i, m) in smp_ref.chunks_exact(d).enumerate() {
+                        let got = &out[row_of(i) * d..][..d];
+                        assert_eq!(bits(got), bits(m), "{case} sample {i}");
+                    }
+                    if k > 1 {
+                        assert!(out[..d].iter().all(|&x| x == 0.75), "{case} row 0");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -17,8 +17,15 @@
 //!
 //! Epochs are synchronized: each is one blocking kernel launch, so no two
 //! epochs overlap (§3.1), while updates within an epoch stay lock-free.
+//!
+//! Both kernels score with the CPU trainer's arithmetic: the 8-lane dot
+//! order of `gosh_gpu::lanes` and the table [`fast_sigmoid`]. On one host
+//! thread a device sample step is bit-identical to
+//! [`crate::update::update_embedding`]; the kernels differ from Hogwild
+//! only in where rows live, which sources run, and what the cost model
+//! counts.
 
-use gosh_gpu::warp::{sigmoid, WARP_SIZE};
+use gosh_gpu::warp::WARP_SIZE;
 use gosh_gpu::{Access, Device, DeviceError, FloatBuffer, LaunchConfig, PlainBuffer, Warp};
 use gosh_graph::csr::Csr;
 
@@ -26,6 +33,7 @@ use crate::backend::{Similarity, TrainParams};
 use crate::model::Embedding;
 use crate::quant::{quantize_roundtrip, Precision};
 use crate::schedule::decayed_lr;
+use crate::update::fast_sigmoid;
 
 /// Which embedding kernel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,14 +253,23 @@ fn epoch_staged(
     });
 }
 
-/// One Algorithm 1 step (pre-update semantics; see `update.rs`) for k
-/// source rows staged on chip, each against the sample row of `matrix` at
-/// `offsets[i]`. The partitioned kernel passes a sub-matrix bin and
-/// bin-local offsets. `scores[i]` enters nonzero for an active slot and
-/// `0.0` for an inert one, whose update is a no-op.
+/// One Algorithm 1 step for k source rows staged on chip, each against
+/// the sample row of `matrix` at `offsets[i]`. The partitioned kernel
+/// passes a sub-matrix bin and bin-local offsets. `scores[i]` enters
+/// nonzero for an active slot and `0.0` for an inert one, whose update is
+/// a no-op.
+///
+/// Each active slot computes exactly [`crate::update::update_embedding`]
+/// on (source, sample): the 8-lane dot, [`fast_sigmoid`], and the
+/// pre-update rows on both sides — so on one host thread the device's
+/// bits are the CPU trainer's.
+///
+/// Public only so that the partitioned engine's synchronous test oracle
+/// can run the one shipped step.
+#[doc(hidden)]
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_pass(
+pub fn sample_pass(
     w: &Warp,
     matrix: &FloatBuffer,
     offsets: &[usize],
@@ -270,7 +287,7 @@ pub(crate) fn sample_pass(
     w.alu(8); // one warp-wide sigmoid burst serves all sub-warps
     for (score, &dot) in scores.iter_mut().zip(&dots) {
         if *score != 0.0 {
-            *score = (b - sigmoid(dot)) * lr;
+            *score = (b - fast_sigmoid(dot)) * lr;
         }
     }
     // Sample rows first (they use the pre-update sources), then sources.
@@ -308,7 +325,7 @@ fn epoch_naive(
             let mut dot = [0f32];
             w.dot_rows(src_row, tmp, d, &mut dot);
             w.alu(8); // sigmoid
-            let score = [(b - sigmoid(dot[0])) * lr];
+            let score = [(b - fast_sigmoid(dot[0])) * lr];
             w.global_axpy_rows(matrix, &u_off, d, &score, src_row, Access::Strided);
             w.global_axpy_rows(matrix, &src_off, d, &score, tmp, Access::Strided);
         };
@@ -585,8 +602,10 @@ mod tests {
 
     /// The per-source §3.1 kernel as it stood before the staged kernel
     /// absorbed it, frozen as an oracle: stage one source row, run
-    /// Algorithm 1 per sample with its own sigmoid, skip a missing
-    /// positive, write the source back once.
+    /// Algorithm 1 per sample, skip a missing positive, write the source
+    /// back once. Its step is spelled out with the trainers' arithmetic
+    /// (8-lane dot, [`fast_sigmoid`]) rather than calling `sample_pass`,
+    /// so it also checks the staged kernel's slot bookkeeping.
     fn oracle_epoch(
         device: &Device,
         graph: &DeviceGraph,
@@ -609,7 +628,7 @@ mod tests {
                 let mut dot = [0f32];
                 w.dot_rows(src_row, tmp, d, &mut dot);
                 w.alu(8); // sigmoid
-                let score = [(b - sigmoid(dot[0])) * lr];
+                let score = [(b - fast_sigmoid(dot[0])) * lr];
                 w.global_axpy_rows(matrix, &[u * d], d, &score, src_row, Access::Coalesced);
                 w.shared_axpy_rows(&score, tmp, src_row, d);
             };

@@ -31,8 +31,8 @@ pub(crate) fn sigmoid_table() -> &'static [f32; SIGMOID_TABLE + 1] {
 /// sits on the critical path of *every* update; the table with linear
 /// interpolation is a few cycles at ~1e-5 absolute error inside the
 /// bound (3.4e-4 worst case at the ±8 clamp), far below Hogwild race
-/// noise. This is the sigmoid of the CPU trainer;
-/// device kernels keep the exact [`gosh_gpu::warp::sigmoid`].
+/// noise. This is the one sigmoid of every trainer, CPU and device; the
+/// exact [`gosh_gpu::warp::sigmoid`] only seeds the table.
 #[inline]
 pub fn fast_sigmoid(x: f32) -> f32 {
     if x >= SIGMOID_BOUND {

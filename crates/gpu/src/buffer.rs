@@ -28,6 +28,19 @@ use crate::device::DeviceShared;
 use crate::error::DeviceError;
 use crate::stream::{Event, Stream};
 
+/// Relaxed load of one `f32` cell: kernels race on cells the way §3.1's
+/// Hogwild updates do, and nothing orders against them.
+#[inline(always)]
+fn get(c: &AtomicU32) -> f32 {
+    f32::from_bits(c.load(Ordering::Relaxed))
+}
+
+/// Relaxed store of one `f32` cell (see [`get`]).
+#[inline(always)]
+fn set(c: &AtomicU32, v: f32) {
+    c.store(v.to_bits(), Ordering::Relaxed);
+}
+
 /// The storage behind a [`FloatBuffer`]; dropped (and the device memory
 /// refunded) when the last aliasing handle goes away.
 struct FloatStorage {
@@ -135,37 +148,47 @@ impl FloatBuffer {
     /// Relaxed load of one element.
     #[inline]
     pub fn load(&self, i: usize) -> f32 {
-        f32::from_bits(self.data()[i].load(Ordering::Relaxed))
+        get(&self.data()[i])
     }
 
     /// Relaxed store of one element.
     #[inline]
     pub fn store(&self, i: usize, v: f32) {
-        self.data()[i].store(v.to_bits(), Ordering::Relaxed);
+        set(&self.data()[i], v);
     }
 
-    /// Racy read-modify-write: `buf[i] += v`. Lost updates are possible —
-    /// the Hogwild contract of §3.1.
+    /// The cells of `[offset, offset + len)`, bounds-checked once: a row
+    /// that does not fit panics before any cell is touched.
     #[inline]
-    pub fn add(&self, i: usize, v: f32) {
-        let cur = self.load(i);
-        self.store(i, cur + v);
+    fn cells(&self, offset: usize, len: usize) -> &[AtomicU32] {
+        &self.data()[offset..offset + len]
     }
 
     /// Read `out.len()` elements starting at `offset` (device-side access;
     /// not counted as a PCIe copy).
     #[inline]
     pub fn read_row(&self, offset: usize, out: &mut [f32]) {
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = self.load(offset + k);
+        let cells = self.cells(offset, out.len());
+        for (o, c) in out.iter_mut().zip(cells) {
+            *o = get(c);
         }
     }
 
     /// Write `src` starting at `offset` (device-side access).
     #[inline]
     pub fn write_row(&self, offset: usize, src: &[f32]) {
-        for (k, &v) in src.iter().enumerate() {
-            self.store(offset + k, v);
+        for (c, &v) in self.cells(offset, src.len()).iter().zip(src) {
+            set(c, v);
+        }
+    }
+
+    /// Racy row update `buf[offset + j] += a · xs[j]`: one relaxed load
+    /// and store per cell, so lost updates are possible — the Hogwild
+    /// contract of §3.1.
+    #[inline]
+    pub fn axpy_row(&self, offset: usize, a: f32, xs: &[f32]) {
+        for (c, &x) in self.cells(offset, xs.len()).iter().zip(xs) {
+            set(c, get(c) + a * x);
         }
     }
 
@@ -346,6 +369,7 @@ impl<T: Copy + Send + Sync> std::fmt::Debug for PlainBuffer<T> {
 
 #[cfg(test)]
 mod tests {
+    use super::FloatBuffer;
     use crate::config::DeviceConfig;
     use crate::device::Device;
     use crate::error::DeviceError;
@@ -414,7 +438,7 @@ mod tests {
         let dev = Device::new(DeviceConfig::titan_x());
         let buf = dev.upload_floats(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(buf.load(1), 2.0);
-        buf.add(1, 0.5);
+        buf.axpy_row(1, 0.5, &[1.0]);
         assert_eq!(buf.load(1), 2.5);
         buf.store(0, -1.0);
         assert_eq!(buf.to_host_vec(), vec![-1.0, 2.5, 3.0]);
@@ -428,6 +452,61 @@ mod tests {
         let mut out = [0f32; 4];
         buf.read_row(4, &mut out);
         assert_eq!(out, [9.0, 8.0, 7.0, 6.0]);
+    }
+
+    #[test]
+    fn rows_at_nonzero_offsets_touch_only_their_cells() {
+        let dev = Device::new(DeviceConfig::titan_x());
+        let buf = dev.upload_floats(&[1.0; 10]).unwrap();
+        buf.write_row(3, &[5.0, 6.0]);
+        buf.axpy_row(6, 2.0, &[0.5, -1.0, 0.25]);
+        assert_eq!(
+            buf.to_host_vec(),
+            vec![1.0, 1.0, 1.0, 5.0, 6.0, 1.0, 2.0, -1.0, 1.5, 1.0]
+        );
+        let mut out = [0f32; 3];
+        buf.read_row(4, &mut out);
+        assert_eq!(out, [6.0, 1.0, 2.0]);
+        // Empty rows are fine anywhere up to and including `len()`.
+        buf.write_row(10, &[]);
+        buf.read_row(10, &mut []);
+    }
+
+    #[test]
+    fn a_row_ending_at_len_fits() {
+        let dev = Device::new(DeviceConfig::titan_x());
+        let buf = dev.alloc_floats(6).unwrap();
+        buf.write_row(2, &[1.0, 2.0, 3.0, 4.0]);
+        buf.axpy_row(3, -1.0, &[1.0, 1.0, 1.0]);
+        let mut out = [0f32; 4];
+        buf.read_row(2, &mut out);
+        assert_eq!(out, [1.0, 1.0, 2.0, 3.0]);
+        buf.copy_from_host_at(5, &[7.0]);
+        assert_eq!(buf.load(5), 7.0);
+    }
+
+    #[test]
+    fn a_row_past_the_end_panics_before_writing() {
+        let dev = Device::new(DeviceConfig::titan_x());
+        let init: Vec<f32> = (0..6).map(|i| i as f32 - 2.5).collect();
+        let buf = dev.upload_floats(&init).unwrap();
+        let before = dev.snapshot();
+        let bits =
+            |b: &FloatBuffer| -> Vec<u32> { (0..b.len()).map(|i| b.load(i).to_bits()).collect() };
+        let want = bits(&buf);
+        let tries: [&dyn Fn(); 4] = [
+            &|| buf.write_row(4, &[9.0; 3]),
+            &|| buf.axpy_row(3, 1.0, &[1.0; 4]),
+            &|| buf.copy_from_host_at(5, &[9.0; 2]),
+            &|| buf.write_row(usize::MAX, &[9.0; 2]),
+        ];
+        for (i, f) in tries.iter().enumerate() {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            assert!(r.is_err(), "try {i} did not panic");
+            assert_eq!(bits(&buf), want, "try {i} wrote part of its row");
+        }
+        // Nothing was counted as moved either.
+        assert_eq!(dev.snapshot(), before);
     }
 
     #[test]

@@ -252,7 +252,7 @@ mod tests {
         let dev = Device::new(DeviceConfig::titan_x());
         let buf = dev.alloc_floats(1000).unwrap();
         dev.launch(LaunchConfig::new(1000, 0), |w, _| {
-            buf.add(w.id(), 1.0);
+            buf.axpy_row(w.id(), 1.0, &[1.0]);
         });
         let host = buf.to_host_vec();
         assert!(host.iter().all(|&x| x == 1.0));

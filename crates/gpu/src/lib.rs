@@ -35,6 +35,7 @@ pub mod config;
 pub mod cost;
 pub mod device;
 pub mod error;
+pub mod lanes;
 
 pub mod stream;
 pub mod warp;

@@ -27,6 +27,7 @@ use gosh_graph::rng::{mix64, Xorshift128Plus};
 
 use crate::buffer::FloatBuffer;
 use crate::cost::LocalCounters;
+use crate::lanes::dot8_scalar;
 
 /// Global-memory access pattern of a row operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,9 +208,7 @@ impl Warp {
         debug_assert_eq!(xs.len(), offsets.len() * row_len);
         debug_assert_eq!(a.len(), offsets.len());
         for ((&off, &a), xs) in offsets.iter().zip(a).zip(xs.chunks_exact(row_len)) {
-            for (j, &x) in xs.iter().enumerate() {
-                buf.add(off + j, a * x);
-            }
+            buf.axpy_row(off, a, xs);
         }
         let tx = 2 * offsets.len() as u64 * Self::row_transactions(row_len, access);
         self.bump(|c| {
@@ -220,7 +219,9 @@ impl Warp {
     }
 
     /// Dot products of rows already on chip: `out[k] = a_k · b_k` over the
-    /// concatenated rows, each summed from `+0.0` in lane order. All
+    /// concatenated rows, each summed into eight lane accumulators from
+    /// `+0.0` and closed by the [`crate::lanes::hsum8`] tree — the CPU
+    /// trainer's order, so each dot is bit-identical to its `dot8`. All
     /// sub-warps share the lane budget, so the instruction count is
     /// `ceil(k·row_len/32)` FMAs + log2(32) shuffle-reduce steps — the
     /// §3.1.1 win.
@@ -233,11 +234,7 @@ impl Warp {
             .zip(a.chunks_exact(row_len))
             .zip(b.chunks_exact(row_len))
         {
-            let mut acc = 0f32;
-            for (x, y) in a.iter().zip(b) {
-                acc += x * y;
-            }
-            *o = acc;
+            *o = dot8_scalar(a, b);
         }
         let instr = Self::vector_instructions(a.len()) + 5;
         self.bump(|c| c.alu += instr);
@@ -272,7 +269,9 @@ impl Warp {
     }
 }
 
-/// Plain sigmoid used by both device kernels and CPU trainers.
+/// The exact logistic sigmoid. The trainers score with the table
+/// `gosh_core::update::fast_sigmoid`; this seeds that table and is the
+/// reference tests measure it against.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
@@ -346,6 +345,31 @@ mod tests {
         assert_eq!(ys, [3.0, 5.0, 7.0]);
         let c = w.take_counters();
         assert!(c.alu > 0 && c.shared > 0);
+    }
+
+    #[test]
+    fn dot_rows_sums_each_row_in_the_eight_lane_order() {
+        let w = Warp::new();
+        w.arm(0, 0, 0);
+        for d in [1usize, 7, 8, 9, 17, 33] {
+            for k in [1usize, 2, 4] {
+                let a: Vec<f32> = (0..k * d).map(|i| (i as f32 * 0.37).sin()).collect();
+                let b: Vec<f32> = (0..k * d).map(|i| (i as f32 * 0.11).cos()).collect();
+                let mut out = [0f32; 4];
+                w.dot_rows(&a, &b, d, &mut out[..k]);
+                for (i, o) in out[..k].iter().enumerate() {
+                    let want = crate::lanes::dot8_scalar(&a[i * d..][..d], &b[i * d..][..d]);
+                    assert_eq!(o.to_bits(), want.to_bits(), "d={d} k={k} row {i}");
+                }
+            }
+        }
+        // Lanes, not a chain: element 8 joins element 0 in lane 0, so
+        // 1e8 − 1e8 cancels there and element 4's 1 survives in lane 4; a
+        // left-to-right chain loses the 1 to 1e8's rounding.
+        let a = [1e8, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1e8];
+        let mut dot = [0f32];
+        w.dot_rows(&a, &[1.0; 9], 9, &mut dot);
+        assert_eq!(dot, [1.0]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn thousands_of_launches_are_cheap_and_correct() {
     let t0 = std::time::Instant::now();
     for _ in 0..5000 {
         dev.launch(LaunchConfig::new(256, 0), |w, _| {
-            buf.add(w.id(), 1.0);
+            buf.axpy_row(w.id(), 1.0, &[1.0]);
         });
     }
     let dt = t0.elapsed().as_secs_f64();
@@ -31,12 +31,16 @@ fn kernels_on_two_devices_do_not_interfere() {
     std::thread::scope(|s| {
         s.spawn(|| {
             for _ in 0..100 {
-                a.launch(LaunchConfig::new(64, 0), |w, _| buf_a.add(w.id(), 1.0));
+                a.launch(LaunchConfig::new(64, 0), |w, _| {
+                    buf_a.axpy_row(w.id(), 1.0, &[1.0])
+                });
             }
         });
         s.spawn(|| {
             for _ in 0..100 {
-                b.launch(LaunchConfig::new(64, 0), |w, _| buf_b.add(w.id(), 2.0));
+                b.launch(LaunchConfig::new(64, 0), |w, _| {
+                    buf_b.axpy_row(w.id(), 2.0, &[1.0])
+                });
             }
         });
     });
