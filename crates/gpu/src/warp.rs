@@ -337,7 +337,7 @@ mod tests {
         let mut dot = [0f32];
         w.dot_rows(&a, &b, 3, &mut dot);
         assert_eq!(dot, [32.0]);
-        // The chain starts from +0.0: a lone -0.0 product sums to +0.0.
+        // The lanes start from +0.0: a lone -0.0 product sums to +0.0.
         w.dot_rows(&[-1.0], &[0.0], 1, &mut dot);
         assert!(dot[0] == 0.0 && dot[0].is_sign_positive());
         let mut ys = [1.0f32, 1.0, 1.0];
