@@ -1,4 +1,5 @@
-//! The simulated device's modeled cost, pinned as literal counter values.
+//! The simulated device's modeled cost and output bits, pinned as
+//! literal values.
 //!
 //! Figure 4, Table 8 and the Algorithm 5 tables report *modeled device
 //! seconds*, which `gosh_gpu::cost::CostModel` derives from a kernel's
@@ -8,10 +9,15 @@
 //! record them literally; a change to where or how a kernel counts fails
 //! here, and the modeled columns it would move must be re-derived on
 //! purpose.
+//!
+//! The same runs also pin an FNV-1a hash of the trained matrix's f32
+//! bits. An oracle that shares the kernels' sampler agrees with them even
+//! when the sampled stream changes; a literal hash does not.
 
 use gosh_core::backend::{PartitionedOpts, Similarity, TrainParams};
 use gosh_core::large::train_large;
 use gosh_core::model::Embedding;
+use gosh_core::store::fnv1a64;
 use gosh_core::train_gpu::{train_level_on_device, KernelVariant};
 use gosh_gpu::{CostSnapshot, Device, DeviceConfig};
 use gosh_graph::gen::erdos_renyi;
@@ -33,8 +39,15 @@ fn counters(s: &CostSnapshot) -> Counters {
     ]
 }
 
+/// FNV-1a over the little-endian f32 bits of `m`.
+fn bits_hash(m: &Embedding) -> u64 {
+    let bytes: Vec<u8> = m.as_slice().iter().flat_map(|x| x.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
 /// One in-memory level: upload, 3 epochs, download, on a fresh device.
-fn level_counters(d: usize, similarity: Similarity, variant: KernelVariant) -> Counters {
+/// Returns the counters and the trained matrix's [`bits_hash`].
+fn level_run(d: usize, similarity: Similarity, variant: KernelVariant) -> (Counters, u64) {
     let g = erdos_renyi(96, 400, 9);
     let device = Device::new(DeviceConfig {
         host_threads: 1,
@@ -46,7 +59,7 @@ fn level_counters(d: usize, similarity: Similarity, variant: KernelVariant) -> C
         ..TrainParams::adjacency(d, 3, 0.05, 3)
     };
     train_level_on_device(&device, &g, &mut m, &p, variant).unwrap();
-    counters(&device.snapshot())
+    (counters(&device.snapshot()), bits_hash(&m))
 }
 
 const SIMS: [Similarity; 2] = [Similarity::Adjacency, Similarity::Ppr { alpha: 0.85 }];
@@ -86,24 +99,45 @@ const PINNED_LEVELS: [Counters; 24] = [
     [102848, 20844, 16212, 129696, 1158, 3, 31528, 24576], // d=64 Ppr Auto
 ];
 
+/// [`bits_hash`] of each run of [`PINNED_LEVELS`], in the same order.
+#[rustfmt::skip]
+const PINNED_LEVEL_BITS: [u64; 24] = [
+    0x161e309cfa9d0817, 0xd6e217e3856b3d01, 0x1b3f5ba5dfb44c0b,
+    0x602611a75fd8942e, 0x760814f230467162, 0x4d62b93caac0efab,
+    0x250cb2f280b991b9, 0x7d8c97c55c850cb7, 0xbd98bfa1ba2fc2d0,
+    0x48092789a8785f0c, 0x52b07bad8cdefe43, 0x624f70480246960d,
+    0x9ee1e7ccc54af775, 0x5e64eba2a14d14db, 0x5e64eba2a14d14db,
+    0xd7764f05f5e20176, 0x72dbc05fc0b2671a, 0x72dbc05fc0b2671a,
+    0x19d378c2dbf39f2b, 0x3ec8ab912cdc1957, 0x3ec8ab912cdc1957,
+    0x1553e28e837864a2, 0x0e978b5747394986, 0x0e978b5747394986,
+];
+
 /// Nine parts, 45 part-pair kernels.
 const PINNED_LARGE: Counters = [660880, 84914, 128523, 257046, 2304, 45, 120576, 74496];
 
+/// [`bits_hash`] of the partitioned run's matrix.
+const PINNED_LARGE_BITS: u64 = 0xaaff521b6c79bcb6;
+
 #[test]
 fn in_memory_kernels_count_the_pinned_cost() {
-    let mut got = Vec::new();
+    let (mut got, mut bits) = (Vec::new(), Vec::new());
     for d in DIMS {
         for similarity in SIMS {
             for variant in VARIANTS {
-                let c = level_counters(d, similarity, variant);
-                println!("    {c:?}, // d={d} {similarity:?} {variant:?}");
+                let (c, h) = level_run(d, similarity, variant);
+                println!("    {c:?}, // d={d} {similarity:?} {variant:?} bits {h:#018x}");
                 got.push(c);
+                bits.push(h);
             }
         }
     }
     assert!(
         got == PINNED_LEVELS,
         "device cost moved; this run printed its counters"
+    );
+    assert!(
+        bits == PINNED_LEVEL_BITS,
+        "device output bits moved; this run printed their hashes"
     );
 }
 
@@ -123,4 +157,9 @@ fn partitioned_run_counts_the_pinned_cost() {
     assert!(report.num_parts >= 2, "{} parts", report.num_parts);
     let got = counters(&device.snapshot());
     assert_eq!(got, PINNED_LARGE);
+    assert_eq!(
+        bits_hash(&m),
+        PINNED_LARGE_BITS,
+        "partitioned output bits moved"
+    );
 }
