@@ -120,10 +120,12 @@ fn bench_sampling(c: &mut Criterion) {
         b.iter(|| {
             let v = rng.below(4096);
             black_box(gosh_core::train_cpu::positive_sample(
-                &g,
+                g.xadj(),
+                g.adj(),
                 v,
                 gosh_core::Similarity::Adjacency,
                 &mut rng,
+                || {},
             ))
         });
     });
@@ -131,10 +133,12 @@ fn bench_sampling(c: &mut Criterion) {
         b.iter(|| {
             let v = rng.below(4096);
             black_box(gosh_core::train_cpu::positive_sample(
-                &g,
+                g.xadj(),
+                g.adj(),
                 v,
                 gosh_core::Similarity::Ppr { alpha: 0.85 },
                 &mut rng,
+                || {},
             ))
         });
     });

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use gosh_bench::{datasets_from_args, header, scaled_epochs, split, tau, DIM};
+use gosh_bench::{datasets_from_args, fmt_s, header, scaled_epochs, split, tau, DIM};
 use gosh_core::config::{GoshConfig, Preset};
 use gosh_core::model::Embedding;
 use gosh_core::pipeline::embed;
@@ -62,7 +62,10 @@ fn main() {
                 .with_seed(1),
         );
         let cpu_s = t0.elapsed().as_secs_f64();
-        println!("{}\tCPU-16t\t{:.2}\t1.00x", d.name, cpu_s);
+        let row = |name: &str, secs: f64| {
+            println!("{}\t{name}\t{}\t{:.2}x", d.name, fmt_s(secs), cpu_s / secs);
+        };
+        row("CPU-16t", cpu_s);
 
         // 2 & 3. GPU without coarsening, naive vs optimized (modeled).
         for (name, variant) in [
@@ -80,12 +83,7 @@ fn main() {
             )
             .expect("training failed");
             let modeled = CostModel::new(*device.config()).kernel_seconds(&device.snapshot());
-            println!(
-                "{}\t{name}\t{:.2}\t{:.2}x",
-                d.name,
-                modeled,
-                cpu_s / modeled
-            );
+            row(name, modeled);
         }
 
         // 4 & 5. Full GOSH, sequential vs parallel coarsening.
@@ -97,8 +95,7 @@ fn main() {
                 .with_threads(threads);
             let (_, report) = embed(&s.train, &cfg, &device);
             let modeled = CostModel::new(*device.config()).kernel_seconds(&report.device_cost);
-            let total = modeled + report.coarsening_seconds;
-            println!("{}\t{name}\t{:.2}\t{:.2}x", d.name, total, cpu_s / total);
+            row(name, modeled + report.coarsening_seconds);
         }
     }
 }

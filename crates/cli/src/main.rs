@@ -1,27 +1,6 @@
 //! `gosh` — command-line interface to the GOSH reproduction.
 //!
-//! ```text
-//! gosh generate <dataset|N:K> <out.{txt,csr}>    synthesize a graph
-//! gosh stats <graph> [--threads N]               structural statistics
-//! gosh convert <in> <out> [--threads N]          re-encode txt <-> csr
-//! gosh coarsen <graph> [--threads N] [--threshold T]
-//! gosh embed <graph> <out.emb> [--dim D] [--preset P] [--epochs E]
-//!                              [--device-mb M] [--threads N]
-//!                              [--backend cpu|gpu]
-//!                              [--precision f32|f16|i8]
-//!                              [--precision-schedule C:F[:V]]
-//! gosh eval <graph> [--dim D] [--preset P] [--epochs E] [--device-mb M]
-//!                   [--backend cpu|gpu] [--precision f32|f16|i8]
-//!                   [--precision-schedule C:F[:V]]
-//! gosh update <graph> <delta> <store.embin> <out.emb>
-//!                   [--threads N] [--preset P] [--epochs E] [--seed S]
-//!                   [--fallback-fraction F] [--epoch-scale X]
-//!                   [--precision f32|f16|i8] [--save-graph FILE]
-//! gosh serve <store.embin> [--addr H:P] [--threads N] [--ivf true|false]
-//! gosh query <store.embin> --addr H:P [--ids 0,1,2] [--k K]
-//!                          [--nprobe P] [--shutdown true|false]
-//! gosh audit [--root DIR] [--write true]         safety static-analysis gate
-//! ```
+//! `gosh --help` lists every command and flag (the `USAGE` text below).
 //!
 //! Graphs load from SNAP-style edge lists (`.txt`, any extension; a
 //! weighted KONECT third column is accepted and discarded) through the
@@ -80,7 +59,7 @@ USAGE:
                                [--precision f32|f16|i8]
                                [--precision-schedule C:F[:V]]
   gosh eval <graph> [--dim D] [--preset P] [--epochs E] [--device-mb M]
-                    [--backend cpu|gpu] [--precision f32|f16|i8]
+                    [--threads N] [--backend cpu|gpu] [--precision f32|f16|i8]
                     [--precision-schedule C:F[:V]]
   gosh update <graph> <delta> <store.embin> <out.emb>
                     [--threads N] [--preset P] [--epochs E] [--seed S]

@@ -68,7 +68,9 @@ pub struct TrainParams {
     pub lr: f32,
     /// Epochs (one epoch = |E| source processings, §4.3).
     pub epochs: u32,
-    /// Positive-sample distribution.
+    /// Positive-sample distribution. The partitioned engine
+    /// ([`GpuPartitioned`]) samples [`Similarity::Adjacency`] only and
+    /// panics on any other.
     pub similarity: Similarity,
     /// Host worker threads (CPU Hogwild team / SampleManager team; the
     /// paper's τ). Ignored by engines with no host-side workers.
@@ -341,7 +343,9 @@ impl TrainBackend for GpuInMemory {
     }
 }
 
-/// The partitioned out-of-memory engine (Algorithm 5).
+/// The partitioned out-of-memory engine (Algorithm 5). Its sample pools
+/// draw uniform neighbours: it trains [`Similarity::Adjacency`] only, and
+/// panics when `params.similarity` is anything else.
 #[derive(Clone)]
 pub struct GpuPartitioned {
     /// Device to train on.

@@ -40,7 +40,7 @@ use super::partition::{choose_num_parts, Partition};
 use super::pools::{generate_pool, SamplePool, NO_SAMPLE};
 use super::residency::{place, Placement};
 use super::rotation::inside_out_pairs;
-use crate::backend::{PartitionedOpts, TrainParams};
+use crate::backend::{PartitionedOpts, Similarity, TrainParams};
 use crate::model::Embedding;
 use crate::quant::{quantize_roundtrip, Precision};
 use crate::schedule::decayed_lr;
@@ -292,6 +292,10 @@ fn lookahead(
 /// Train `m` on `g` with the partitioned pipeline. The caller has already
 /// determined that the one-shot path does not fit (Algorithm 2, line 8).
 /// `opts` shapes the partitioning (P_GPU bins, S_GPU pools, batch B).
+///
+/// # Panics
+/// Panics unless `params.similarity` is [`Similarity::Adjacency`]: the
+/// sample pools draw uniform neighbours only.
 pub fn train_large(
     device: &Device,
     g: &Csr,
@@ -304,6 +308,11 @@ pub fn train_large(
     let d = params.dim;
     assert_eq!(m.num_vertices(), n, "graph/matrix mismatch");
     assert_eq!(m.dim(), d, "dimension mismatch");
+    assert!(
+        params.similarity == Similarity::Adjacency,
+        "the partitioned path samples adjacency only, not {:?}",
+        params.similarity
+    );
 
     // Budget 90% of free device memory for bins + pools, with sub-matrix
     // rows priced at the configured precision's true byte width.
@@ -571,6 +580,16 @@ mod tests {
         let mut m = Embedding::random(128, 16, 4);
         train_large(&device, &g, &mut m, &params(16, 20), &opts()).unwrap();
         assert_eq!(device.allocated_bytes(), 0, "leak after training");
+    }
+
+    #[test]
+    #[should_panic(expected = "the partitioned path samples adjacency only")]
+    fn ppr_similarity_is_rejected() {
+        let g = erdos_renyi(128, 1024, 5);
+        let device = Device::new(DeviceConfig::tiny(8 * 1024));
+        let mut m = Embedding::random(128, 8, 4);
+        let p = params(8, 2).with_similarity(Similarity::Ppr { alpha: 0.85 });
+        let _ = train_large(&device, &g, &mut m, &p, &opts());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Coarsen, initialize the coarsest matrix randomly, then walk the
 //! hierarchy from `G_{D-1}` down to `G_0`: train each level and project
 //! the result to the next finer level. The walk exists once, generic over
-//! the per-level trainer. [`embed`] trains through the
+//! the per-level trainer and projection, and serves both [`embed`] and
+//! warm start ([`crate::warm::warm_embed`]). [`embed`] trains through the
 //! [`TrainBackend`](crate::backend::TrainBackend) chain selected by
 //! [`crate::backend::BackendChoice`] (the device-fit check of line 5 is
 //! backend selection — the first backend whose `fits` accepts the level
@@ -73,25 +74,6 @@ pub fn embed(g0: &Csr, cfg: &GoshConfig, device: &Device) -> (Embedding, GoshRep
         KernelVariant::Auto,
         opts,
     );
-    let (matrix, mut report) = walk(g0, cfg, |g, matrix, lvl| {
-        backends
-            .iter()
-            .find(|b| b.fits(g))
-            .expect("no backend in the chain accepts this level")
-            .train_level(g, matrix, lvl)
-    });
-    report.device_cost = device.snapshot().since(&cost0);
-    (matrix, report)
-}
-
-/// Algorithm 2's walk: coarsen, draw the random coarsest rows, then train
-/// every level coarsest → finest with `train_level`, projecting between
-/// levels.
-pub(crate) fn walk(
-    g0: &Csr,
-    cfg: &GoshConfig,
-    mut train_level: impl FnMut(&Csr, &mut Embedding, LevelSchedule) -> LevelStats,
-) -> (Embedding, GoshReport) {
     let t0 = Instant::now();
 
     // Stage 1: coarsening (Algorithm 4) — or a single-level "hierarchy"
@@ -105,44 +87,31 @@ pub(crate) fn walk(
         },
     };
     let coarsening_seconds = t0.elapsed().as_secs_f64();
-
     let depth = hierarchy.depth();
     let dist = epoch_distribution(cfg.epochs, cfg.smoothing.unwrap_or(1.0), depth);
 
-    // Stage 2: train coarsest-to-finest with projection in between.
+    // Stage 2: train coarsest-to-finest from random rows.
     let t_train = Instant::now();
-    let coarsest = hierarchy.coarsest();
-    let mut matrix = Embedding::random(coarsest.num_vertices(), cfg.dim, cfg.seed);
-    let mut levels = Vec::with_capacity(depth);
-    for i in (0..depth).rev() {
-        let g = &hierarchy.graphs[i];
-        let stats = train_level(
-            g,
-            &mut matrix,
-            LevelSchedule {
-                level: i,
-                epochs: dist[i],
-                seed: cfg.seed ^ i as u64,
-                precision: cfg
-                    .precision_schedule
-                    .map(|ps| ps.level_precision(g.num_vertices())),
-            },
-        );
-        levels.push(LevelReport {
-            level: i,
-            vertices: g.num_vertices(),
-            arcs: g.num_edges(),
-            epochs: dist[i],
-            seconds: stats.seconds,
-            backend: stats.backend,
-            used_large_path: stats.backend == BackendKind::GpuPartitioned,
-        });
-        if i > 0 {
-            // Sharded projection: the between-level copy rides the same
-            // worker budget as training instead of stalling on one core.
-            matrix = expand_embedding_parallel(&matrix, &hierarchy.maps[i - 1], cfg.threads);
-        }
-    }
+    let coarsest = Embedding::random(hierarchy.coarsest().num_vertices(), cfg.dim, cfg.seed);
+    let (matrix, levels) = walk(
+        &hierarchy,
+        coarsest,
+        &dist,
+        cfg.seed,
+        |g, matrix, mut lvl| {
+            lvl.precision = cfg
+                .precision_schedule
+                .map(|ps| ps.level_precision(g.num_vertices()));
+            backends
+                .iter()
+                .find(|b| b.fits(g))
+                .expect("no backend in the chain accepts this level")
+                .train_level(g, matrix, lvl)
+        },
+        // Sharded projection: the between-level copy rides the same
+        // worker budget as training instead of stalling on one core.
+        |matrix, i| expand_embedding_parallel(matrix, &hierarchy.maps[i], cfg.threads),
+    );
 
     let report = GoshReport {
         depth,
@@ -150,9 +119,51 @@ pub(crate) fn walk(
         training_seconds: t_train.elapsed().as_secs_f64(),
         total_seconds: t0.elapsed().as_secs_f64(),
         levels,
-        device_cost: CostSnapshot::default(),
+        device_cost: device.snapshot().since(&cost0),
     };
     (matrix, report)
+}
+
+/// Algorithm 2's walk: from the coarsest rows `matrix`, train every level of
+/// `hierarchy` coarsest → finest with `train_level` for its `epochs[i]`
+/// (seeded `seed ^ i`, at the trainer's own precision), projecting onto
+/// level `i` with `project(matrix, i)` in between. Returns the level-0
+/// rows and the per-level records, coarsest first.
+pub(crate) fn walk(
+    hierarchy: &Hierarchy,
+    mut matrix: Embedding,
+    epochs: &[u32],
+    seed: u64,
+    mut train_level: impl FnMut(&Csr, &mut Embedding, LevelSchedule) -> LevelStats,
+    mut project: impl FnMut(&Embedding, usize) -> Embedding,
+) -> (Embedding, Vec<LevelReport>) {
+    let mut levels = Vec::with_capacity(hierarchy.depth());
+    for i in (0..hierarchy.depth()).rev() {
+        let g = &hierarchy.graphs[i];
+        let stats = train_level(
+            g,
+            &mut matrix,
+            LevelSchedule {
+                level: i,
+                epochs: epochs[i],
+                seed: seed ^ i as u64,
+                precision: None,
+            },
+        );
+        levels.push(LevelReport {
+            level: i,
+            vertices: g.num_vertices(),
+            arcs: g.num_edges(),
+            epochs: epochs[i],
+            seconds: stats.seconds,
+            backend: stats.backend,
+            used_large_path: stats.backend == BackendKind::GpuPartitioned,
+        });
+        if i > 0 {
+            matrix = project(&matrix, i - 1);
+        }
+    }
+    (matrix, levels)
 }
 
 #[cfg(test)]

@@ -55,14 +55,15 @@ pub fn train_cpu(g: &Csr, m: &mut Embedding, params: &TrainParams) {
     HogwildPlan::new(g).train(g, m, params);
 }
 
-/// Precomputed training plan for one level: the arc list positive
-/// sampling walks (`Q` of Algorithm 1) and the per-epoch source count.
+/// Precomputed training plan for one level: the arc list an epoch's
+/// sources are drawn from and the per-epoch source count. The device
+/// kernels upload the same list ([`crate::train_gpu::DeviceGraph`]).
 pub struct HogwildPlan {
-    arc_src: Vec<u32>,
-    num_arcs: usize,
-    /// Source processings per epoch: half the arc count, at least one
-    /// while the plan has an arc, zero when it has none.
-    sources: usize,
+    /// Each source of the plan repeated by its degree, in plan order.
+    pub(crate) arc_src: Vec<u32>,
+    /// Source processings per epoch: one per undirected edge (§4.3), at
+    /// least one while the plan has an arc, zero when it has none.
+    pub(crate) sources: usize,
 }
 
 impl HogwildPlan {
@@ -90,7 +91,6 @@ impl HogwildPlan {
         }
         Self {
             arc_src,
-            num_arcs,
             sources: (num_arcs / 2).max(usize::from(num_arcs > 0)),
         }
     }
@@ -101,7 +101,7 @@ impl HogwildPlan {
     pub fn train(&self, g: &Csr, m: &mut Embedding, params: &TrainParams) {
         assert_eq!(g.num_vertices(), m.num_vertices(), "graph/matrix mismatch");
         assert!(params.threads >= 1);
-        if self.num_arcs == 0 || params.epochs == 0 {
+        if self.arc_src.is_empty() || params.epochs == 0 {
             return;
         }
         *m = match params.precision {
@@ -121,8 +121,6 @@ impl HogwildPlan {
     /// The epoch loop of [`Self::train`] over a staged row store.
     fn run<S: RowStore>(&self, g: &Csr, rows: &S, params: &TrainParams) {
         let n = g.num_vertices() as u32;
-        let arc_src = &self.arc_src;
-        let num_arcs = self.num_arcs;
         // No thread should sit on an empty shard *and* a barrier slot.
         let threads = params.threads.min(self.sources);
         let shards = shard_ranges(self.sources, threads);
@@ -134,27 +132,17 @@ impl HogwildPlan {
                 let lr_now = decayed_lr(params.lr, epoch, params.epochs);
                 let mut rng =
                     Xorshift128Plus::new(mix64(params.seed ^ ((epoch as u64) << 20) ^ t as u64));
-                // `(2s + epoch) % num_arcs` with the division hoisted:
-                // 2s < num_arcs and offset < num_arcs, so one
-                // conditional subtract replaces a per-source div.
-                let offset = epoch as usize % num_arcs;
-                let arc_at = |s: usize| {
-                    let mut idx = 2 * s + offset;
-                    if idx >= num_arcs {
-                        idx -= num_arcs;
-                    }
-                    arc_src[idx]
-                };
+                let source = epoch_arcs(&self.arc_src, epoch);
                 let mut src_next = if shard.is_empty() {
                     0
                 } else {
-                    arc_at(shard.start)
+                    source(shard.start)
                 };
                 for s in shard.clone() {
                     let src = src_next;
                     // Warm the next source's row while this one trains.
                     if s + 1 < shard.end {
-                        src_next = arc_at(s + 1);
+                        src_next = source(s + 1);
                         rows.prefetch(src_next);
                     }
                     process_source(g, rows, src, n, params, lr_now, &mut rng, &mut scratch);
@@ -164,6 +152,25 @@ impl HogwildPlan {
                 ctx.barrier();
             }
         });
+    }
+}
+
+/// Epoch `epoch`'s source schedule over `arcs` (not empty): processing
+/// `s` runs arc `(2s + epoch) mod |arcs|` — every other arc, rotated per
+/// epoch so both orientations of each edge serve as source over time.
+/// The division is hoisted: for `s` below the plan's sources per epoch,
+/// `2s < |arcs|`, so one conditional subtract replaces it.
+#[inline]
+pub fn epoch_arcs(arcs: &[u32], epoch: u32) -> impl Fn(usize) -> u32 + Copy + '_ {
+    let offset = epoch as usize % arcs.len();
+    move |s| {
+        debug_assert!(2 * s < arcs.len());
+        let idx = 2 * s + offset;
+        arcs[if idx >= arcs.len() {
+            idx - arcs.len()
+        } else {
+            idx
+        }]
     }
 }
 
@@ -282,7 +289,7 @@ fn process_source<S: RowStore>(
     rng: &mut Xorshift128Plus,
     scratch: &mut S::Scratch,
 ) {
-    let pos = positive_sample(g, src, params.similarity, rng);
+    let pos = positive_sample(g.xadj(), g.adj(), src, params.similarity, rng, || {});
     let ns = params.negative_samples;
     let ahead = ns.min(PREFETCH_AHEAD);
     let mut negs = [0u32; PREFETCH_AHEAD];
@@ -309,32 +316,37 @@ fn process_source<S: RowStore>(
     rows.store_src(src, scratch);
 }
 
-/// Draw a positive sample for `src` under the chosen similarity.
+/// Draw a positive sample for `src` from `Q` over the CSR arrays
+/// `(xadj, adj)`: a uniform neighbour for adjacency, the endpoint of a
+/// restart-terminated random walk for PPR. `hop` runs after each walk
+/// step; the device charges the step's CSR lookups there. Returns `None`
+/// for a source with no neighbours.
 #[inline]
 pub fn positive_sample(
-    g: &Csr,
+    xadj: &[usize],
+    adj: &[u32],
     src: u32,
     similarity: Similarity,
     rng: &mut Xorshift128Plus,
+    mut hop: impl FnMut(),
 ) -> Option<u32> {
-    let deg = g.degree(src);
+    let src = src as usize;
+    let (lo, deg) = (xadj[src], (xadj[src + 1] - xadj[src]) as u32);
     if deg == 0 {
         return None;
     }
     match similarity {
-        Similarity::Adjacency => Some(g.neighbor_at(src, rng.below(deg as u32) as usize)),
+        Similarity::Adjacency => Some(adj[lo + rng.below(deg) as usize]),
         Similarity::Ppr { alpha } => {
             let mut u = src;
             loop {
-                let du = g.degree(u);
-                if du == 0 {
-                    // Dead end: restart at the source's own neighbourhood.
-                    u = g.neighbor_at(src, rng.below(deg as u32) as usize);
-                } else {
-                    u = g.neighbor_at(u, rng.below(du as u32) as usize);
-                }
+                let (ulo, udeg) = (xadj[u], (xadj[u + 1] - xadj[u]) as u32);
+                // Dead end: restart at the source's own neighbourhood.
+                let (base, d) = if udeg == 0 { (lo, deg) } else { (ulo, udeg) };
+                u = adj[base + rng.below(d) as usize] as usize;
+                hop();
                 if rng.next_f32() >= alpha {
-                    return Some(u);
+                    return Some(u as u32);
                 }
             }
         }
@@ -483,15 +495,20 @@ mod tests {
         assert!(m.as_slice().iter().all(|x| x.is_finite()));
     }
 
+    /// [`positive_sample`] over `g`'s arrays, with no per-hop hook.
+    fn sample(g: &Csr, src: u32, sim: Similarity, rng: &mut Xorshift128Plus) -> Option<u32> {
+        positive_sample(g.xadj(), g.adj(), src, sim, rng, || {})
+    }
+
     #[test]
     fn positive_sample_respects_adjacency() {
         let g = csr_from_edges(4, &[(0, 1), (0, 2)]);
         let mut rng = Xorshift128Plus::new(1);
         for _ in 0..50 {
-            let u = positive_sample(&g, 0, Similarity::Adjacency, &mut rng).unwrap();
+            let u = sample(&g, 0, Similarity::Adjacency, &mut rng).unwrap();
             assert!(u == 1 || u == 2);
         }
-        assert!(positive_sample(&g, 3, Similarity::Adjacency, &mut rng).is_none());
+        assert!(sample(&g, 3, Similarity::Adjacency, &mut rng).is_none());
     }
 
     #[test]
@@ -501,7 +518,7 @@ mod tests {
         let mut rng = Xorshift128Plus::new(2);
         let mut saw_two = false;
         for _ in 0..200 {
-            if positive_sample(&g, 0, Similarity::Ppr { alpha: 0.85 }, &mut rng) == Some(2) {
+            if sample(&g, 0, Similarity::Ppr { alpha: 0.85 }, &mut rng) == Some(2) {
                 saw_two = true;
                 break;
             }
@@ -655,7 +672,7 @@ mod tests {
                 let mut src_row = m.row(src).to_vec();
                 // RNG draw order matches the engine: positive first, then
                 // every negative, then the updates.
-                let pos = positive_sample(g, src, params.similarity, &mut rng);
+                let pos = sample(g, src, params.similarity, &mut rng);
                 let negs: Vec<u32> = (0..params.negative_samples).map(|_| rng.below(n)).collect();
                 let samples = pos.map(|u| (u, 1.0)).into_iter();
                 for (u, b) in samples.chain(negs.iter().map(|&u| (u, 0.0))) {

@@ -1,8 +1,11 @@
 //! `TrainInGPU` — Algorithm 3 on the simulated device.
 //!
-//! Sources are drawn from the arc list so that one epoch performs |E|
-//! positive samples — the epoch definition of §4.3 — weighting hubs by
-//! degree exactly as edge sampling does. There are two kernels, which
+//! The kernels draw from Hogwild's schedule: sources come from the arc
+//! list of [`HogwildPlan`] through [`epoch_arcs`], so one epoch performs
+//! |E| positive samples — the epoch definition of §4.3 — weighting hubs
+//! by degree exactly as edge sampling does; positives come from
+//! [`positive_sample`] on the warp's RNG stream, each PPR hop charged as
+//! two ALU instructions. There are two kernels, which
 //! reproduce the §4.8 speedup-breakdown stages:
 //!
 //! * the naive kernel ([`KernelVariant::Naive`]) — one source per warp, no
@@ -33,6 +36,7 @@ use crate::backend::{Similarity, TrainParams};
 use crate::model::Embedding;
 use crate::quant::{quantize_roundtrip, Precision};
 use crate::schedule::decayed_lr;
+use crate::train_cpu::{epoch_arcs, positive_sample, HogwildPlan};
 use crate::update::fast_sigmoid;
 
 /// Which embedding kernel to run.
@@ -46,71 +50,30 @@ pub enum KernelVariant {
     Auto,
 }
 
-/// Draw a positive sample for `src` on the device: uniform neighbour for
-/// adjacency, restart-terminated random walk for PPR. Returns `None` for
-/// sources with no outgoing edges.
-#[inline]
-pub(crate) fn device_positive_sample(
-    w: &Warp,
-    xadj: &[u64],
-    adj: &[u32],
-    src: usize,
-    similarity: Similarity,
-) -> Option<usize> {
-    let (lo, hi) = (xadj[src] as usize, xadj[src + 1] as usize);
-    let deg = (hi - lo) as u32;
-    if deg == 0 {
-        return None;
-    }
-    match similarity {
-        Similarity::Adjacency => Some(adj[lo + w.rand_below(deg) as usize] as usize),
-        Similarity::Ppr { alpha } => {
-            let mut u = adj[lo + w.rand_below(deg) as usize] as usize;
-            // Each hop is one strided lookup into the CSR arrays.
-            w.alu(2);
-            while w.rand_f32() < alpha {
-                let (ulo, uhi) = (xadj[u] as usize, xadj[u + 1] as usize);
-                let udeg = (uhi - ulo) as u32;
-                if udeg == 0 {
-                    // Dead end: restart from the source neighbourhood.
-                    u = adj[lo + w.rand_below(deg) as usize] as usize;
-                } else {
-                    u = adj[ulo + w.rand_below(udeg) as usize] as usize;
-                }
-                w.alu(2);
-            }
-            Some(u)
-        }
-    }
-}
-
 /// A graph resident in device memory: CSR plus the arc-source schedule.
 pub struct DeviceGraph {
-    xadj: PlainBuffer<u64>,
+    xadj: PlainBuffer<usize>,
     adj: PlainBuffer<u32>,
     arc_src: PlainBuffer<u32>,
-    num_vertices: usize,
+    sources: usize,
 }
 
 impl DeviceGraph {
-    /// Upload `g` (H2D copies are counted).
+    /// Upload `g` and its [`HogwildPlan`] arc list (H2D copies are
+    /// counted).
     pub fn upload(device: &Device, g: &Csr) -> Result<Self, DeviceError> {
-        let xadj: Vec<u64> = g.xadj().iter().map(|&x| x as u64).collect();
-        let mut arc_src = Vec::with_capacity(g.num_edges());
-        for v in 0..g.num_vertices() as u32 {
-            arc_src.extend(std::iter::repeat_n(v, g.degree(v)));
-        }
+        let plan = HogwildPlan::new(g);
         Ok(Self {
-            xadj: device.upload_plain(&xadj)?,
+            xadj: device.upload_plain(g.xadj())?,
             adj: device.upload_plain(g.adj())?,
-            arc_src: device.upload_plain(&arc_src)?,
-            num_vertices: g.num_vertices(),
+            arc_src: device.upload_plain(&plan.arc_src)?,
+            sources: plan.sources,
         })
     }
 
     /// Vertices in the graph.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.xadj.len() - 1
     }
 
     /// Directed arcs in the graph.
@@ -120,17 +83,16 @@ impl DeviceGraph {
 
     /// Source processings per epoch (= undirected edge count, §4.3).
     pub fn sources_per_epoch(&self) -> usize {
-        (self.num_arcs() / 2).max(1)
+        self.sources
     }
 
-    /// Device-side view of the offsets array.
-    pub fn xadj_slice(&self) -> &[u64] {
-        self.xadj.as_slice()
-    }
-
-    /// Device-side view of the adjacency array.
-    pub fn adj_slice(&self) -> &[u32] {
-        self.adj.as_slice()
+    /// [`positive_sample`] for `src` on warp `w`'s RNG stream; each PPR
+    /// hop is one strided lookup into the CSR arrays, two ALU
+    /// instructions.
+    #[inline]
+    fn positive(&self, w: &Warp, src: u32, similarity: Similarity) -> Option<u32> {
+        let (xadj, adj) = (self.xadj.as_slice(), self.adj.as_slice());
+        w.with_rng(|rng| positive_sample(xadj, adj, src, similarity, rng, || w.alu(2)))
     }
 }
 
@@ -180,13 +142,6 @@ pub fn train_in_gpu(
     }
 }
 
-/// Arc index for warp `w` of `epoch` — every other arc, rotated per epoch
-/// so both orientations of each edge serve as source over time.
-#[inline]
-fn arc_for(w: usize, epoch: u32, num_arcs: usize) -> usize {
-    (2 * w + epoch as usize) % num_arcs
-}
-
 /// Most sources one warp can hold: 8 lanes each (§3.1.1).
 const MAX_PACK: usize = WARP_SIZE / 8;
 
@@ -205,11 +160,8 @@ fn epoch_staged(
     let d = params.dim;
     let ns = params.negative_samples;
     let n = graph.num_vertices() as u32;
-    let num_arcs = graph.num_arcs();
     let sources = graph.sources_per_epoch();
-    let xadj = graph.xadj.as_slice();
-    let adj = graph.adj.as_slice();
-    let arc_src = graph.arc_src.as_slice();
+    let source = epoch_arcs(graph.arc_src.as_slice(), epoch);
 
     // Scratch: k source rows + k sample rows.
     let config = LaunchConfig::new(sources.div_ceil(pack), 2 * pack * d);
@@ -219,11 +171,11 @@ fn epoch_staged(
         let (src_rows, tmp) = scratch.split_at_mut(pack * d);
         let (src_rows, tmp) = (&mut src_rows[..k * d], &mut tmp[..k * d]);
 
-        let mut srcs = [0usize; MAX_PACK];
+        let mut srcs = [0u32; MAX_PACK];
         let mut src_offsets = [0usize; MAX_PACK];
         for i in 0..k {
-            srcs[i] = arc_src[arc_for(first + i, epoch, num_arcs)] as usize;
-            src_offsets[i] = srcs[i] * d;
+            srcs[i] = source(first + i);
+            src_offsets[i] = srcs[i] as usize * d;
         }
         let src_offsets = &src_offsets[..k];
         w.global_read_rows(matrix, src_offsets, d, src_rows, Access::Coalesced);
@@ -234,9 +186,8 @@ fn epoch_staged(
         let (mut offsets, mut scores) = ([0usize; MAX_PACK], [0f32; MAX_PACK]);
         let (offsets, scores) = (&mut offsets[..k], &mut scores[..k]);
         for i in 0..k {
-            let sample = device_positive_sample(w, xadj, adj, srcs[i], params.similarity);
-            (offsets[i], scores[i]) = match sample {
-                Some(u) => (u * d, 1.0),
+            (offsets[i], scores[i]) = match graph.positive(w, srcs[i], params.similarity) {
+                Some(u) => (u as usize * d, 1.0),
                 None => (src_offsets[i], 0.0),
             };
         }
@@ -308,34 +259,33 @@ fn epoch_naive(
     let d = params.dim;
     let ns = params.negative_samples;
     let n = graph.num_vertices() as u32;
-    let num_arcs = graph.num_arcs();
-    let sources = graph.sources_per_epoch();
-    let xadj = graph.xadj.as_slice();
-    let adj = graph.adj.as_slice();
-    let arc_src = graph.arc_src.as_slice();
+    let source = epoch_arcs(graph.arc_src.as_slice(), epoch);
 
-    device.launch(LaunchConfig::new(sources, 2 * d), |w, scratch| {
-        let (src_row, tmp) = scratch.split_at_mut(d);
-        let src = arc_src[arc_for(w.id(), epoch, num_arcs)] as usize;
-        let src_off = [src * d];
-        let mut one = |u: usize, b: f32| {
-            let u_off = [u * d];
-            w.global_read_rows(matrix, &src_off, d, src_row, Access::Strided);
-            w.global_read_rows(matrix, &u_off, d, tmp, Access::Strided);
-            let mut dot = [0f32];
-            w.dot_rows(src_row, tmp, d, &mut dot);
-            w.alu(8); // sigmoid
-            let score = [(b - fast_sigmoid(dot[0])) * lr];
-            w.global_axpy_rows(matrix, &u_off, d, &score, src_row, Access::Strided);
-            w.global_axpy_rows(matrix, &src_off, d, &score, tmp, Access::Strided);
-        };
-        if let Some(u) = device_positive_sample(w, xadj, adj, src, params.similarity) {
-            one(u, 1.0);
-        }
-        for _ in 0..ns {
-            one(w.rand_below(n) as usize, 0.0);
-        }
-    });
+    device.launch(
+        LaunchConfig::new(graph.sources_per_epoch(), 2 * d),
+        |w, scratch| {
+            let (src_row, tmp) = scratch.split_at_mut(d);
+            let src = source(w.id());
+            let src_off = [src as usize * d];
+            let mut one = |u: usize, b: f32| {
+                let u_off = [u * d];
+                w.global_read_rows(matrix, &src_off, d, src_row, Access::Strided);
+                w.global_read_rows(matrix, &u_off, d, tmp, Access::Strided);
+                let mut dot = [0f32];
+                w.dot_rows(src_row, tmp, d, &mut dot);
+                w.alu(8); // sigmoid
+                let score = [(b - fast_sigmoid(dot[0])) * lr];
+                w.global_axpy_rows(matrix, &u_off, d, &score, src_row, Access::Strided);
+                w.global_axpy_rows(matrix, &src_off, d, &score, tmp, Access::Strided);
+            };
+            if let Some(u) = graph.positive(w, src, params.similarity) {
+                one(u as usize, 1.0);
+            }
+            for _ in 0..ns {
+                one(w.rand_below(n) as usize, 0.0);
+            }
+        },
+    );
 }
 
 /// Upload, train, download: the small-graph path of Algorithm 2 (lines
@@ -548,14 +498,7 @@ mod tests {
         let graph = DeviceGraph::upload(&device, &g).unwrap();
         let hits = std::sync::atomic::AtomicUsize::new(0);
         device.launch(gosh_gpu::LaunchConfig::new(256, 0), |w, _| {
-            if device_positive_sample(
-                w,
-                graph.xadj_slice(),
-                graph.adj_slice(),
-                0,
-                crate::backend::Similarity::Ppr { alpha: 0.85 },
-            ) == Some(2)
-            {
+            if graph.positive(w, 0, Similarity::Ppr { alpha: 0.85 }) == Some(2) {
                 hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
         });
@@ -616,11 +559,11 @@ mod tests {
     ) {
         let d = params.dim;
         let n = graph.num_vertices() as u32;
-        let arc_src = graph.arc_src.as_slice();
+        let source = epoch_arcs(graph.arc_src.as_slice(), epoch);
         let launch = LaunchConfig::new(graph.sources_per_epoch(), 2 * d);
         device.launch(launch, |w, scratch| {
             let (src_row, tmp) = scratch.split_at_mut(d);
-            let src = arc_src[arc_for(w.id(), epoch, graph.num_arcs())] as usize;
+            let src = source(w.id()) as usize;
             w.global_read_rows(matrix, &[src * d], d, src_row, Access::Coalesced);
             w.shared_store(d);
             let update = |u: usize, b: f32, src_row: &mut [f32], tmp: &mut [f32]| {
@@ -632,9 +575,8 @@ mod tests {
                 w.global_axpy_rows(matrix, &[u * d], d, &score, src_row, Access::Coalesced);
                 w.shared_axpy_rows(&score, tmp, src_row, d);
             };
-            let (xadj, adj) = (graph.xadj_slice(), graph.adj_slice());
-            if let Some(u) = device_positive_sample(w, xadj, adj, src, params.similarity) {
-                update(u, 1.0, src_row, tmp);
+            if let Some(u) = graph.positive(w, src as u32, params.similarity) {
+                update(u as usize, 1.0, src_row, tmp);
             }
             for _ in 0..params.negative_samples {
                 update(w.rand_below(n) as usize, 0.0, src_row, tmp);

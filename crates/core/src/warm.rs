@@ -12,13 +12,17 @@
 //! 2. the init is aggregated up the repaired hierarchy (coarse row =
 //!    mean of member rows), so every level starts from the old
 //!    solution's projection instead of noise;
-//! 3. each level trains through [`HogwildPlan::new_for_sources`], drawing
-//!    sources only from that level's dirty set
-//!    (`RepairStats::dirty_per_level`) under a scaled
-//!    [`crate::schedule::epoch_distribution`] — clean rows still adapt
-//!    as sample targets, but no epoch budget is spent walking them;
-//! 4. expansion between levels overwrites **only dirty fine rows** with
-//!    their cluster's trained row; clean rows keep their init values.
+//! 3. the hierarchy is walked by Algorithm 2's one level loop,
+//!    `pipeline::walk`, under a scaled
+//!    [`crate::schedule::epoch_distribution`], with a dirty-source
+//!    trainer: each level trains through
+//!    [`HogwildPlan::new_for_sources`], drawing sources only from that
+//!    level's dirty set (`RepairStats::dirty_per_level`) — clean rows
+//!    still adapt as sample targets, but no epoch budget is spent
+//!    walking them;
+//! 4. the walk's projection between levels overwrites **only dirty fine
+//!    rows** with their cluster's trained row; clean rows keep their
+//!    init values.
 //!
 //! The warm path is CPU/f32-only: it exists to make small deltas cheap,
 //! and the Hogwild CPU engine is the only backend whose sampling can be
@@ -31,9 +35,10 @@ use gosh_coarsen::mapping::Mapping;
 use gosh_coarsen::repair::{repair_hierarchy, RepairConfig};
 use gosh_graph::csr::Csr;
 
-use crate::backend::TrainParams;
+use crate::backend::{BackendKind, LevelStats, TrainParams};
 use crate::config::GoshConfig;
 use crate::model::Embedding;
+use crate::pipeline::walk;
 use crate::quant::Precision;
 use crate::schedule::epoch_distribution;
 use crate::train_cpu::HogwildPlan;
@@ -129,46 +134,49 @@ pub fn warm_embed(
     debug_assert_eq!(rstats.dirty_per_level.len(), depth);
 
     // Stage 2: initialization — old rows at level 0, means up the tree.
-    let m0 = init_fine(g_new, old, cfg.dim, cfg.seed);
-    let mut inits: Vec<Embedding> = Vec::with_capacity(depth);
-    inits.push(m0);
-    for i in 0..depth - 1 {
-        let coarse = aggregate_up(&inits[i], &hierarchy.maps[i]);
-        inits.push(coarse);
+    let mut inits = vec![init_fine(g_new, old, cfg.dim, cfg.seed)];
+    for map in &hierarchy.maps {
+        inits.push(aggregate_up(inits.last().expect("level 0"), map));
     }
-    let repair_seconds = rstats.seconds;
 
-    // Stage 3: the scaled per-level schedule over dirty sources only.
+    // Stage 3: Algorithm 2's walk under a scaled schedule, each level
+    // training its dirty sources only.
     let t_train = Instant::now();
     let p = cfg.smoothing.unwrap_or(1.0);
     let e_total = ((cfg.epochs as f64 * wcfg.epoch_scale).round() as u32).max(1);
     let dist = epoch_distribution(e_total, p, depth);
-    let mut params = TrainParams {
+    let base = TrainParams {
         precision: Precision::F32,
         ..cfg.train_params()
     };
-
-    let mut matrix = inits.pop().expect("depth >= 1");
-    let mut trained_sources = vec![0usize; depth];
-    for i in (0..depth).rev() {
-        let sources = &rstats.dirty_per_level[i];
-        trained_sources[i] = sources.len();
-        params.seed = cfg.seed ^ i as u64;
-        params.epochs = dist[i];
-        let g = &hierarchy.graphs[i];
-        HogwildPlan::new_for_sources(g, sources).train(g, &mut matrix, &params);
-        if i > 0 {
-            // Partial expansion: dirty fine rows inherit their cluster's
-            // trained row; clean rows keep their (old-solution) init.
-            let map = &hierarchy.maps[i - 1];
+    let dirty = &rstats.dirty_per_level;
+    let coarsest = inits.pop().expect("depth >= 1");
+    let (matrix, _) = walk(
+        &hierarchy,
+        coarsest,
+        &dist,
+        cfg.seed,
+        |g, matrix, lvl| {
+            let t = Instant::now();
+            HogwildPlan::new_for_sources(g, &dirty[lvl.level]).train(g, matrix, &lvl.params(&base));
+            LevelStats {
+                backend: BackendKind::CpuHogwild,
+                seconds: t.elapsed().as_secs_f64(),
+                large: None,
+            }
+        },
+        // Partial expansion: dirty fine rows inherit their cluster's
+        // trained row; clean rows keep their (old-solution) init.
+        |matrix, i| {
+            let map = &hierarchy.maps[i];
             let mut next = inits.pop().expect("one init per level");
-            for &v in &rstats.dirty_per_level[i - 1] {
+            for &v in &dirty[i] {
                 next.row_mut(v)
                     .copy_from_slice(matrix.row(map.cluster_of(v)));
             }
-            matrix = next;
-        }
-    }
+            next
+        },
+    );
     let training_seconds = t_train.elapsed().as_secs_f64();
 
     let report = WarmReport {
@@ -176,9 +184,9 @@ pub fn warm_embed(
         repaired_levels: rstats.repaired_levels,
         fell_back: rstats.fell_back,
         dirty_fractions: rstats.dirty_fractions.clone(),
-        trained_sources,
+        trained_sources: dirty.iter().map(Vec::len).collect(),
         epochs_per_level: dist,
-        repair_seconds,
+        repair_seconds: rstats.seconds,
         training_seconds,
         total_seconds: t0.elapsed().as_secs_f64(),
     };

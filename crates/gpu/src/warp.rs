@@ -44,23 +44,17 @@ pub const WARP_SIZE: usize = 32;
 /// Execution context handed to a kernel once per warp.
 pub struct Warp {
     id: Cell<usize>,
-    rng: Cell<XsState>,
+    /// In a `Cell` so counting methods can take `&self` while the kernel
+    /// holds `&mut` scratch slices.
+    rng: Cell<Xorshift128Plus>,
     counters: Cell<LocalCounters>,
-}
-
-/// Copyable xorshift128+ state (kept in a `Cell` so counting methods can
-/// take `&self` while the kernel holds `&mut` scratch slices).
-#[derive(Clone, Copy)]
-struct XsState {
-    s0: u64,
-    s1: u64,
 }
 
 impl Warp {
     pub(crate) fn new() -> Self {
         Self {
             id: Cell::new(0),
-            rng: Cell::new(XsState { s0: 1, s1: 2 }),
+            rng: Cell::new(Xorshift128Plus::from_state(1, 2)),
             counters: Cell::new(LocalCounters::default()),
         }
     }
@@ -73,7 +67,7 @@ impl Warp {
         // Pull two words through the seeded generator for the state.
         let s0 = sm.next_u64();
         let s1 = sm.next_u64() | 1;
-        self.rng.set(XsState { s0, s1 });
+        self.rng.set(Xorshift128Plus::from_state(s0, s1));
         let mut c = self.counters.get();
         c.warps += 1;
         self.counters.set(c);
@@ -96,32 +90,25 @@ impl Warp {
         self.counters.set(c);
     }
 
+    /// Run `f` on the warp's RNG stream.
     #[inline]
-    fn next_u64(&self) -> u64 {
-        let XsState { mut s0, s1 } = self.rng.get();
-        let y = s1;
-        let new_s0 = y;
-        s0 ^= s0 << 23;
-        let new_s1 = s0 ^ y ^ (s0 >> 17) ^ (y >> 26);
-        self.rng.set(XsState {
-            s0: new_s0,
-            s1: new_s1,
-        });
-        new_s1.wrapping_add(y)
+    pub fn with_rng<R>(&self, f: impl FnOnce(&mut Xorshift128Plus) -> R) -> R {
+        let mut rng = self.rng.replace(Xorshift128Plus::from_state(1, 2));
+        let out = f(&mut rng);
+        self.rng.set(rng);
+        out
     }
 
     /// Uniform integer in `[0, bound)` from the warp's RNG stream.
     #[inline]
     pub fn rand_below(&self, bound: u32) -> u32 {
-        debug_assert!(bound > 0);
-        let x = self.next_u64() as u32 as u64;
-        ((x * bound as u64) >> 32) as u32
+        self.with_rng(|r| r.below(bound))
     }
 
     /// Uniform `f32` in `[0, 1)`.
     #[inline]
     pub fn rand_f32(&self) -> f32 {
-        (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+        self.with_rng(|r| r.next_f32())
     }
 
     #[inline]

@@ -66,6 +66,13 @@ impl Xorshift128Plus {
         Self { s0, s1 }
     }
 
+    /// A generator at exactly the state `(s0, s1)`, for callers that
+    /// derive the state words themselves. The state must not be all-zero.
+    #[inline]
+    pub const fn from_state(s0: u64, s1: u64) -> Self {
+        Self { s0, s1 }
+    }
+
     /// Next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
