@@ -165,12 +165,11 @@ pub fn epoch_arcs(arcs: &[u32], epoch: u32) -> impl Fn(usize) -> u32 + Copy + '_
     let offset = epoch as usize % arcs.len();
     move |s| {
         debug_assert!(2 * s < arcs.len());
-        let idx = 2 * s + offset;
-        arcs[if idx >= arcs.len() {
-            idx - arcs.len()
-        } else {
-            idx
-        }]
+        let mut idx = 2 * s + offset;
+        if idx >= arcs.len() {
+            idx -= arcs.len();
+        }
+        arcs[idx]
     }
 }
 

@@ -25,8 +25,8 @@
 //!    init values.
 //!
 //! The warm path is CPU/f32-only: it exists to make small deltas cheap,
-//! and the Hogwild CPU engine is the only backend whose sampling can be
-//! restricted to a vertex subset without re-deriving the GPU schedule.
+//! and the Hogwild CPU engine trains a restricted source list in place,
+//! with no per-level upload.
 
 use std::time::Instant;
 
